@@ -17,9 +17,10 @@ import time
 from dataclasses import dataclass
 
 from . import learner, logic, oracle, saturation, store, subsumption, textsim
-from .constraints import parse_constraints
+from .constraints import ConstraintError, parse_constraints
 from .learner import LearnedClause, LearnedDefinition, LearnerConfig
-from .store import Example
+from .logic import ClauseError
+from .store import Example, StoreError
 from .util import derive_rng
 
 MODES = ("full", "no-md", "no-cfd")
@@ -364,8 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Malformed schema, data, constraint or definition
+    files end the run with a one-line message on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (StoreError, ConstraintError, ClauseError) as exc:
+        print(f"dlearn: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -74,7 +74,10 @@ class Example:
     values: tuple[str, ...]
 
     def key(self) -> str:
-        return ",".join(self.values)
+        """The example's identity: its values joined by commas, with any
+        backslash or comma inside a value escaped by a backslash, so distinct
+        value tuples never share a key."""
+        return ",".join(v.replace("\\", "\\\\").replace(",", "\\,") for v in self.values)
 
 
 _SCHEMA_LINE = re.compile(r"^\s*([A-Za-z_]\w*)\s*\(\s*(.*?)\s*\)\s*$")

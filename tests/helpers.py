@@ -106,3 +106,90 @@ def clause_pair(rng: random.Random, with_cfd: bool = False, same_example: bool =
 
 def count_repair_literals(clause: logic.Clause) -> int:
     return sum(1 for lit in clause.body if isinstance(lit, logic.RepairLit))
+
+
+TITLE_WORDS = ("Golden", "Silent", "Dark", "Iron", "Red", "Blue", "Wild", "Lost", "Broken",
+               "Hidden", "Frozen", "Burning", "Quiet", "Hollow", "Bright", "Crimson", "Silver",
+               "Endless", "Distant", "Savage")
+TITLE_NOUNS = ("Rift", "Star", "River", "Crown", "Storm", "Garden", "Harbor", "Summit", "Echo",
+               "Empire")
+
+TITLE_SCHEMA_TEXT = """\
+movies(id:text, title:text, year:integer)
+aka(id:text, title:text)
+highGrossing(title:text)
+"""
+TITLE_MD = "md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[title]"
+# a stored-to-stored pair: both of its sides are probed by saturation
+AKA_MD = "md: movies[title] ~ aka[title] -> movies[title] <-> aka[title]"
+
+
+def seeded_titles(n: int, seed: int, family: int = 0) -> list[str]:
+    """n distinct "<word> <noun> <k>" titles drawn from random.Random(seed).
+    With family=F they come in runs of F sharing word and noun, so every
+    title has close rivals (similarity fan-out above 1)."""
+    rng = random.Random(seed)
+    titles: list[str] = []
+    while len(titles) < n:
+        word, noun = rng.choice(TITLE_WORDS), rng.choice(TITLE_NOUNS)
+        for _ in range(max(family, 1)):
+            t = f"{word} {noun} {rng.randint(1, 999)}"
+            if t not in titles and len(titles) < n:
+                titles.append(t)
+    return titles
+
+
+def title_rows(titles: list[str]) -> dict[str, list[tuple[str, ...]]]:
+    """Stored rows of a title database: every title as a dated movie, and
+    every third one again as an alternative title with the year bracketed."""
+    movies = [(f"m{i}", f"{t} ({2000 + i % 20})", str(2000 + i % 20)) for i, t in enumerate(titles)]
+    aka = [(f"m{i}", f"{t} [{2000 + i % 20}]") for i, t in enumerate(titles) if i % 3 == 0]
+    return {"movies": movies, "aka": aka}
+
+
+def title_database(n: int, seed: int, family: int = 0, stored_pair: bool = False):
+    """(db, mds, examples) over seeded titles; the examples are the titles
+    themselves, which reach `movies` only by similarity."""
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    titles = seeded_titles(n, seed, family)
+    db = store.from_tuples(schema, title_rows(titles))
+    md_text = TITLE_MD + ("\n" + AKA_MD if stored_pair else "")
+    mds, _ = constraints.parse_constraints(md_text, schema)
+    return db, mds, [Example("highGrossing", (t,)) for t in titles]
+
+
+def brute_force_index(db, examples, mds, k_m: int, threshold: float):
+    """Reference for textsim.build_similarity_index(...).entries: scores every
+    cross pair of distinct values with combined_similarity, keeps the k_m
+    best at or above the threshold per left value (ties by right value), and
+    of those the k_m best per right value."""
+    def values(relation, attribute):
+        if relation == db.schema.target:
+            pos = db.schema.relation(relation).attr_index(attribute)
+            return list(dict.fromkeys(e.values[pos] for e in examples))
+        return db.values_at(relation, attribute)
+
+    def rank(match):
+        return -match[1], match[0]
+
+    entries = {}
+    for pair in dict.fromkeys(p for md in mds for p in md.lhs):
+        (r1, a1), (r2, a2) = pair
+        rights = values(r2, a2)
+        fwd = {}
+        for lv in values(r1, a1):
+            scored = sorted(((rv, textsim.combined_similarity(lv, rv)) for rv in rights if rv != lv),
+                            key=rank)
+            best = [m for m in scored if m[1] >= threshold][:k_m]
+            if best:
+                fwd[lv] = best
+        lefts_of = {}
+        for lv, matches in fwd.items():
+            for rv, score in matches:
+                lefts_of.setdefault(rv, []).append((lv, score))
+        keep = {(lv, rv) for rv, lefts in lefts_of.items() for lv, _ in sorted(lefts, key=rank)[:k_m]}
+        table = {lv: tuple(m for m in matches if (lv, m[0]) in keep) for lv, matches in fwd.items()}
+        table = {lv: matches for lv, matches in table.items() if matches}
+        if table:
+            entries[pair] = table
+    return entries

@@ -4,11 +4,13 @@ import os
 
 import pytest
 
-from dlearn import evalcli, learner, logic
+from dlearn import evalcli, learner, logic, store
+from dlearn.constraints import parse_constraints
 from dlearn.evalcli import (Metrics, apply_mode, cross_validate, evaluate,
                             main, parse_examples, stratified_folds)
 from dlearn.store import Example
 from dlearn.util import derive_rng
+from helpers import AKA_MD, TITLE_MD, TITLE_SCHEMA_TEXT, brute_force_index, seeded_titles, title_rows
 from test_learner import build_mini_dataset
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "movieexample")
@@ -176,3 +178,69 @@ def test_cli_cv(capsys, tmp_path):
     assert rc == 0
     rows = list(csv.reader(open(tmp_path / "cv.csv")))
     assert rows[-1][0] == "mean"
+
+
+def test_cli_sim_index_matches_brute_force_on_fan_out(tmp_path, capsys):
+    titles = seeded_titles(40, seed=3, family=3)
+    (tmp_path / "schema.txt").write_text(TITLE_SCHEMA_TEXT)
+    (tmp_path / "data").mkdir()
+    for relation, rows in title_rows(titles).items():
+        with open(tmp_path / "data" / f"{relation}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    (tmp_path / "constraints.txt").write_text(TITLE_MD + "\n" + AKA_MD + "\n")
+    (tmp_path / "examples.txt").write_text(
+        "".join(f"{'+' if i < 20 else '-'},{t}\n" for i, t in enumerate(titles)))
+    assert main(["sim-index", "--schema", str(tmp_path / "schema.txt"),
+                 "--data", str(tmp_path / "data"), "--target", "highGrossing",
+                 "--constraints", str(tmp_path / "constraints.txt"),
+                 "--examples", str(tmp_path / "examples.txt"), "--km", "5"]) == 0
+    shown = capsys.readouterr().out
+
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    db = store.load_csv(schema, str(tmp_path / "data"))
+    mds, _ = parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
+    examples = [Example("highGrossing", (t,)) for t in titles]
+    expect = brute_force_index(db, examples, mds, 5, 0.65)
+    assert any(len(m) >= 2 for m in expect[(("highGrossing", "title"), ("movies", "title"))].values())
+    want = io.StringIO()
+    writer = csv.writer(want)
+    for pair in sorted(expect):
+        (r1, a1), (r2, a2) = pair
+        for left in sorted(expect[pair]):
+            for right, score in expect[pair][left]:
+                writer.writerow([f"{r1}.{a1}", f"{r2}.{a2}", left, right, f"{score:.6f}"])
+    assert shown == want.getvalue()
+
+
+def _replaced(argv, flag, value):
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+def _one_line_error(argv, capsys) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("dlearn: error: ")
+    return err
+
+
+def test_cli_malformed_schema_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "schema.txt"
+    bad.write_text("movies(id:text, title:blob)\n")
+    argv = _replaced(movie_args(["--out", str(tmp_path / "d.txt")]), "--schema", str(bad))
+    assert "bad attribute" in _one_line_error(["learn"] + argv, capsys)
+
+
+def test_cli_malformed_constraints_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "constraints.txt"
+    bad.write_text("md: highGrossing[title] ~ nowhere[title]\n")
+    argv = _replaced(movie_args(["--out", str(tmp_path / "d.txt")]), "--constraints", str(bad))
+    assert "line 1" in _one_line_error(["learn"] + argv, capsys)
+
+
+def test_cli_malformed_definition_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "definition.txt"
+    bad.write_text("# pos=1 neg=0\nhighGrossing(V0 :- movies(V1,V0,V2).\n")
+    err = _one_line_error(["eval"] + movie_args(["--definition", str(bad)]), capsys)
+    assert "parse error" in err

@@ -158,3 +158,14 @@ def test_learn_with_cfd_violations_present():
     from dlearn import evalcli
     m = evalcli.evaluate(definition, pos, neg, db, mds, cfds, cfg)
     assert m.f1 == 1.0
+
+
+def test_session_keeps_examples_with_commas_apart():
+    schema = store.parse_schema("r(x:text, y:text)\nt(x:text, y:text)\n", target="t")
+    db = store.from_tuples(schema, {"r": [("a,b", "c"), ("a", "b,c")]})
+    pos, neg = [Example("t", ("a,b", "c"))], [Example("t", ("a", "b,c"))]
+    session = learner._Session(db, [], [], pos, neg, LearnerConfig(d=1))
+    assert len(session.ground) == 2
+    for ex in pos + neg:
+        assert session.ground[ex.key()].head.args == tuple(logic.Constant(v) for v in ex.values)
+    assert Example("t", ("Superbad (2007)", "x")).key() == "Superbad (2007),x"

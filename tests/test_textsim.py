@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlearn import textsim
-from dlearn.textsim import (GAP_EXTEND, GAP_OPEN, MATCH_SCORE, MISMATCH_SCORE,
-                            build_similarity_index, combined_similarity,
+from dlearn.textsim import (EPS, GAP_EXTEND, GAP_OPEN, MATCH_SCORE, MISMATCH_SCORE,
+                            build_similarity_index, combined_bound, combined_similarity,
                             length_similarity, swg_similarity)
+from helpers import brute_force_index, title_database
 
 
 def swg_reference(a: str, b: str) -> float:
@@ -134,3 +138,47 @@ def test_index_symmetric_lookup():
     assert idx.matches("a", "x", "zzz") == []
     assert idx.covers("a", "x") and idx.covers("t", "v")
     assert not idx.covers("a", "k")
+
+
+_strings = st.one_of(
+    st.text(alphabet="aab (1)", max_size=14),  # few letters: repeats and near matches
+    st.text(alphabet="éß€𝄞 a", max_size=10),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strings, _strings)
+@example("", "")
+@example("", "abc")
+@example("aaaa", "aa")
+@example("Superbad", "Superbad (2007)")
+def test_combined_bound_never_below_score(a, b):
+    assert combined_bound(a, Counter(a), b, Counter(b)) + EPS >= combined_similarity(a, b)
+
+
+@pytest.mark.parametrize("family", [0, 3])
+@pytest.mark.parametrize("k_m", [1, 5])
+def test_pruned_index_equals_brute_force(family, k_m):
+    db, mds, examples = title_database(40, seed=4 + family, family=family)
+    idx = build_similarity_index(db, examples, mds, k_m=k_m, threshold=0.65)
+    expect = brute_force_index(db, examples, mds, k_m, 0.65)
+    assert expect
+    assert idx.entries == expect
+
+
+def test_pruned_index_stored_pair_reverse_lookup():
+    db, mds, examples = title_database(40, seed=9, family=2, stored_pair=True)
+    idx = build_similarity_index(db, examples, mds, k_m=5, threshold=0.65)
+    expect = brute_force_index(db, examples, mds, 5, 0.65)
+    assert idx.entries == expect
+    pair = (("movies", "title"), ("aka", "title"))
+    assert expect[pair] and pair not in idx._reverse
+    for movie, matches in expect[pair].items():
+        assert [(v, s) for v, s, _ in idx.matches("aka", "title", movie)] == list(matches)
+    assert pair not in idx._reverse
+    for aka in db.values_at("aka", "title"):
+        lefts = sorted(((movie, s) for movie, matches in expect[pair].items()
+                        for other, s in matches if other == aka), key=lambda m: (-m[1], m[0]))
+        assert [(v, s) for v, s, _ in idx.matches("movies", "title", aka)] == lefts
+    assert pair in idx._reverse

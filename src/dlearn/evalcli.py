@@ -4,7 +4,8 @@ Subcommands: learn, eval, cv, saturate, subsume, sim-index, and oracle (a
 hidden helper that enumerates the repairs of a small database). Example files
 hold one example per line as `<label>,<v1>,...,<vk>` with label `+` or `-`;
 definition files hold one clause per line preceded by a `# pos=.. neg=..`
-comment.
+comment, which ends in ` budget_exhausted` when a coverage test of the clause
+ran out of its search budget.
 """
 
 from __future__ import annotations
@@ -63,18 +64,14 @@ def evaluate(definition: LearnedDefinition, test_pos, test_neg, db, mds, cfds,
     positive coverage of their ground bottom clauses, negatives through
     negative coverage."""
     start = time.perf_counter()
-    idx = textsim.build_similarity_index(db, list(test_pos) + list(test_neg), mds,
-                                         cfg.k_m, cfg.sim_threshold)
-    sat_cfg = cfg.saturation_config()
+    _, grounds = learner.ground_examples(db, mds, cfds, list(test_pos) + list(test_neg), cfg)
     metrics = Metrics()
-    for ex in test_pos:
-        g = saturation.ground_bottom_clause(ex, db, mds, cfds, idx, sat_cfg)
+    for g in grounds[:len(test_pos)]:
         if learner.definition_covers_positive(definition, g, cfg):
             metrics.tp += 1
         else:
             metrics.fn += 1
-    for ex in test_neg:
-        g = saturation.ground_bottom_clause(ex, db, mds, cfds, idx, sat_cfg)
+    for g in grounds[len(test_pos):]:
         if learner.definition_covers_negative(definition, g, cfg):
             metrics.fp += 1
     metrics.wall_time = time.perf_counter() - start
@@ -122,14 +119,28 @@ def cross_validate(db, mds, cfds, pos, neg, folds: int, cfg: LearnerConfig):
 # file formats
 # ---------------------------------------------------------------------------
 
-def parse_examples(text: str, target: str) -> tuple[list[Example], list[Example]]:
+class ExamplesError(ValueError):
+    pass
+
+
+def parse_examples(text: str, target: str,
+                   arity: int | None = None) -> tuple[list[Example], list[Example]]:
+    """Positive and negative examples; given the target's arity, every line
+    must carry exactly that many values. Errors name the line an example
+    starts on (a quoted value may span lines)."""
     pos, neg = [], []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    reader = csv.reader(io.StringIO(text))
+    end = 0
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         label = row[0].strip()
         if label not in ("+", "-"):
-            raise ValueError(f"examples line {lineno}: label must be '+' or '-'")
+            raise ExamplesError(f"examples line {lineno}: label must be '+' or '-', got {label!r}")
+        if arity is not None and len(row) - 1 != arity:
+            raise ExamplesError(f"examples line {lineno}: {len(row) - 1} values for a "
+                                f"target of arity {arity}")
         example = Example(target, tuple(row[1:]))
         (pos if label == "+" else neg).append(example)
     return pos, neg
@@ -221,7 +232,7 @@ def _load(args):
             mds, cfds = parse_constraints(fh.read(), schema)
     mds, cfds = apply_mode(mds, cfds, args.mode)
     with open(args.examples, encoding="utf-8") as fh:
-        pos, neg = parse_examples(fh.read(), args.target)
+        pos, neg = parse_examples(fh.read(), args.target, schema.relation(args.target).arity)
     return db, mds, cfds, pos, neg
 
 
@@ -365,12 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Malformed schema, data, constraint or definition
-    files end the run with a one-line message on stderr and exit code 2."""
+    """Run one subcommand. Malformed schema, data, constraint, example or
+    definition files end the run with a one-line message on stderr and exit
+    code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StoreError, ConstraintError, ClauseError) as exc:
+    except (StoreError, ConstraintError, ClauseError, ExamplesError) as exc:
         print(f"dlearn: error: {exc}", file=sys.stderr)
         return 2
 

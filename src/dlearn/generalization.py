@@ -7,6 +7,9 @@ the scan repeats until the clause covers the target (or collapses to its
 head). Prefixes never cut through a repair group: similarity, restriction and
 repair literals ride along with the last relation literal that anchors their
 variables, keeping every tested prefix well formed.
+
+Generalized candidates are scored by how many positive and negative ground
+bottom clauses they cover, and the best one is picked by one ranking key.
 """
 
 from __future__ import annotations
@@ -212,33 +215,53 @@ def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     return ordered.clause
 
 
-def clause_score(clause: Clause, pos_gs, neg_gs, budget: int = DEFAULT_BUDGET,
-                 repair_cap: int = DEFAULT_REPAIR_CAP, pool=None):
-    """(score, covered positive count, covered negative count)."""
+@dataclass(frozen=True)
+class ClauseStats:
+    pos: int
+    neg: int
+    covered_pos: tuple = ()
+    budget_exhausted: bool = False
 
-    def pos_one(g):
-        return subsumption.covers_positive(clause, g, budget, repair_cap).covered
 
-    def neg_one(g):
-        return subsumption.covers_negative(clause, g, budget, repair_cap).covered
+def score_clause(clause: Clause, positives, neg_gs, budget: int = DEFAULT_BUDGET,
+                 repair_cap: int = DEFAULT_REPAIR_CAP) -> tuple[int, ClauseStats]:
+    """(covered positives minus covered negatives, stats) of a clause.
 
-    mapper = pool.map if pool is not None else map
-    pos = sum(1 for hit in mapper(pos_one, pos_gs) if hit)
-    neg = sum(1 for hit in mapper(neg_one, neg_gs) if hit)
-    return pos - neg, pos, neg
+    `positives` pairs each positive's key with its ground bottom clause, and
+    the stats keep the keys of the covered ones in order. Every example is
+    tested, and the stats record whether any verdict ran out of budget.
+    """
+    covered, neg, exhausted = [], 0, False
+    for key, g in positives:
+        verdict = subsumption.covers_positive(clause, g, budget, repair_cap)
+        exhausted = exhausted or verdict.budget_exhausted
+        if verdict.covered:
+            covered.append(key)
+    for g in neg_gs:
+        verdict = subsumption.covers_negative(clause, g, budget, repair_cap)
+        exhausted = exhausted or verdict.budget_exhausted
+        neg += verdict.covered
+    stats = ClauseStats(pos=len(covered), neg=neg, covered_pos=tuple(covered),
+                        budget_exhausted=exhausted)
+    return len(covered) - neg, stats
+
+
+def best_scored(candidates, positives, neg_gs, budget: int = DEFAULT_BUDGET,
+                repair_cap: int = DEFAULT_REPAIR_CAP) -> tuple[Clause, int, ClauseStats]:
+    """(clause, score, stats) of the highest scoring candidate (see
+    score_clause); ties go to the clause with fewer body literals, then to
+    the lexicographically smaller printed form."""
+    if not candidates:
+        raise ValueError("no candidate clauses")
+    scored = [(clause, *score_clause(clause, positives, neg_gs, budget, repair_cap))
+              for clause in candidates]
+    return min(scored, key=lambda s: (-s[1], len(s[0].body), logic.print_clause(s[0])))
 
 
 def best_candidate(candidates, pos_gs, neg_gs, budget: int = DEFAULT_BUDGET,
-                   repair_cap: int = DEFAULT_REPAIR_CAP, pool=None):
-    """Highest scoring candidate clause; ties go to the clause with fewer
-    body literals, then to the lexicographically smaller printed form."""
-    if not candidates:
-        raise ValueError("no candidate clauses")
-    best = None
-    for clause in candidates:
-        score, pos, neg = clause_score(clause, pos_gs, neg_gs, budget, repair_cap, pool)
-        key = (-score, len(clause.body), logic.print_clause(clause))
-        if best is None or key < best[0]:
-            best = (key, clause, score, pos, neg)
-    _, clause, score, pos, neg = best
-    return clause, score, pos, neg
+                   repair_cap: int = DEFAULT_REPAIR_CAP):
+    """(clause, score, covered positive count, covered negative count) of
+    the best candidate over plain lists of ground bottom clauses."""
+    clause, score, stats = best_scored(candidates, list(enumerate(pos_gs)), neg_gs,
+                                       budget, repair_cap)
+    return clause, score, stats.pos, stats.neg

@@ -4,16 +4,16 @@ it when it meets the minimum criterion, and repeat until every positive is
 covered or every seed has been tried.
 
 All randomness flows from one seed through named sub-streams, and coverage
-work is farmed out to a thread pool in example order, so results do not
-depend on the thread count.
+work runs in example order, so the same seed always gives the same
+definition.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import generalization, logic, saturation, subsumption, textsim
+from .generalization import ClauseStats
 from .saturation import SaturationConfig
 from .store import Database, Example
 from .util import derive_rng
@@ -32,19 +32,13 @@ class LearnerConfig:
     subsumption_budget: int = subsumption.DEFAULT_BUDGET
     repair_cap: int = subsumption.DEFAULT_REPAIR_CAP
     cfd_fixpoint_cap: int = 16
+    # accepted and ignored: coverage tests are pure Python, so threads cannot
+    # run them in parallel under the GIL
     threads: int = 1
 
     def saturation_config(self) -> SaturationConfig:
         return SaturationConfig(d=self.d, sample_size=self.sample_size,
                                 rng_seed=self.rng_seed, cfd_fixpoint_cap=self.cfd_fixpoint_cap)
-
-
-@dataclass(frozen=True)
-class ClauseStats:
-    pos: int
-    neg: int
-    covered_pos: tuple[str, ...] = ()
-    budget_exhausted: bool = False
 
 
 @dataclass
@@ -61,7 +55,8 @@ class LearnedDefinition:
     def pretty(self) -> str:
         lines = []
         for lc in self.clauses:
-            lines.append(f"# pos={lc.stats.pos} neg={lc.stats.neg}")
+            flag = " budget_exhausted" if lc.stats.budget_exhausted else ""
+            lines.append(f"# pos={lc.stats.pos} neg={lc.stats.neg}{flag}")
             lines.append(logic.print_clause(lc.clause))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -74,125 +69,86 @@ def minimum_criterion(stats: ClauseStats, cfg: LearnerConfig) -> bool:
     return precision >= cfg.min_precision
 
 
-def _pool(cfg: LearnerConfig):
-    return ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-
-
-def _mapper(pool):
-    return pool.map if pool is not None else map
+def ground_examples(db: Database, mds, cfds, examples, cfg: LearnerConfig):
+    """(similarity index over the examples, the ground bottom clause of each
+    example in order)."""
+    idx = textsim.build_similarity_index(db, examples, mds, cfg.k_m, cfg.sim_threshold)
+    sat_cfg = cfg.saturation_config()
+    return idx, [saturation.ground_bottom_clause(ex, db, mds, cfds, idx, sat_cfg)
+                 for ex in examples]
 
 
 class _Session:
     """Shared state for one learning run: ground bottom clauses are built
     once per example and reused by every coverage test."""
 
-    def __init__(self, db: Database, mds, cfds, pos, neg, cfg: LearnerConfig, idx=None, pool=None):
+    def __init__(self, db: Database, mds, cfds, pos, neg, cfg: LearnerConfig):
         self.db = db
         self.mds = mds
         self.cfds = cfds
-        self.cfg = cfg
         self.sat_cfg = cfg.saturation_config()
-        self.pool = pool
-        self.idx = idx if idx is not None else textsim.build_similarity_index(
-            db, list(pos) + list(neg), mds, cfg.k_m, cfg.sim_threshold
-        )
-        self.ground: dict[str, logic.Clause] = {}
         examples = list(pos) + list(neg)
-        built = _mapper(pool)(self._build_ground, examples)
-        for ex, g in zip(examples, built):
-            self.ground[ex.key()] = g
-
-    def _build_ground(self, example: Example) -> logic.Clause:
-        return saturation.ground_bottom_clause(example, self.db, self.mds, self.cfds,
-                                               self.idx, self.sat_cfg)
-
-    def covers_pos(self, clause: logic.Clause, example: Example) -> bool:
-        return subsumption.covers_positive(clause, self.ground[example.key()],
-                                           self.cfg.subsumption_budget, self.cfg.repair_cap).covered
-
-    def covers_neg(self, clause: logic.Clause, example: Example) -> bool:
-        return subsumption.covers_negative(clause, self.ground[example.key()],
-                                           self.cfg.subsumption_budget, self.cfg.repair_cap).covered
-
-    def score(self, clause: logic.Clause, uncovered, negatives):
-        mapper = _mapper(self.pool)
-        pos_hits = list(mapper(lambda e: self.covers_pos(clause, e), uncovered))
-        neg_hits = list(mapper(lambda e: self.covers_neg(clause, e), negatives))
-        covered = tuple(e.key() for e, hit in zip(uncovered, pos_hits) if hit)
-        pos, neg = len(covered), sum(neg_hits)
-        return pos - neg, ClauseStats(pos=pos, neg=neg, covered_pos=covered)
+        self.idx, grounds = ground_examples(db, mds, cfds, examples, cfg)
+        self.ground: dict[str, logic.Clause] = {
+            ex.key(): g for ex, g in zip(examples, grounds)}
 
 
 def learn_clause(session: _Session, seed: Example, uncovered, negatives,
                  cfg: LearnerConfig) -> tuple[logic.Clause, ClauseStats]:
     """One bottom clause, generalized greedily while the score improves."""
+    limits = (cfg.subsumption_budget, cfg.repair_cap)
+    positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
+    neg_gs = [session.ground[e.key()] for e in negatives]
     current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
                                        session.idx, session.sat_cfg)
-    score, stats = session.score(current, uncovered, negatives)
+    score, stats = generalization.score_clause(current, positives, neg_gs, *limits)
     rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
     while True:
         k = min(cfg.K, len(uncovered))
         picked = [uncovered[i] for i in sorted(rng.sample(range(len(uncovered)), k))]
-        mapper = _mapper(session.pool)
-        raw = list(mapper(
-            lambda e: generalization.armg(current, session.ground[e.key()],
-                                          cfg.subsumption_budget, cfg.repair_cap),
-            picked,
-        ))
         seen: dict[str, logic.Clause] = {}
-        for cand in raw:
+        for e in picked:
+            cand = generalization.armg(current, session.ground[e.key()], *limits)
             seen.setdefault(logic.clause_key(cand, sort=True), cand)
+        if not seen:
+            break
         candidates = [seen[k2] for k2 in sorted(seen)]
-        if not candidates:
+        cand, cand_score, cand_stats = generalization.best_scored(candidates, positives,
+                                                                  neg_gs, *limits)
+        if cand_score <= score:
             break
-        best = None
-        for cand in candidates:
-            cand_score, cand_stats = session.score(cand, uncovered, negatives)
-            key = (-cand_score, len(cand.body), logic.print_clause(cand))
-            if best is None or key < best[0]:
-                best = (key, cand, cand_score, cand_stats)
-        _, cand, cand_score, cand_stats = best
-        if cand_score > score:
-            current, score, stats = cand, cand_score, cand_stats
-        else:
-            break
+        current, score, stats = cand, cand_score, cand_stats
     return current, stats
 
 
-def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig, idx=None) -> LearnedDefinition:
+def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefinition:
     """Learn a definition of the target relation covering the positives."""
     if not pos:
         raise ValueError("at least one positive example is required")
-    pool = _pool(cfg)
-    try:
-        session = _Session(db, mds, cfds, pos, neg, cfg, idx=idx, pool=pool)
-        definition = LearnedDefinition(target=db.schema.target)
-        uncovered = list(pos)
-        exhausted: set[str] = set()
-        rng = derive_rng(cfg.rng_seed, "seeds")
-        while uncovered:
-            available = [e for e in uncovered if e.key() not in exhausted]
-            if not available:
-                break
-            seed = available[rng.randrange(len(available))]
-            clause, stats = learn_clause(session, seed, uncovered, neg, cfg)
-            if minimum_criterion(stats, cfg):
-                definition.clauses.append(LearnedClause(clause, stats))
-                covered = set(stats.covered_pos)
-                uncovered = [e for e in uncovered if e.key() not in covered]
-                if not covered:
-                    exhausted.add(seed.key())
-            else:
+    session = _Session(db, mds, cfds, pos, neg, cfg)
+    definition = LearnedDefinition(target=db.schema.target)
+    uncovered = list(pos)
+    exhausted: set[str] = set()
+    rng = derive_rng(cfg.rng_seed, "seeds")
+    while uncovered:
+        available = [e for e in uncovered if e.key() not in exhausted]
+        if not available:
+            break
+        seed = available[rng.randrange(len(available))]
+        clause, stats = learn_clause(session, seed, uncovered, neg, cfg)
+        if minimum_criterion(stats, cfg):
+            definition.clauses.append(LearnedClause(clause, stats))
+            covered = set(stats.covered_pos)
+            uncovered = [e for e in uncovered if e.key() not in covered]
+            if not covered:
                 exhausted.add(seed.key())
-        return definition
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        else:
+            exhausted.add(seed.key())
+    return definition
 
 
-def definition_covers_positive(definition: LearnedDefinition, session_or_g, cfg: LearnerConfig) -> bool:
+def definition_covers_positive(definition: LearnedDefinition, g, cfg: LearnerConfig) -> bool:
     """A definition covers a positive example when any clause does."""
-    g = session_or_g
     return any(
         subsumption.covers_positive(lc.clause, g, cfg.subsumption_budget, cfg.repair_cap).covered
         for lc in definition.clauses

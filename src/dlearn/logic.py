@@ -169,11 +169,11 @@ def clause_vars(clause: Clause) -> set:
 
 
 def fresh_var(clause_or_vars) -> Variable:
+    """A variable numbered above every variable of the clause (or set)."""
     if isinstance(clause_or_vars, Clause):
-        used = {v.id for v in clause_vars(clause_or_vars)}
-    else:
-        used = {v.id for v in clause_or_vars}
-    return Variable(max(used, default=-1) + 1)
+        clause_or_vars = (t for lit in (clause_or_vars.head, *clause_or_vars.body)
+                          for t in literal_terms(lit) if isinstance(t, Variable))
+    return Variable(max((v.id for v in clause_or_vars), default=-1) + 1)
 
 
 def map_term(term: Term, subst: Substitution) -> Term:
@@ -328,16 +328,13 @@ def drop_dangling_restrictions(clause: Clause) -> Clause:
     return Clause(clause.head, tuple(body))
 
 
-def repaired_clauses(clause: Clause, cap: int = 256) -> list[Clause]:
-    """All repair-free clauses reachable by exhausting the repair literals.
-
-    Depth-first over every application order with memoization on canonical
-    clause form; results are deduplicated up to a renaming of variables and
-    returned in a deterministic order. Raises RepairCapExceeded when more
-    than `cap` distinct repaired clauses appear.
-    """
-    if not any(isinstance(l, RepairLit) for l in clause.body):
-        return [clause]
+def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Clause]:
+    """Depth-first over every application order of the repair literals of
+    one origin (of every origin when None), with memoization on canonical
+    clause form. Results are deduplicated up to a renaming of variables and
+    returned in a deterministic order; a full expansion also drops the
+    restrictions left dangling. Raises RepairCapExceeded when more than `cap`
+    distinct results appear."""
     results: dict[str, Clause] = {}
     seen: set[str] = set()
     stack = [clause]
@@ -347,41 +344,32 @@ def repaired_clauses(clause: Clause, cap: int = 256) -> list[Clause]:
         if key in seen:
             continue
         seen.add(key)
-        repair_idx = [i for i, l in enumerate(c.body) if isinstance(l, RepairLit)]
-        if not repair_idx:
-            done = drop_dangling_restrictions(c)
-            results[clause_key(done, sort=True)] = done
-            if len(results) > cap:
-                raise RepairCapExceeded(f"more than {cap} repaired clauses")
+        repair_idx = [i for i, l in enumerate(c.body)
+                      if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
+        if repair_idx:
+            stack.extend(apply_repair_literal(c, i) for i in repair_idx)
             continue
-        for i in repair_idx:
-            stack.append(apply_repair_literal(c, i))
+        if origin is None:
+            c = drop_dangling_restrictions(c)
+            key = clause_key(c, sort=True)
+        results[key] = c
+        if len(results) > cap:
+            raise RepairCapExceeded(f"more than {cap} repaired clauses")
     return [results[k] for k in sorted(results)]
+
+
+def repaired_clauses(clause: Clause, cap: int = 256) -> list[Clause]:
+    """All repair-free clauses reachable by exhausting the repair literals
+    (see _exhaust_repairs); a clause without any is returned as it is."""
+    if not any(isinstance(l, RepairLit) for l in clause.body):
+        return [clause]
+    return _exhaust_repairs(clause, None, cap)
 
 
 def partial_repairs(clause: Clause, origin: str, cap: int = 256) -> list[Clause]:
     """Exhaust only the repair literals of one origin, leaving the others in
     place as ordinary literals."""
-    results: dict[str, Clause] = {}
-    seen: set[str] = set()
-    stack = [clause]
-    while stack:
-        c = stack.pop()
-        key = clause_key(c, sort=True)
-        if key in seen:
-            continue
-        seen.add(key)
-        repair_idx = [
-            i for i, l in enumerate(c.body) if isinstance(l, RepairLit) and l.origin == origin
-        ]
-        if not repair_idx:
-            results[clause_key(c, sort=True)] = c
-            if len(results) > cap:
-                raise RepairCapExceeded(f"more than {cap} partially repaired clauses")
-            continue
-        for i in repair_idx:
-            stack.append(apply_repair_literal(c, i))
-    return [results[k] for k in sorted(results)]
+    return _exhaust_repairs(clause, origin, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +655,5 @@ def canonical_instance(clause: Clause) -> store.Database:
     db = store.Database(schema=schema)
     for name in rels:
         db.tables[name] = [store.Tuple(name, vals, tid=i) for i, vals in enumerate(rows[name])]
-    for rel in schema.relations:
-        for pos, attr in enumerate(rel.attributes):
-            index: dict[str, list[int]] = {}
-            for t in db.tables.get(rel.name, []):
-                index.setdefault(t.values[pos], []).append(t.tid)
-            db.indexes[(rel.name, attr.name)] = index
+    store.build_indexes(db)
     return db

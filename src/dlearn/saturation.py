@@ -189,8 +189,6 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
         rels.append(logic.Rel(rt.tuple.relation,
                               tuple(term_for(v, rt.tuple.relation, i)
                                     for i, v in enumerate(rt.tuple.values))))
-    if variabilize:
-        alloc.next_id = max(alloc.next_id, _max_var_id(head, rels) + 1)
 
     # one trailing segment per relation literal: induced equalities from
     # splitting plus the similarity/repair group of each match
@@ -283,15 +281,6 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     return inject_cfd_repairs(clause, cfds, cfg)
 
 
-def _max_var_id(head: logic.Rel, rels) -> int:
-    best = -1
-    for lit in [head] + list(rels):
-        for t in lit.args:
-            if isinstance(t, logic.Variable):
-                best = max(best, t.id)
-    return best
-
-
 def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> logic.Clause:
     """Add repair literals for every violation of the given dependencies.
 
@@ -356,20 +345,8 @@ def _split_position(head, body, lit_index: int, pos: int, alloc_counter: list[in
     return fresh
 
 
-def _next_var_id(head, body) -> int:
-    best = -1
-    for t in head.args:
-        if isinstance(t, logic.Variable):
-            best = max(best, t.id)
-    for lit in body:
-        for t in logic.literal_terms(lit):
-            if isinstance(t, logic.Variable):
-                best = max(best, t.id)
-    return best + 1
-
-
 def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation) -> bool:
-    counter = [_next_var_id(head, body)]
+    counter = [logic.fresh_var(logic.Clause(head, tuple(body))).id]
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
 

@@ -136,11 +136,14 @@ class Database:
         return list(idx.keys())
 
 
-def _build_indexes(db: Database) -> None:
-    for rel in db.schema.stored_relations:
+def build_indexes(db: Database) -> None:
+    """Value indexes for every relation that has a table."""
+    for rel in db.schema.relations:
+        if rel.name not in db.tables:
+            continue
         for pos, attr in enumerate(rel.attributes):
             index: dict[str, list[int]] = {}
-            for t in db.tables.get(rel.name, []):
+            for t in db.tables[rel.name]:
                 index.setdefault(t.values[pos], []).append(t.tid)
             db.indexes[(rel.name, attr.name)] = index
 
@@ -175,7 +178,7 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
             except csv.Error as exc:
                 raise StoreError(f"{path}: malformed CSV: {exc}") from exc
         db.tables[rel.name] = rows
-    _build_indexes(db)
+    build_indexes(db)
     return db
 
 
@@ -186,7 +189,7 @@ def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Datab
         db.tables[rel.name] = [
             Tuple(rel.name, tuple(vals), tid=i) for i, vals in enumerate(rows.get(rel.name, []))
         ]
-    _build_indexes(db)
+    build_indexes(db)
     return db
 
 

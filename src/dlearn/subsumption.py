@@ -24,14 +24,6 @@ DEFAULT_REPAIR_CAP = 256
 
 
 @dataclass(frozen=True)
-class MatchProblem:
-    pattern: Clause
-    target: Clause
-    with_repairs: bool
-    budget: int = DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
 class CoverageVerdict:
     covered: bool
     witness: dict | None = None
@@ -42,12 +34,35 @@ class _OutOfBudget(Exception):
     pass
 
 
+def _connected_repairs(reps, terms) -> set[int]:
+    """Indices of the repair literals among `reps` ((index, literal) pairs)
+    reachable from the variables in `terms`, directly or through other repair
+    literals. Links run through variables only: a repair on a constant
+    constrains other literals only through its replacement variable."""
+    pool = {t for t in terms if isinstance(t, Variable)}
+    connected: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for ri, rlit in reps:
+            if ri in connected:
+                continue
+            if rlit.target in pool or rlit.replacement in pool:
+                connected.add(ri)
+                if isinstance(rlit.target, Variable):
+                    pool.add(rlit.target)
+                if isinstance(rlit.replacement, Variable):
+                    pool.add(rlit.replacement)
+                changed = True
+    return connected
+
+
 class _Matcher:
-    def __init__(self, problem: MatchProblem):
-        self.c = problem.pattern
-        self.d = problem.target
-        self.with_repairs = problem.with_repairs
-        self.budget = problem.budget
+    def __init__(self, c: Clause, d: Clause, with_repairs: bool, budget: int):
+        self.c = c
+        self.d = d
+        self.with_repairs = with_repairs
+        self.budget = budget
         self.d_closure = logic.eq_closure(self.d)
         self.d_rels: dict[tuple[str, int], list[tuple[int, Rel]]] = {}
         self.d_reps: list[tuple[int, RepairLit]] = []
@@ -175,35 +190,15 @@ class _Matcher:
 
     # -- side condition ----------------------------------------------------
 
-    def _connected_repairs(self, mapped_nonrep_idx):
-        """Repair literals of d reachable from the mapped body region. Links
-        run through variables only: a repair on a constant constrains the
-        mapped literals only through its replacement variable. The head does
-        not seed the region; candidate heads are always variables, and a
-        variable head argument tracks whatever value a repair gives it."""
-        pool = set()
-        for i in mapped_nonrep_idx:
-            pool.update(t for t in logic.literal_terms(self.d.body[i]) if isinstance(t, Variable))
-        connected = set()
-        changed = True
-        while changed:
-            changed = False
-            for di, dlit in self.d_reps:
-                if di in connected:
-                    continue
-                if dlit.target in pool or dlit.replacement in pool:
-                    connected.add(di)
-                    if isinstance(dlit.target, Variable):
-                        pool.add(dlit.target)
-                    if isinstance(dlit.replacement, Variable):
-                        pool.add(dlit.replacement)
-                    changed = True
-        return connected
-
     def _side_condition(self, mapped, lit_map):
-        mapped_nonrep = {di for di in mapped if not isinstance(self.d.body[di], RepairLit)}
+        # every repair literal of d reachable from the mapped body region must
+        # be mapped too. The head does not seed the region; candidate heads
+        # are always variables, and a variable head argument tracks whatever
+        # value a repair gives it.
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], RepairLit)}
-        if not self._connected_repairs(mapped_nonrep) <= mapped_rep:
+        region = (t for di in mapped if di not in mapped_rep
+                  for t in logic.literal_terms(self.d.body[di]))
+        if not _connected_repairs(self.d_reps, region) <= mapped_rep:
             return False
         # a constant the pattern pins cannot survive a repair of d that
         # targets it: every expansion of d rewrites all its occurrences while
@@ -303,57 +298,28 @@ class _Matcher:
 
 def theta_subsumes(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) -> CoverageVerdict:
     """Plain subsumption for repair-free clauses."""
-    return _Matcher(MatchProblem(c, d, with_repairs=False, budget=budget)).solve()
+    return _Matcher(c, d, with_repairs=False, budget=budget).solve()
 
 
 def subsumes_with_repairs(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) -> CoverageVerdict:
     """Subsumption treating repair literals as matchable literals, plus the
     requirement that repair literals of d touching the mapped region are
     themselves mapped."""
-    return _Matcher(MatchProblem(c, d, with_repairs=True, budget=budget)).solve()
-
-
-def _connected_repair_map(clause: Clause):
-    """For each body index of a non-repair literal, the set of repair-literal
-    indices connected to it, directly or through other repair literals, with
-    links running through variables only."""
-    reps = [(i, l) for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
-    out: dict[int, set[int]] = {}
-    for i, lit in enumerate(clause.body):
-        if isinstance(lit, RepairLit):
-            continue
-        pool = {t for t in logic.literal_terms(lit) if isinstance(t, Variable)}
-        connected: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for ri, rlit in reps:
-                if ri in connected:
-                    continue
-                if rlit.target in pool or rlit.replacement in pool:
-                    connected.add(ri)
-                    if isinstance(rlit.target, Variable):
-                        pool.add(rlit.target)
-                    if isinstance(rlit.replacement, Variable):
-                        pool.add(rlit.replacement)
-                    changed = True
-        out[i] = connected
-    return out
+    return _Matcher(c, d, with_repairs=True, budget=budget).solve()
 
 
 def md_part(clause: Clause) -> Clause:
     """The sub-clause of literals whose connected repair literals all come
     from matching dependencies, keeping those repair literals."""
-    connected = _connected_repair_map(clause)
+    reps = [(i, l) for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
     body = []
-    for i, lit in enumerate(clause.body):
+    for lit in clause.body:
         if isinstance(lit, RepairLit):
             if lit.origin == "md":
                 body.append(lit)
-        else:
-            if all(isinstance(clause.body[ri], RepairLit) and clause.body[ri].origin == "md"
-                   for ri in connected[i]):
-                body.append(lit)
+        elif all(clause.body[ri].origin == "md"
+                 for ri in _connected_repairs(reps, logic.literal_terms(lit))):
+            body.append(lit)
     return Clause(clause.head, tuple(body))
 
 

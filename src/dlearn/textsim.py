@@ -130,8 +130,6 @@ class SimilarityIndex:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def _reverse_table(self, pair: PairKey) -> dict[str, tuple[tuple[str, float], ...]]:
-        # published only once complete, so pool threads never read a
-        # half-built table; two threads may both build it, with equal results
         rev = self._reverse.get(pair)
         if rev is None:
             lefts: dict[str, list[tuple[str, float]]] = {}

@@ -3,6 +3,8 @@ import io
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlearn import evalcli, learner, logic, store
 from dlearn.constraints import parse_constraints
@@ -244,3 +246,41 @@ def test_cli_malformed_definition_is_one_line_error(tmp_path, capsys):
     bad.write_text("# pos=1 neg=0\nhighGrossing(V0 :- movies(V1,V0,V2).\n")
     err = _one_line_error(["eval"] + movie_args(["--definition", str(bad)]), capsys)
     assert "parse error" in err
+
+
+def test_cli_bad_example_label_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "examples.txt"
+    bad.write_text('+,"Super\nbad"\n?,Zoolander\n')
+    argv = _replaced(movie_args([]), "--examples", str(bad))
+    err = _one_line_error(["sim-index"] + argv, capsys)
+    assert err == "dlearn: error: examples line 3: label must be '+' or '-', got '?'\n"
+
+
+def test_cli_example_with_wrong_value_count_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "examples.txt"
+    bad.write_text("+,Superbad,extra\n+,Zoolander\n-,Orphanage\n")
+    argv = _replaced(movie_args(["--out", str(tmp_path / "d.txt")]), "--examples", str(bad))
+    err = _one_line_error(["learn"] + argv, capsys)
+    assert err == "dlearn: error: examples line 1: 2 values for a target of arity 1\n"
+    assert not (tmp_path / "d.txt").exists()
+
+
+_EXAMPLE_VALUE = st.text(
+    alphabet=st.one_of(st.sampled_from(",\"'\\ \n"),
+                       st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda arity: st.tuples(st.just(arity), st.lists(
+    st.tuples(st.sampled_from("+-"), st.lists(_EXAMPLE_VALUE, min_size=arity, max_size=arity)),
+    max_size=6))))
+def test_parse_examples_reads_back_csv_writer_rows(case):
+    arity, rows = case
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for label, values in rows:
+        writer.writerow([label, *values])
+    pos, neg = parse_examples(buf.getvalue(), "t", arity)
+    assert pos == [Example("t", tuple(v)) for label, v in rows if label == "+"]
+    assert neg == [Example("t", tuple(v)) for label, v in rows if label == "-"]

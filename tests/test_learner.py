@@ -169,3 +169,19 @@ def test_session_keeps_examples_with_commas_apart():
     for ex in pos + neg:
         assert session.ground[ex.key()].head.args == tuple(logic.Constant(v) for v in ex.values)
     assert Example("t", ("Superbad (2007)", "x")).key() == "Superbad (2007),x"
+
+
+def test_budget_exhaustion_is_recorded_and_printed():
+    # d's ground clause has 30 r literals, more than a budget of 20 search
+    # steps can try; a, b and c have one each
+    schema = store.parse_schema("r(x:text, y:text)\nt(x:text)\n", target="t")
+    rows = [("a", "1"), ("b", "1"), ("c", "1"), ("e", "2"), ("f", "2")]
+    db = store.from_tuples(schema, {"r": rows + [("d", str(i)) for i in range(1, 31)]})
+    pos = [Example("t", (v,)) for v in "abcd"]
+    neg = [Example("t", (v,)) for v in "ef"]
+    tight = learn(db, [], [], pos, neg, LearnerConfig(d=1, sample_size=50, subsumption_budget=20))
+    assert tight.clauses[0].stats == ClauseStats(
+        pos=3, neg=0, covered_pos=("a", "b", "c"), budget_exhausted=True)
+    assert tight.pretty() == "# pos=3 neg=0 budget_exhausted\nt(V0) :- r(V0,'1').\n"
+    roomy = learn(db, [], [], pos, neg, LearnerConfig(d=1, sample_size=50))
+    assert roomy.pretty() == "# pos=4 neg=0\nt(V0) :- r(V0,'1').\n"

@@ -89,6 +89,26 @@ def test_md_part_splits_by_origin():
     assert sum(1 for l in part.body if isinstance(l, logic.RepairLit)) == 2
 
 
+def test_md_part_follows_cfd_chain_through_replacement_variable():
+    # the first MD group's replacement V4 is the target of a CFD swap, whose
+    # replacement V7 is in turn repaired to V8: every literal reaching that
+    # chain through a variable (sim, eq, n, both k literals, p) leaves the MD
+    # part; m reaches only the MD repair on V1, and the second MD group, u
+    # and the unrepaired k literal touch no CFD repair at all
+    c = parse_clause(
+        "t(V0) :- m(V0,V1), sim(V1,V2), rep{sim(V1,V2)}(V1,V3), rep{sim(V1,V2)}(V2,V4), "
+        "eq(V3,V4), n(V2,V5), k(V6,V4), k(V6,V7), rep{eq(V6,V6);neq(V4,V7)}(V4,V7), "
+        "rep{eq(V6,V6);neq(V4,V7)}(V7,V4), rep{eq(V6,V6);neq(V7,V8)}(V7,V8), p(V8), "
+        "q(V0,V9), sim(V9,V10), rep{sim(V9,V10)}(V9,V11), rep{sim(V9,V10)}(V10,V12), "
+        "eq(V11,V12), u(V10), k(V13,V14)."
+    )
+    assert print_clause(md_part(c)) == (
+        "t(V0) :- m(V0,V1), rep{sim(V1,V2)}(V1,V3), rep{sim(V1,V2)}(V2,V4), q(V0,V9), "
+        "sim(V9,V10), rep{sim(V9,V10)}(V9,V11), rep{sim(V9,V10)}(V10,V12), eq(V11,V12), "
+        "u(V10), k(V13,V14)."
+    )
+
+
 def test_covers_positive_worked_example(movie_db, movie_mds, movie_idx, movie_examples):
     cfg = saturation.SaturationConfig(d=3, sample_size=1000, rng_seed=1)
     c = saturation.bottom_clause(movie_examples["Superbad"], movie_db, movie_mds, [], movie_idx, cfg)

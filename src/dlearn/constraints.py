@@ -5,7 +5,9 @@ Constraint DSL, one constraint per line, `#` comments:
     md: R1[A1,...,An] ~ R2[B1,...,Bn] -> R1[C] <-> R2[D]
     cfd: R : X1,...,Xk -> A : (p1,...,pk || pA)
 
-where each pattern cell p is `_` (wildcard) or a single-quoted constant. A
+where each pattern cell p is `_` (wildcard) or a single-quoted constant, in
+which `''` stands for a quote. Cells split at `,` and `||`, and `#` starts a
+comment, only outside constants. A constant cannot hold a line break. A
 matching dependency with several attribute pairs on the right-hand side is
 split into one dependency per pair during parsing.
 """
@@ -98,6 +100,23 @@ _MD_RE = re.compile(
     r"^md:\s*(\w+)\[([^\]]*)\]\s*~\s*(\w+)\[([^\]]*)\]\s*->\s*(\w+)\[([^\]]*)\]\s*<->\s*(\w+)\[([^\]]*)\]$"
 )
 _CFD_RE = re.compile(r"^cfd:\s*(\w+)\s*:\s*(.*?)\s*->\s*(\w+)\s*:\s*\((.*)\)$")
+_CONSTANT_RE = re.compile(r"'((?:[^']|'')*)'")
+
+
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """`text` split at every `sep` that stands outside a quoted constant."""
+    parts, start, pos = [], 0, 0
+    while (i := text.find(sep, pos)) >= 0:
+        quote = text.find("'", pos, i)
+        if quote >= 0:
+            # an unterminated constant runs to the end of the text
+            constant = _CONSTANT_RE.match(text, quote)
+            pos = constant.end() if constant else len(text)
+            continue
+        parts.append(text[start:i])
+        start = pos = i + len(sep)
+    parts.append(text[start:])
+    return parts
 
 
 def _attr_list(text: str) -> list[str]:
@@ -106,12 +125,13 @@ def _attr_list(text: str) -> list[str]:
 
 def _parse_cells(text: str, lineno: int) -> list[str | None]:
     cells: list[str | None] = []
-    for raw in text.split(","):
+    for raw in _split_unquoted(text, ","):
         cell = raw.strip()
+        constant = _CONSTANT_RE.fullmatch(cell)
         if cell == WILDCARD:
             cells.append(None)
-        elif len(cell) >= 2 and cell.startswith("'") and cell.endswith("'"):
-            cells.append(cell[1:-1].replace("''", "'"))
+        elif constant:
+            cells.append(constant.group(1).replace("''", "'"))
         else:
             raise ConstraintError(f"line {lineno}: bad pattern cell {cell!r}")
     return cells
@@ -132,7 +152,7 @@ def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD]
     mds: list[MD] = []
     cfds: list[CFD] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
         if line.startswith("md:"):
@@ -165,9 +185,10 @@ def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD]
             xs = _attr_list(x_text)
             if not xs:
                 raise ConstraintError(f"line {lineno}: CFD left-hand side is empty")
-            if "||" not in cell_text:
-                raise ConstraintError(f"line {lineno}: CFD pattern needs '||' before the right-hand cell")
-            x_cells_text, rhs_cell_text = cell_text.rsplit("||", 1)
+            halves = _split_unquoted(cell_text, "||")
+            if len(halves) != 2:
+                raise ConstraintError(f"line {lineno}: CFD pattern needs one '||' before the right-hand cell")
+            x_cells_text, rhs_cell_text = halves
             cells = _parse_cells(x_cells_text, lineno) + _parse_cells(rhs_cell_text, lineno)
             if len(cells) != len(xs) + 1:
                 raise ConstraintError(

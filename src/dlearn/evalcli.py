@@ -275,7 +275,10 @@ def _cmd_cv(args) -> int:
 def _cmd_saturate(args) -> int:
     db, mds, cfds, _, _ = _load(args)
     cfg = _config(args)
-    values = next(csv.reader(io.StringIO(args.example)))
+    values = next(csv.reader(io.StringIO(args.example)), [])
+    arity = db.schema.relation(args.target).arity
+    if len(values) != arity:
+        raise ExamplesError(f"--example: {len(values)} values for a target of arity {arity}")
     example = Example(args.target, tuple(values))
     idx = textsim.build_similarity_index(db, [example], mds, cfg.k_m, cfg.sim_threshold)
     clause = saturation.ground_bottom_clause(example, db, mds, cfds, idx, cfg.saturation_config())

@@ -297,6 +297,9 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
         return clause
     head = clause.head
     body = list(clause.body)
+    # one allocator for every round: each id it hands out lands in the body,
+    # so it stays the first free id without rescanning the clause
+    counter = [logic.fresh_var(clause).id]
     for _ in range(cfg.cfd_fixpoint_cap):
         closure = logic.EqClosure(body)
         alternatives: dict[logic.Term, list[logic.Term]] = {}
@@ -316,7 +319,7 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             if {violation.first, violation.second} & touched:
                 deferred = True
                 continue
-            if _repair_one_violation(head, body, cfd, violation):
+            if _repair_one_violation(head, body, cfd, violation, counter):
                 emitted = True
                 touched.update((violation.first, violation.second))
         if not emitted and not deferred:
@@ -345,8 +348,8 @@ def _split_position(head, body, lit_index: int, pos: int, alloc_counter: list[in
     return fresh
 
 
-def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation) -> bool:
-    counter = [logic.fresh_var(logic.Clause(head, tuple(body))).id]
+def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
+                          counter: list[int]) -> bool:
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
 

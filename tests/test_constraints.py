@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlearn import constraints, logic, store
 from dlearn.constraints import (MD, ConstraintError, find_cfd_violations,
@@ -56,6 +60,73 @@ def test_parse_errors(schema):
         parse_constraints("md: movies[] ~ mov2locale[] -> movies[id] <-> mov2locale[title]", schema)
     with pytest.raises(ConstraintError, match="no attribute"):
         parse_constraints("cfd: movies : nope -> title : (_ || _)", schema)
+
+
+def test_pattern_cells_quote_separators_and_comment_marks(schema):
+    text = ("cfd: mov2locale : title, language -> country : "
+            "('Korea, Republic of', 'a#b' || 'x||y''s')  # 'quoted' comment, too")
+    _, cfds = parse_constraints(text, schema)
+    assert cfds[0].pattern.cells == ("Korea, Republic of", "a#b", "x||y's")
+    with pytest.raises(ConstraintError, match="one '||'"):
+        parse_constraints("cfd: mov2locale : title -> country : ('a' || 'b' || 'c')", schema)
+    with pytest.raises(ConstraintError):
+        parse_constraints("cfd: mov2locale : title -> country : ('a'b' || _)", schema)
+
+
+# `str.splitlines` breaks at these, so the line-based format cannot hold them
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CELL_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("',#|_() :->~[]"),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=_LINE_BREAKS)), max_size=8)
+_LOCALE = ("title", "language", "country")
+
+
+@st.composite
+def _cfd(draw):
+    order = draw(st.permutations(_LOCALE))
+    k = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.none() | _CELL_TEXT, min_size=k + 1, max_size=k + 1))
+    return tuple(order[:k]), order[k], cells
+
+
+# distinct (lhs, rhs) pairs: CFDs that could conflict are rejected by design
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_cfd(), max_size=3, unique_by=lambda spec: spec[:2]), st.booleans())
+def test_print_parse_round_trip_of_arbitrary_pattern_cells(specs, with_md):
+    schema = store.parse_schema(SCHEMA_TEXT, target="highGrossing")
+    cfds = [make_cfd(schema, "mov2locale", lhs, rhs, cells) for lhs, rhs, cells in specs]
+    mds = [MD(lhs=((("highGrossing", "title"), ("movies", "title")),),
+              rhs=(("highGrossing", "title"), ("movies", "title")))] if with_md else []
+    assert parse_constraints(print_constraints(mds, cfds), schema) == (mds, cfds)
+
+
+_VALID_LINES = (
+    "md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[title]",
+    "cfd: mov2locale : title, language -> country : (_, 'English' || _)",
+    "cfd: mov2locale : title -> country : ('Korea, Republic of' || 'K''R#1')  # comment",
+)
+_TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\w+|\s+|<->|->|\|\||.")
+_FUZZ_TOKENS = ("'", "''", ",", "#", "||", "|", "_", "(", ")", "[", "]", ":", "~", "->", "<->",
+                ";", " ", "\n", "'a,b'", "md:", "cfd:", "title", "movies", "mov2locale", "nope")
+_MUTATION = st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, 60),
+                      st.sampled_from(_FUZZ_TOKENS) | st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_VALID_LINES), st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_constraint_lines_raise_only_constraint_errors(line, mutations):
+    schema = store.parse_schema(SCHEMA_TEXT, target="highGrossing")
+    tokens = _TOKEN_RE.findall(line)
+    for op, at, token in mutations:
+        at %= len(tokens) + 1
+        if op == "insert":
+            tokens.insert(at, token)
+        elif at < len(tokens):
+            tokens[at:at + 1] = [] if op == "delete" else [token]
+    try:
+        parse_constraints("".join(tokens), schema)
+    except ConstraintError:
+        pass
 
 
 def test_conflicting_cfds_rejected(schema):

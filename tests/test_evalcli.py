@@ -265,6 +265,12 @@ def test_cli_example_with_wrong_value_count_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "d.txt").exists()
 
 
+def test_cli_saturate_example_with_wrong_value_count_is_one_line_error(capsys):
+    err = _one_line_error(["saturate"] + movie_args(["--example", "Superbad,extra"]), capsys)
+    assert err == "dlearn: error: --example: 2 values for a target of arity 1\n"
+    assert capsys.readouterr().out == ""
+
+
 _EXAMPLE_VALUE = st.text(
     alphabet=st.one_of(st.sampled_from(",\"'\\ \n"),
                        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),

@@ -1,10 +1,12 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from dlearn import logic, saturation, store, subsumption
-from dlearn.generalization import (armg, best_candidate, drop_with_repair,
-                                   find_blocking_literal, order_clause)
+from dlearn import constraints, logic, saturation, store, subsumption, textsim
+from dlearn.generalization import (ClauseStats, armg, best_candidate, drop_with_repair,
+                                   find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
 from helpers import random_micro_db
 
@@ -220,3 +222,116 @@ def test_determinism_of_armg(movie_clauses):
     a = print_clause(armg(c, gs["Zoolander"]))
     b = print_clause(armg(c, gs["Zoolander"]))
     assert a == b
+
+
+CFD_MICRO_SCHEMA_TEXT = """\
+movies(id:text, title:text)
+mov2genres(id:text, genre:text)
+mov2countries(id:text, cid:text)
+countries(cid:text, name:text)
+t(v:text)
+"""
+
+
+def _cfd_micro_db(by_title: bool, n: int = 4):
+    """Movies whose country ids have two names each, under the CFD
+    cid -> name, so every clause reaching `countries` carries CFD repairs.
+    Examples are movie ids, or with by_title=True titles matched to movies
+    by an MD. Returns the positives as (key, ground clause) pairs, the
+    negative ground clauses, and the candidates: every example's bottom
+    clause, also without one or two of its movies, mov2genres and
+    mov2countries literals."""
+    schema = store.parse_schema(CFD_MICRO_SCHEMA_TEXT, target="t")
+    db = store.from_tuples(schema, {
+        "movies": [(f"m{i}", f"T{i}") for i in range(n)],
+        "mov2genres": [(f"m{i}", "comedy" if i < n // 2 else "drama") for i in range(n)],
+        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)],
+        "countries": [("c0", "USA"), ("c0", "United States"), ("c1", "Spain"), ("c1", "España")],
+    })
+    text = "cfd: countries : cid -> name : (_ || _)\n"
+    entries = {}
+    if by_title:
+        text += "md: t[v] ~ movies[title] -> t[v] <-> movies[title]\n"
+        entries[(("t", "v"), ("movies", "title"))] = {f"e{i}": [(f"T{i}", 0.9)] for i in range(n)}
+    mds, cfds = constraints.parse_constraints(text, schema)
+    idx = textsim.SimilarityIndex(k_m=1, threshold=0.5, entries=entries)
+    examples = [store.Example("t", (f"e{i}" if by_title else f"m{i}",)) for i in range(n)]
+    cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=3)
+    grounds = [saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg) for e in examples]
+    candidates = []
+    for e in examples:
+        bottom = saturation.bottom_clause(e, db, mds, cfds, idx, cfg)
+        for k in range(3):
+            for relations in itertools.combinations(("movies", "mov2genres", "mov2countries"), k):
+                ordered = order_clause(bottom)
+                for relation in relations:
+                    at = [i for i, lit in enumerate(ordered.clause.body)
+                          if isinstance(lit, logic.Rel) and lit.relation == relation]
+                    if at:
+                        ordered = drop_with_repair(ordered, at[0])
+                candidates.append(ordered.clause)
+    return list(enumerate(grounds[:n // 2])), grounds[n // 2:], list(dict.fromkeys(candidates))
+
+
+def _memo_free_score(clause, positives, neg_gs, repair_cap):
+    pos_verdicts = [(key, subsumption.covers_positive(clause, g, repair_cap=repair_cap))
+                    for key, g in positives]
+    neg_verdicts = [subsumption.covers_negative(clause, g, repair_cap=repair_cap) for g in neg_gs]
+    covered = tuple(key for key, v in pos_verdicts if v.covered)
+    neg = sum(v.covered for v in neg_verdicts)
+    verdicts = [v for _, v in pos_verdicts] + neg_verdicts
+    exhausted = any(v.budget_exhausted for v in verdicts)
+    return len(covered) - neg, ClauseStats(len(covered), neg, covered, exhausted)
+
+
+def _has_cfd_repairs(clause):
+    return any(isinstance(lit, logic.RepairLit) and lit.origin == "cfd" for lit in clause.body)
+
+
+@pytest.mark.parametrize("by_title", [False, True])
+def test_score_clause_equals_memo_free_coverage_loop(by_title):
+    positives, neg_gs, candidates = _cfd_micro_db(by_title)
+    assert sum(map(_has_cfd_repairs, candidates)) >= 5
+    scores = []
+    for clause in candidates:
+        expected = _memo_free_score(clause, positives, neg_gs, subsumption.DEFAULT_REPAIR_CAP)
+        assert score_clause(clause, positives, neg_gs) == expected
+        scores.append(expected[1])
+    assert any(s.pos for s in scores) and any(s.neg for s in scores)
+
+
+@pytest.mark.parametrize("by_title", [False, True])
+def test_score_clause_cap_hits_match_memo_free_coverage(by_title):
+    # a cap of 2 is below the CFD expansions of every candidate with CFD
+    # repairs: the memo keeps the cap hit and raises it on each use
+    positives, neg_gs, candidates = _cfd_micro_db(by_title)
+    flagged = 0
+    for clause in candidates:
+        expected = _memo_free_score(clause, positives, neg_gs, 2)
+        assert score_clause(clause, positives, neg_gs, repair_cap=2) == expected
+        flagged += expected[1].budget_exhausted
+    assert flagged == sum(map(_has_cfd_repairs, candidates)) >= 5
+
+
+def test_score_clause_expands_each_clause_once(monkeypatch):
+    positives, neg_gs, candidates = _cfd_micro_db(by_title=True)
+    assert len(neg_gs) >= 2
+    repaired, partial = Counter(), Counter()
+    real_repaired, real_partial = logic.repaired_clauses, logic.partial_repairs
+
+    def counting_repaired(clause, cap=256):
+        repaired[clause] += 1
+        return real_repaired(clause, cap)
+
+    def counting_partial(clause, origin, cap=256):
+        partial[clause] += 1
+        return real_partial(clause, origin, cap)
+
+    monkeypatch.setattr(logic, "repaired_clauses", counting_repaired)
+    monkeypatch.setattr(logic, "partial_repairs", counting_partial)
+    for clause in candidates:
+        repaired.clear()
+        partial.clear()
+        score_clause(clause, positives, neg_gs)
+        assert repaired == Counter({clause: 1})
+        assert max(partial.values(), default=1) == 1

@@ -19,6 +19,7 @@ for the set of repair-free clauses reachable by applying or discarding them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import store
 from .util import DisjointSet
@@ -267,7 +268,7 @@ def condition_holds(cond: Condition, clause: Clause, closure: EqClosure | None =
 # repair application
 # ---------------------------------------------------------------------------
 
-def apply_repair_literal(clause: Clause, index: int) -> Clause:
+def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None = None) -> Clause:
     """Apply (or discard) the repair literal at a body index.
 
     When its condition fails the literal is simply removed. When it holds,
@@ -277,12 +278,13 @@ def apply_repair_literal(clause: Clause, index: int) -> Clause:
     literals that mention a replaced term are removed rather than rewritten:
     the repair breaks the term's old relationships, and a fresh replacement
     value matches nothing. Finally, any repair literal whose condition became
-    false is dropped.
+    false is dropped. `closure` is the clause's equality closure, when the
+    caller applies several of its repair literals and builds it once.
     """
     if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], RepairLit):
         raise ClauseError(f"body index {index} is not a repair literal")
     lit = clause.body[index]
-    closure = eq_closure(clause)
+    closure = closure or eq_closure(clause)
     if not condition_holds(lit.cond, clause, closure):
         body = clause.body[:index] + clause.body[index + 1:]
         return Clause(clause.head, body)
@@ -300,7 +302,12 @@ def apply_repair_literal(clause: Clause, index: int) -> Clause:
             continue
         if isinstance(l, (Sim, Eq)) and (l.a in targets or l.b in targets):
             continue
-        new_body.append(_substitute_literal(l, mapping, any_term=True))
+        # an untouched literal stays the same object, which the literal-form
+        # cache of an expansion recognises by identity
+        if targets.isdisjoint(literal_terms(l)):
+            new_body.append(l)
+        else:
+            new_body.append(_substitute_literal(l, mapping, any_term=True))
     head = _substitute_literal(clause.head, mapping, any_term=True)
     result = Clause(head, tuple(new_body))
 
@@ -331,27 +338,49 @@ def drop_dangling_restrictions(clause: Clause) -> Clause:
 def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Clause]:
     """Depth-first over every application order of the repair literals of
     one origin (of every origin when None), with memoization on canonical
-    clause form. Results are deduplicated up to a renaming of variables and
-    returned in a deterministic order; a full expansion also drops the
-    restrictions left dangling. Raises RepairCapExceeded when more than `cap`
-    distinct results appear."""
+    clause form (clause_key with sort=True). Results are deduplicated up to a
+    renaming of variables and returned in a deterministic order; a full
+    expansion also drops the restrictions left dangling. A clause without a
+    repair literal to apply is returned as it is. Raises RepairCapExceeded
+    when more than `cap` distinct results appear.
+
+    Each distinct state value is canonicalized once: its key is memoized by
+    clause value, so a state reached again by another application order is
+    skipped after one dict lookup. The keys share one cache of printed
+    literal forms, and each expanded state's equality closure is built once
+    for all its children. Memo and cache live for this call only."""
+    def applicable(c: Clause) -> list[int]:
+        return [i for i, l in enumerate(c.body)
+                if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
+
+    if not applicable(clause):
+        return [clause]
+    forms: dict = {}
+    keys: dict[Clause, str] = {}
+
+    def key_of(c: Clause) -> str:
+        key = keys.get(c)
+        if key is None:
+            key = keys[c] = clause_key(c, sort=True, cache=forms)
+        return key
+
     results: dict[str, Clause] = {}
     seen: set[str] = set()
     stack = [clause]
     while stack:
         c = stack.pop()
-        key = clause_key(c, sort=True)
+        key = key_of(c)
         if key in seen:
             continue
         seen.add(key)
-        repair_idx = [i for i, l in enumerate(c.body)
-                      if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
+        repair_idx = applicable(c)
         if repair_idx:
-            stack.extend(apply_repair_literal(c, i) for i in repair_idx)
+            closure = eq_closure(c)
+            stack.extend(apply_repair_literal(c, i, closure) for i in repair_idx)
             continue
         if origin is None:
             c = drop_dangling_restrictions(c)
-            key = clause_key(c, sort=True)
+            key = key_of(c)
         results[key] = c
         if len(results) > cap:
             raise RepairCapExceeded(f"more than {cap} repaired clauses")
@@ -360,9 +389,7 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
 
 def repaired_clauses(clause: Clause, cap: int = 256) -> list[Clause]:
     """All repair-free clauses reachable by exhausting the repair literals
-    (see _exhaust_repairs); a clause without any is returned as it is."""
-    if not any(isinstance(l, RepairLit) for l in clause.body):
-        return [clause]
+    (see _exhaust_repairs)."""
     return _exhaust_repairs(clause, None, cap)
 
 
@@ -405,27 +432,31 @@ def print_term(t: Term) -> str:
     return "'%s'" % t.value.replace("'", "''")
 
 
-def _print_atom(a: Atom) -> str:
+def _print_atom(a: Atom, term) -> str:
     kind = {EqAtom: "eq", NeqAtom: "neq", SimAtom: "sim"}[type(a)]
-    return f"{kind}({print_term(a.a)},{print_term(a.b)})"
+    return f"{kind}({term(a.a)},{term(a.b)})"
 
 
-def print_literal(lit: Literal) -> str:
+def print_literal(lit: Literal, term=print_term) -> str:
+    """The literal's text, with each term printed by `term`."""
     if isinstance(lit, Rel):
-        return f"{lit.relation}({','.join(print_term(t) for t in lit.args)})"
+        return f"{lit.relation}({','.join(term(t) for t in lit.args)})"
     if isinstance(lit, Sim):
-        return f"sim({print_term(lit.a)},{print_term(lit.b)})"
+        return f"sim({term(lit.a)},{term(lit.b)})"
     if isinstance(lit, Eq):
-        return f"eq({print_term(lit.a)},{print_term(lit.b)})"
-    cond = ";".join(_print_atom(a) for a in lit.cond)
-    return f"rep{{{cond}}}({print_term(lit.target)},{print_term(lit.replacement)})"
+        return f"eq({term(lit.a)},{term(lit.b)})"
+    cond = ";".join(_print_atom(a, term) for a in lit.cond)
+    return f"rep{{{cond}}}({term(lit.target)},{term(lit.replacement)})"
+
+
+def _clause_text(head: str, body) -> str:
+    if not body:
+        return head + "."
+    return head + " :- " + ", ".join(body) + "."
 
 
 def print_clause(clause: Clause) -> str:
-    head = print_literal(clause.head)
-    if not clause.body:
-        return head + "."
-    return head + " :- " + ", ".join(print_literal(l) for l in clause.body) + "."
+    return _clause_text(print_literal(clause.head), [print_literal(l) for l in clause.body])
 
 
 class _Tokens:
@@ -486,7 +517,10 @@ class _Tokens:
                 self.pos += 1
         name = self.ident()
         if name.startswith("V") and name[1:].isdigit():
-            return Variable(int(name[1:]))
+            try:
+                return Variable(int(name[1:]))
+            except ValueError:  # digits int() does not read, such as '²'
+                pass
         self.error(f"expected a term, got {name!r}")
 
 
@@ -594,12 +628,61 @@ def _renumber(clause: Clause) -> Clause:
     return Clause(head, tuple(rn_lit(l) for l in clause.body))
 
 
-def _shape_key(lit: Literal) -> str:
-    masked = print_literal(
-        _substitute_literal(lit, {v: Variable(0) for v in literal_vars(lit)}, any_term=False)
-    )
-    kind = {Rel: "0", Sim: "1", Eq: "2", RepairLit: "3"}[type(lit)]
-    return kind + masked
+def _template_term(t: Term) -> str:
+    return "V%d" if isinstance(t, Variable) else print_term(t).replace("%", "%%")
+
+
+_KIND = {Rel: "0", Sim: "1", Eq: "2", RepairLit: "3"}
+
+
+def _literal_form(lit: Literal, cache: dict) -> tuple:
+    """(shape key, template, variable ids, lit) of a literal, from `cache`
+    when it holds the literal. `template % ids` prints the literal, and
+    renumbered ids print its renumbered copy; the shape key is its kind
+    followed by its text with every variable printed as V0, a
+    name-independent sort key. The cache is keyed by object identity, and
+    each entry holds its literal, so an id stays unique while the cache
+    lives."""
+    form = cache.get(id(lit))
+    if form is None:
+        ids = tuple(v.id for v in literal_vars(lit))
+        template = print_literal(lit, _template_term)
+        form = cache[id(lit)] = (_KIND[type(lit)] + template % ((0,) * len(ids)), template, ids, lit)
+    return form
+
+
+def _render(forms) -> list[str]:
+    """Print literal forms (head first) with their variables renumbered by
+    first occurrence."""
+    num: dict[int, int] = {}
+    texts = []
+    for _, template, ids, _ in forms:
+        for i in ids:
+            if i not in num:
+                num[i] = len(num)
+        texts.append(template % tuple(map(num.__getitem__, ids)))
+    return texts
+
+
+def _canonical_order(clause: Clause, sort: bool, cache: dict) -> tuple[list[Literal], list[str]]:
+    """The body literals in canonical order, and the printed literals (head
+    first) of the clause renumbered in that order. Without sort the order is
+    the clause's own; with sort=True the body is first ordered by shape key
+    and then by printed literal, renumbering after each ordering, until the
+    renumbered clause no longer changes (at most twice)."""
+    head = _literal_form(clause.head, cache)
+    body = [_literal_form(l, cache) for l in clause.body]
+    if sort:
+        body.sort(key=itemgetter(0))
+    texts = _render([head, *body])
+    if sort:
+        for _ in range(2):
+            body2 = [f for _, f in sorted(zip(texts[1:], body), key=itemgetter(0))]
+            texts2 = _render([head, *body2])
+            if texts2 == texts:
+                break
+            body, texts = body2, texts2
+    return [f[3] for f in body], texts
 
 
 def canonical(clause: Clause, sort: bool = False) -> Clause:
@@ -607,21 +690,16 @@ def canonical(clause: Clause, sort: bool = False) -> Clause:
     first ordered by a name-independent shape key and re-sorted afterwards,
     which makes the form stable under both renaming and reordering for all
     but pathologically symmetric clauses."""
-    if not sort:
-        return _renumber(clause)
-    body = sorted(clause.body, key=_shape_key)
-    c = _renumber(Clause(clause.head, tuple(body)))
-    for _ in range(2):
-        body = sorted(c.body, key=print_literal)
-        c2 = _renumber(Clause(c.head, tuple(body)))
-        if c2 == c:
-            break
-        c = c2
-    return c
+    body, _ = _canonical_order(clause, sort, {})
+    return _renumber(Clause(clause.head, tuple(body)))
 
 
-def clause_key(clause: Clause, sort: bool = False) -> str:
-    return print_clause(canonical(clause, sort=sort))
+def clause_key(clause: Clause, sort: bool = False, cache: dict | None = None) -> str:
+    """print_clause(canonical(clause, sort)), computed from printed literal
+    forms. `cache` holds those forms by literal object; calls that pass the
+    same dict print each literal object they share once (it only grows)."""
+    _, texts = _canonical_order(clause, sort, {} if cache is None else cache)
+    return _clause_text(texts[0], texts[1:])
 
 
 # ---------------------------------------------------------------------------

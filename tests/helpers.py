@@ -193,3 +193,63 @@ def brute_force_index(db, examples, mds, k_m: int, threshold: float):
         if table:
             entries[pair] = table
     return entries
+
+
+# Reference repair exhaustion: the straightforward loop that recomputes the
+# sorted canonical key of every popped state from scratch, for differential
+# tests of logic.repaired_clauses and logic.partial_repairs.
+
+def _reference_shape_key(lit: logic.Literal) -> str:
+    masked = logic.print_literal(
+        lit, lambda t: "V0" if isinstance(t, logic.Variable) else logic.print_term(t))
+    kind = {logic.Rel: "0", logic.Sim: "1", logic.Eq: "2", logic.RepairLit: "3"}[type(lit)]
+    return kind + masked
+
+
+def reference_renumber(clause: logic.Clause) -> logic.Clause:
+    mapping: dict = {}
+    for lit in (clause.head, *clause.body):
+        for v in logic.literal_vars(lit):
+            mapping.setdefault(v, logic.Variable(len(mapping)))
+    return logic.apply_substitution(clause, mapping)
+
+
+def reference_clause_key(clause: logic.Clause) -> str:
+    """Printed form of the body ordered by shape key, renumbered, then
+    re-sorted by printed literal and renumbered until stable (at most twice)."""
+    body = sorted(clause.body, key=_reference_shape_key)
+    c = reference_renumber(logic.Clause(clause.head, tuple(body)))
+    for _ in range(2):
+        body = sorted(c.body, key=logic.print_literal)
+        c2 = reference_renumber(logic.Clause(c.head, tuple(body)))
+        if c2 == c:
+            break
+        c = c2
+    return logic.print_clause(c)
+
+
+def reference_exhaust_repairs(clause: logic.Clause, origin: str | None, cap: int) -> list[logic.Clause]:
+    if not any(isinstance(l, logic.RepairLit) and (origin is None or l.origin == origin)
+               for l in clause.body):
+        return [clause]
+    results: dict[str, logic.Clause] = {}
+    seen: set[str] = set()
+    stack = [clause]
+    while stack:
+        c = stack.pop()
+        key = reference_clause_key(c)
+        if key in seen:
+            continue
+        seen.add(key)
+        repair_idx = [i for i, l in enumerate(c.body)
+                      if isinstance(l, logic.RepairLit) and (origin is None or l.origin == origin)]
+        if repair_idx:
+            stack.extend(logic.apply_repair_literal(c, i) for i in repair_idx)
+            continue
+        if origin is None:
+            c = logic.drop_dangling_restrictions(c)
+            key = reference_clause_key(c)
+        results[key] = c
+        if len(results) > cap:
+            raise logic.RepairCapExceeded(f"more than {cap} repaired clauses")
+    return [results[k] for k in sorted(results)]

@@ -1,16 +1,20 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlearn import logic
+from dlearn import logic, saturation
 from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
                           SimAtom, Variable, apply_repair_literal,
                           apply_substitution, canonical_instance, clause_key,
-                          condition_holds, parse_clause, print_clause,
-                          repaired_clauses)
+                          condition_holds, parse_clause, partial_repairs,
+                          print_clause, repaired_clauses)
+from helpers import (random_drop_variant, random_micro_db, reference_clause_key,
+                     reference_exhaust_repairs, reference_renumber)
 
 V = Variable
 C = Constant
@@ -227,6 +231,18 @@ def test_canonical_sorted_ignores_order():
     assert clause_key(a, sort=True) == clause_key(b, sort=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_clauses(), st.text(alphabet="%d{}'V0", max_size=4))
+def test_clause_key_equals_reference_key(clause, text):
+    # constants with % and braces stress the printed literal templates
+    clause = apply_substitution(clause, {V(0): C(text)})
+    key = clause_key(clause, sort=True)
+    assert key == reference_clause_key(clause)
+    assert print_clause(logic.canonical(clause, sort=True)) == key
+    assert clause_key(clause) == print_clause(reference_renumber(clause))
+    assert print_clause(logic.canonical(clause)) == clause_key(clause)
+
+
 def test_head_connected_filter():
     c = parse_clause("t(V0) :- r(V0,V1), s(V1), q(V5).")
     got = logic.head_connected(c)
@@ -275,3 +291,138 @@ def test_apply_substitution_distributes_over_concatenation():
         left = apply_substitution(Clause(head, body1), theta)
         right = apply_substitution(Clause(head, body2), theta)
         assert joined == Clause(left.head, left.body + right.body)
+
+
+# ---------------------------------------------------------------------------
+# repair exhaustion against the reference loop
+# ---------------------------------------------------------------------------
+
+def _has_repairs(clause, origin):
+    return any(isinstance(l, RepairLit) and l.origin == origin for l in clause.body)
+
+
+@pytest.fixture(scope="module")
+def micro_db_clauses():
+    """Bottom clauses, generalizations of them and ground bottom clauses of
+    seeded micro databases with a CFD. They are saturated at d=3: the CFD's
+    relation is three hops from the example."""
+    clauses = []
+    for case in range(60):
+        rng = random.Random(50_000 + case)
+        db, mds, cfds, idx, examples = random_micro_db(rng, with_cfd=True)
+        cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=case)
+        for ex in examples:
+            bottom = saturation.bottom_clause(ex, db, mds, cfds, idx, cfg)
+            clauses += [bottom, random_drop_variant(bottom, rng),
+                        saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg)]
+    return list(dict.fromkeys(clauses))
+
+
+def _outcome(expand, *args):
+    try:
+        return expand(*args)
+    except RepairCapExceeded as exc:
+        return ("cap", str(exc))
+
+
+def test_repair_exhaustion_equals_reference_loop(micro_db_clauses):
+    cases = [c for c in micro_db_clauses if _has_repairs(c, "md")]
+    assert sum(_has_repairs(c, "cfd") for c in cases) >= 6
+    assert len(cases) >= 60
+    for c in cases:
+        full = repaired_clauses(c)
+        assert full == reference_exhaust_repairs(c, None, 256)
+        for origin in ("cfd", "md"):
+            assert partial_repairs(c, origin) == reference_exhaust_repairs(c, origin, 256)
+        for r in full:
+            assert partial_repairs(r, "cfd") == reference_exhaust_repairs(r, "cfd", 256) == [r]
+
+
+def test_repair_cap_hits_equal_reference_loop(micro_db_clauses):
+    cases = [c for c in micro_db_clauses if _has_repairs(c, "cfd")]
+    hits = 0
+    for c in cases:
+        for cap in (1, 2, 3, 5):
+            got = _outcome(repaired_clauses, c, cap)
+            assert got == _outcome(reference_exhaust_repairs, c, None, cap)
+            assert _outcome(partial_repairs, c, "cfd", cap) == _outcome(
+                reference_exhaust_repairs, c, "cfd", cap)
+            hits += isinstance(got, tuple)
+    assert hits >= 6
+
+
+def test_each_state_tests_conditions_against_its_own_closure():
+    # firing the first repair drops both equalities, so only afterwards does
+    # neq(V2,V5) hold and the second repair fire
+    c = parse_clause("t(V0) :- r(V1,V2,V5), s('a'), eq(V1,V2), eq(V1,V5), "
+                     "rep{sim(V0,V0)}(V1,V3), rep{neq(V2,V5)}('a',V6).")
+    got = repaired_clauses(c)
+    assert [print_clause(r) for r in got] == ["t(V0) :- r(V3,V2,V5), s('a').",
+                                              "t(V0) :- r(V3,V2,V5), s(V6)."]
+    assert got == reference_exhaust_repairs(c, None, 256)
+
+
+def test_exhaustion_keys_each_distinct_state_once(monkeypatch, micro_db_clauses):
+    c = max((c for c in micro_db_clauses if _has_repairs(c, "cfd")), key=lambda c: len(c.body))
+    keyed, produced = Counter(), Counter()
+    real_key, real_apply = logic.clause_key, logic.apply_repair_literal
+
+    def counting_key(clause, *args, **kwargs):
+        keyed[clause] += 1
+        return real_key(clause, *args, **kwargs)
+
+    def counting_apply(clause, *args, **kwargs):
+        child = real_apply(clause, *args, **kwargs)
+        produced[child] += 1
+        return child
+
+    monkeypatch.setattr(logic, "clause_key", counting_key)
+    monkeypatch.setattr(logic, "apply_repair_literal", counting_apply)
+    expected = reference_exhaust_repairs(c, None, 256)
+    assert repaired_clauses(c) == expected
+    # states are reached along several application orders, yet each value is keyed once
+    assert max(produced.values()) > 1
+    assert max(keyed.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# clause parser fuzz
+# ---------------------------------------------------------------------------
+
+_VALID_CLAUSES = (
+    "t('x () :- weird, ''quoted''').",
+    "highGrossing(V0) :- movies(V1,V2,V3), sim(V0,V2), rep{sim(V0,V2)}(V0,V6), "
+    "rep{sim(V0,V2)}(V2,V7), eq(V6,V7), mov2genres(V1,'comedy').",
+    "t(V0) :- c(V1,V2), c(V1,V3), rep{eq(V1,V1);neq(V2,V3)}(V2,V4), eq(V3,'50%').",
+)
+_CLAUSE_TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\w+|\s+|:-|.")
+_CLAUSE_FUZZ_TOKENS = ("'", "''", ",", ";", ".", ":-", ":", "-", "(", ")", "{", "}", " ", "\n",
+                       "V", "V0", "V12", "V²", "V١", "'a''b'", "rep", "sim", "eq", "neq", "r",
+                       "%", "%d", "_x")
+_CLAUSE_MUTATION = st.tuples(
+    st.sampled_from(("insert", "delete", "replace")), st.integers(0, 80),
+    st.sampled_from(_CLAUSE_FUZZ_TOKENS) | st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_VALID_CLAUSES), st.lists(_CLAUSE_MUTATION, min_size=1, max_size=3))
+def test_mutated_clauses_raise_only_clause_errors_and_round_trip(text, mutations):
+    tokens = _CLAUSE_TOKEN_RE.findall(text)
+    for op, at, token in mutations:
+        at %= len(tokens) + 1
+        if op == "insert":
+            tokens.insert(at, token)
+        elif at < len(tokens):
+            tokens[at:at + 1] = [] if op == "delete" else [token]
+    try:
+        clause = parse_clause("".join(tokens))
+    except ClauseError:
+        return
+    assert parse_clause(print_clause(clause)) == clause
+
+
+def test_variable_digits_int_cannot_read_are_a_clause_error():
+    for bad in ("t(V²).", "t(V0) :- r(V0,V³)."):
+        with pytest.raises(ClauseError, match="expected a term"):
+            parse_clause(bad)
+    assert parse_clause("t(V١).") == Clause(Rel("t", (V(1),)))

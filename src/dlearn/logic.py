@@ -14,6 +14,11 @@ Clause grammar (round-trips through parse_clause / print_clause):
 A repair literal rep{c}(x, v) means: when condition c holds in the clause,
 replace x everywhere with v. A clause with repair literals compactly stands
 for the set of repair-free clauses reachable by applying or discarding them.
+
+Terms are native values: a Variable is an int subclass and a Constant a str
+subclass, so hashing them runs in C. Equality stays type-strict: a term
+equals only a term of its own kind with the same id or value, never a raw
+int or str, so terms and plain values can share dict and set keys.
 """
 
 from __future__ import annotations
@@ -37,14 +42,53 @@ class RepairCapExceeded(Exception):
 # terms, atoms, literals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Variable:
-    id: int
+class Variable(int):
+    """A clause variable, printed V<id>.
+
+    An int subclass: it hashes as its id, in C. It equals only a Variable
+    with the same id, never a raw int or a Constant, so terms can share dict
+    and set keys with plain values. `id` is the plain int. Build it
+    positionally, `Variable(3)`.
+    """
+
+    __slots__ = ()
+    __hash__ = int.__hash__
+    id = property(int.__int__, doc="The variable's number, a plain int.")
+
+    def __eq__(self, other, _eq=int.__eq__):
+        return type(other) is Variable and _eq(self, other)
+
+    def __ne__(self, other, _ne=int.__ne__):
+        return type(other) is not Variable or _ne(self, other)
+
+    def __repr__(self) -> str:
+        return f"Variable(id={int(self)!r})"
+
+    __str__ = __repr__
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: str
+class Constant(str):
+    """A constant value, printed single-quoted.
+
+    A str subclass: it hashes as its value, in C. It equals only a Constant
+    with the same value, never a raw str or a Variable. `value` is the plain
+    str. Build it positionally, `Constant('x')`.
+    """
+
+    __slots__ = ()
+    __hash__ = str.__hash__
+    value = property(str.__str__, doc="The constant's text, a plain str.")
+
+    def __eq__(self, other, _eq=str.__eq__):
+        return type(other) is Constant and _eq(self, other)
+
+    def __ne__(self, other, _ne=str.__ne__):
+        return type(other) is not Constant or _ne(self, other)
+
+    def __repr__(self) -> str:
+        return f"Constant(value={str.__str__(self)!r})"
+
+    __str__ = __repr__
 
 
 Term = Variable | Constant
@@ -297,10 +341,12 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     targets = set(mapping)
 
     new_body = []
+    dropped_eq = False
     for i, l in enumerate(clause.body):
         if i in group_idx:
             continue
         if isinstance(l, (Sim, Eq)) and (l.a in targets or l.b in targets):
+            dropped_eq = dropped_eq or isinstance(l, Eq)
             continue
         # an untouched literal stays the same object, which the literal-form
         # cache of an expansion recognises by identity
@@ -311,7 +357,10 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     head = _substitute_literal(clause.head, mapping, any_term=True)
     result = Clause(head, tuple(new_body))
 
-    closure = eq_closure(result)
+    # the Eq literals that survive are the clause's own objects, so unless
+    # one was dropped the clause's closure is the result's
+    if dropped_eq:
+        closure = eq_closure(result)
     kept = tuple(
         l for l in result.body
         if not (isinstance(l, RepairLit) and not condition_holds(l.cond, result, closure))

@@ -17,7 +17,11 @@ def derive_rng(seed: int, *tokens) -> random.Random:
 
 
 class DisjointSet:
-    """Union-find over hashable items, created lazily on first touch."""
+    """Union-find over hashable items, created lazily on first touch.
+
+    Roots are compared by identity: a root's stored parent is always its own
+    key object, and find returns that object for every item equal to it.
+    """
 
     def __init__(self):
         self._parent = {}
@@ -28,16 +32,16 @@ class DisjointSet:
             parent[item] = item
             return item
         root = item
-        while parent[root] != root:
+        while parent[root] is not root:
             root = parent[root]
-        while parent[item] != root:
+        while parent[item] is not root:
             parent[item], item = root, parent[item]
         return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra is not rb:
             self._parent[rb] = ra
 
     def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
+        return self.find(a) is self.find(b)

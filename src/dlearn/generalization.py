@@ -57,6 +57,12 @@ def _component_anchors(clause: Clause):
     literals (so induced equality anchors travel with the repair group of the
     occurrence they describe). The component becomes available once all the
     relation literals its grounded variables live in are available.
+
+    An equality literal with a constant argument pins one value, which other
+    examples rarely share. It joins no component and is anchored at its own
+    position, after every relation literal, so it is a prefix step of its
+    own: a blocking constant drops alone instead of taking the relation
+    literal, similarity and repair group of its variable with it.
     """
     body = clause.body
     head_terms = set(clause.head.args)
@@ -75,8 +81,11 @@ def _component_anchors(clause: Clause):
     linking -= head_terms
     dsu = DisjointSet()
     nonrel = [i for i, lit in enumerate(body) if not isinstance(lit, Rel)]
+    pinned = {i for i in nonrel if isinstance(body[i], Eq)
+              and (isinstance(body[i].a, Constant) or isinstance(body[i].b, Constant))}
+    grouped = [i for i in nonrel if i not in pinned]
     floating_home: dict = {}
-    for i in nonrel:
+    for i in grouped:
         for t in logic.literal_terms(body[i]):
             floats = isinstance(t, Variable) and t not in last_rel_pos and t not in head_terms
             if floats or t in linking:
@@ -85,8 +94,8 @@ def _component_anchors(clause: Clause):
                 else:
                     floating_home[t] = i
             dsu.find(i)
-    anchor: dict[int, int] = {}
-    for i in nonrel:
+    anchor: dict[int, int] = {i: i for i in pinned}
+    for i in grouped:
         root = dsu.find(i)
         pos = max((last_rel_pos.get(t, -1) for t in logic.literal_terms(body[i])), default=-1)
         anchor[root] = max(anchor.get(root, -1), pos)

@@ -8,7 +8,7 @@ from dlearn import constraints, logic, saturation, store, subsumption, textsim
 from dlearn.generalization import (ClauseStats, armg, best_candidate, drop_with_repair,
                                    find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
-from helpers import random_micro_db
+from helpers import TITLE_MD, random_micro_db, seeded_titles
 
 
 @pytest.fixture
@@ -222,6 +222,50 @@ def test_determinism_of_armg(movie_clauses):
     a = print_clause(armg(c, gs["Zoolander"]))
     b = print_clause(armg(c, gs["Zoolander"]))
     assert a == b
+
+
+FANOUT_SCHEMA_TEXT = """\
+movies(id:text, title:text, year:integer)
+mov2genres(id:text, genre:text)
+highGrossing(title:text)
+"""
+
+
+def test_armg_keeps_matched_movie_under_fanout():
+    # titles come in families of two, so every positive's bottom clause
+    # matches two movies, each pinned by an eq(<stored title>, V) literal no
+    # other example shares; the pin must drop alone, not the movie with it
+    schema = store.parse_schema(FANOUT_SCHEMA_TEXT, target="highGrossing")
+    n = 8
+    titles = seeded_titles(n, seed=1, family=2)
+    db = store.from_tuples(schema, {
+        "movies": [(f"m{i}", f"{t} ({2000 + i})", str(2000 + i)) for i, t in enumerate(titles)],
+        "mov2genres": [(f"m{i}", "comedy" if i < n // 2 else "drama") for i in range(n)],
+    })
+    mds, _ = constraints.parse_constraints(TITLE_MD, schema)
+    positives = [store.Example("highGrossing", (t,)) for t in titles[:n // 2]]
+    idx = textsim.build_similarity_index(db, positives, mds, k_m=5, threshold=0.65)
+    cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=1)
+    cross_family = 0
+    for seed_ex, target_ex in itertools.permutations(positives, 2):
+        bottom = saturation.bottom_clause(seed_ex, db, mds, [], idx, cfg)
+        g = saturation.ground_bottom_clause(target_ex, db, mds, [], idx, cfg)
+        out = armg(bottom, g)
+        assert subsumption.covers_positive(out, g).covered
+        head = out.head.args[0]
+        kept = [lit for lit in out.body if isinstance(lit, logic.Rel) and lit.relation == "movies"]
+        assert kept
+        for movie in kept:
+            title = movie.args[1]
+            assert logic.Sim(head, title) in out.body
+            group = [lit for lit in out.body if isinstance(lit, logic.RepairLit)
+                     and lit.cond == (logic.SimAtom(head, title),)]
+            assert {lit.target for lit in group} == {head, title}
+        if seed_ex.values[0].split()[:2] != target_ex.values[0].split()[:2]:
+            cross_family += 1
+            assert not any(isinstance(lit, logic.Eq) and isinstance(lit.a, logic.Constant)
+                           for lit in out.body)
+    assert cross_family >= 8
 
 
 CFD_MICRO_SCHEMA_TEXT = """\

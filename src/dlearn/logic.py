@@ -323,7 +323,9 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     the repair breaks the term's old relationships, and a fresh replacement
     value matches nothing. Finally, any repair literal whose condition became
     false is dropped. `closure` is the clause's equality closure, when the
-    caller applies several of its repair literals and builds it once.
+    caller applies several of its repair literals and builds it once; the
+    final filter reuses it unless the fired group dropped an equality
+    literal.
     """
     if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], RepairLit):
         raise ClauseError(f"body index {index} is not a repair literal")
@@ -357,8 +359,8 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     head = _substitute_literal(clause.head, mapping, any_term=True)
     result = Clause(head, tuple(new_body))
 
-    # the Eq literals that survive are the clause's own objects, so unless
-    # one was dropped the clause's closure is the result's
+    # every surviving Eq is the clause's own, untouched by the mapping, so
+    # unless one was dropped the clause's closure is the result's
     if dropped_eq:
         closure = eq_closure(result)
     kept = tuple(

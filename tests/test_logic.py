@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,65 @@ def test_parse_print_round_trip_random(clause):
     text = print_clause(clause)
     again = parse_clause(text)
     assert print_clause(again) == text
+    # terms come back as equal terms of the same kind
+    assert again == clause
+    kinds = [type(t) for l in (clause.head, *clause.body) for t in logic.literal_terms(l)]
+    assert kinds == [type(t) for l in (again.head, *again.body) for t in logic.literal_terms(l)]
+
+
+# ---------------------------------------------------------------------------
+# the term contract: native hashing, type-strict equality
+# ---------------------------------------------------------------------------
+
+# the frozen dataclasses the terms used to be, for their repr
+_DataclassVariable = make_dataclass("Variable", [("id", int)], frozen=True)
+_DataclassConstant = make_dataclass("Constant", [("value", str)], frozen=True)
+
+
+_ints = st.integers(min_value=-2, max_value=10**6)
+_strs = st.text(max_size=5)
+_values = st.one_of(_ints, _strs, _ints.map(Variable), _strs.map(Constant))
+
+
+@given(_ints, _strs)
+def test_terms_never_equal_raw_values_or_the_other_kind(i, s):
+    v, c = Variable(i), Constant(s)
+    for term, raw in ((v, i), (c, s), (v, Constant(str(i))), (c, Variable(i))):
+        assert not term == raw and not raw == term
+        assert term != raw and raw != term
+    assert Variable(i) == v and not Variable(i) != v
+    assert Constant(s) == c and not Constant(s) != c
+
+
+@given(_values, _values)
+def test_not_equal_is_always_not_equal(a, b):
+    assert (a != b) is (not a == b)
+    assert (b != a) is (not b == a)
+    assert (a == b) is (b == a)
+
+
+@given(_ints, _strs)
+def test_equal_terms_hash_equally_and_keep_the_dataclass_repr(i, s):
+    for make in (lambda: Variable(i), lambda: Constant(s)):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+    assert repr(Variable(i)) == str(Variable(i)) == repr(_DataclassVariable(i))
+    assert repr(Constant(s)) == str(Constant(s)) == repr(_DataclassConstant(s))
+    assert f"{Variable(i)}" == repr(Variable(i)) and f"{Constant(s)}" == repr(Constant(s))
+
+
+@given(_ints, _strs)
+def test_term_fields_are_plain_values(i, s):
+    assert type(Variable(i).id) is int and Variable(i).id == i
+    assert type(Constant(s).value) is str and Constant(s).value == s
+
+
+@given(st.lists(_values, max_size=12))
+def test_terms_and_raw_values_are_distinct_keys(values):
+    # repr tells every kind and value apart: 3, '3', Variable(id=3), Constant(value='3')
+    d = {x: repr(x) for x in values}
+    assert len(d) == len(set(values)) == len({repr(x) for x in values})
+    assert all(d[x] == repr(x) for x in values)
 
 
 def test_canonical_ignores_renaming():
@@ -360,6 +420,52 @@ def test_each_state_tests_conditions_against_its_own_closure():
     assert [print_clause(r) for r in got] == ["t(V0) :- r(V3,V2,V5), s('a').",
                                               "t(V0) :- r(V3,V2,V5), s(V6)."]
     assert got == reference_exhaust_repairs(c, None, 256)
+
+
+def test_fired_group_that_drops_an_eq_rechecks_conditions_on_the_child():
+    # eq(V2,V4) holds only through V1; firing the repair of V1 drops both
+    # equalities, so the CFD repair guarded by eq(V2,V4) must go too
+    c = parse_clause("t(V0) :- r(V1,V2,V4), eq(V2,V1), eq(V1,V4), "
+                     "rep{sim(V0,V0)}(V1,V3), rep{eq(V2,V4)}(V2,V5).")
+    assert condition_holds((EqAtom(V(2), V(4)),), c)
+    got = apply_repair_literal(c, 3, EqClosure(c.body))
+    assert print_clause(got) == "t(V0) :- r(V3,V2,V4)."
+
+
+def _rewrite_repair(lit, mapping):
+    def rw(t):
+        return mapping.get(t, t)
+    return RepairLit(tuple(type(a)(rw(a.a), rw(a.b)) for a in lit.cond), rw(lit.target),
+                     rw(lit.replacement), origin=lit.origin, group=lit.group)
+
+
+def test_applied_repairs_keep_exactly_the_literals_whose_condition_holds(micro_db_clauses):
+    # the child's repair literals are judged by the parent's closure unless
+    # an equality was dropped; either way they must be those whose condition
+    # holds under a closure built afresh from the child
+    fired = reused = filtered = 0
+    for c in micro_db_clauses:
+        closure = EqClosure(c.body)
+        for i, lit in enumerate(c.body):
+            if not isinstance(lit, RepairLit):
+                continue
+            child = apply_repair_literal(c, i, closure)
+            fresh = EqClosure(child.body)
+            kept = [l for l in child.body if isinstance(l, RepairLit)]
+            assert all(condition_holds(l.cond, child, fresh) for l in kept)
+            if not condition_holds(lit.cond, c, closure):
+                continue
+            fired += 1
+            group = [l for l in c.body if isinstance(l, RepairLit) and logic.same_group(l, lit)]
+            mapping = {l.target: l.replacement for l in group}
+            reused += not any(isinstance(l, Eq) and (l.a in mapping or l.b in mapping)
+                              for l in c.body)
+            rest = [_rewrite_repair(l, mapping) for l in c.body
+                    if isinstance(l, RepairLit) and not any(l is m for m in group)]
+            holding = [l for l in rest if condition_holds(l.cond, child, fresh)]
+            assert kept == holding
+            filtered += len(rest) - len(holding)
+    assert fired >= 1000 and 100 <= reused <= fired - 1000 and filtered >= 1000
 
 
 def test_exhaustion_keys_each_distinct_state_once(monkeypatch, micro_db_clauses):

@@ -55,6 +55,8 @@ class Variable(int):
     __hash__ = int.__hash__
     id = property(int.__int__, doc="The variable's number, a plain int.")
 
+    # the base comparison is bound as a default argument, so a dict probe
+    # that reaches __eq__ pays no attribute lookup
     def __eq__(self, other, _eq=int.__eq__):
         return type(other) is Variable and _eq(self, other)
 

@@ -65,17 +65,15 @@ def evaluate(definition: LearnedDefinition, test_pos, test_neg, db, mds, cfds,
     negative coverage."""
     start = time.perf_counter()
     _, grounds = learner.ground_examples(db, mds, cfds, list(test_pos) + list(test_neg), cfg)
-    metrics = Metrics()
-    for g in grounds[:len(test_pos)]:
-        if learner.definition_covers_positive(definition, g, cfg):
-            metrics.tp += 1
-        else:
-            metrics.fn += 1
-    for g in grounds[len(test_pos):]:
-        if learner.definition_covers_negative(definition, g, cfg):
-            metrics.fp += 1
-    metrics.wall_time = time.perf_counter() - start
-    return metrics
+    limits = (cfg.subsumption_budget, cfg.repair_cap)
+
+    def covered(covers, g) -> bool:
+        return any(covers(lc.clause, g, *limits).covered for lc in definition.clauses)
+
+    pos_gs, neg_gs = grounds[:len(test_pos)], grounds[len(test_pos):]
+    tp = sum(covered(subsumption.covers_positive, g) for g in pos_gs)
+    fp = sum(covered(subsumption.covers_negative, g) for g in neg_gs)
+    return Metrics(tp=tp, fp=fp, fn=len(pos_gs) - tp, wall_time=time.perf_counter() - start)
 
 
 def stratified_folds(pos, neg, folds: int, rng) -> list[tuple[list, list, list, list]]:
@@ -281,7 +279,7 @@ def _cmd_saturate(args) -> int:
         raise ExamplesError(f"--example: {len(values)} values for a target of arity {arity}")
     example = Example(args.target, tuple(values))
     idx = textsim.build_similarity_index(db, [example], mds, cfg.k_m, cfg.sim_threshold)
-    clause = saturation.ground_bottom_clause(example, db, mds, cfds, idx, cfg.saturation_config())
+    clause = saturation.ground_bottom_clause(example, db, mds, cfds, idx, cfg)
     print(logic.print_clause(clause))
     return 0
 

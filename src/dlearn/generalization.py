@@ -191,19 +191,7 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
                 removed.add(i)
         # connectivity pass over what is left
         keep = [i for i in range(len(body)) if i not in removed]
-        connected_terms = set(head.args)
-        connected: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for i in keep:
-                if i in connected:
-                    continue
-                terms = set(logic.literal_terms(body[i]))
-                if terms & connected_terms:
-                    connected.add(i)
-                    connected_terms |= terms
-                    changed = True
+        connected = logic.head_reachable(head, ((i, body[i]) for i in keep))
         removed.update(i for i in keep if i not in connected)
         if removed == before:
             break

@@ -20,25 +20,25 @@ from .util import derive_rng
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
-    d: int = 4
+class LearnerConfig(SaturationConfig):
+    """Learning settings. The saturation fields (d, sample_size, rng_seed,
+    cfd_fixpoint_cap) and their check are inherited, so the config is passed
+    to saturation as it is."""
+
     k_m: int = 5
-    sample_size: int = 10
     sim_threshold: float = 0.65
     K: int = 10
     min_pos: int = 2
     min_precision: float = 0.7
-    rng_seed: int = 0
     subsumption_budget: int = subsumption.DEFAULT_BUDGET
     repair_cap: int = subsumption.DEFAULT_REPAIR_CAP
-    cfd_fixpoint_cap: int = 16
     # accepted and ignored: coverage tests are pure Python, so threads cannot
     # run them in parallel under the GIL
     threads: int = 1
 
     def saturation_config(self) -> SaturationConfig:
-        return SaturationConfig(d=self.d, sample_size=self.sample_size,
-                                rng_seed=self.rng_seed, cfd_fixpoint_cap=self.cfd_fixpoint_cap)
+        """The config itself, which is a SaturationConfig."""
+        return self
 
 
 @dataclass
@@ -73,9 +73,7 @@ def ground_examples(db: Database, mds, cfds, examples, cfg: LearnerConfig):
     """(similarity index over the examples, the ground bottom clause of each
     example in order)."""
     idx = textsim.build_similarity_index(db, examples, mds, cfg.k_m, cfg.sim_threshold)
-    sat_cfg = cfg.saturation_config()
-    return idx, [saturation.ground_bottom_clause(ex, db, mds, cfds, idx, sat_cfg)
-                 for ex in examples]
+    return idx, [saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg) for ex in examples]
 
 
 class _Session:
@@ -86,7 +84,6 @@ class _Session:
         self.db = db
         self.mds = mds
         self.cfds = cfds
-        self.sat_cfg = cfg.saturation_config()
         examples = list(pos) + list(neg)
         self.idx, grounds = ground_examples(db, mds, cfds, examples, cfg)
         self.ground: dict[str, logic.Clause] = {
@@ -100,7 +97,7 @@ def learn_clause(session: _Session, seed: Example, uncovered, negatives,
     positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
     neg_gs = [session.ground[e.key()] for e in negatives]
     current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
-                                       session.idx, session.sat_cfg)
+                                       session.idx, cfg)
     score, stats = generalization.score_clause(current, positives, neg_gs, *limits)
     rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
     while True:
@@ -145,18 +142,3 @@ def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefin
         else:
             exhausted.add(seed.key())
     return definition
-
-
-def definition_covers_positive(definition: LearnedDefinition, g, cfg: LearnerConfig) -> bool:
-    """A definition covers a positive example when any clause does."""
-    return any(
-        subsumption.covers_positive(lc.clause, g, cfg.subsumption_budget, cfg.repair_cap).covered
-        for lc in definition.clauses
-    )
-
-
-def definition_covers_negative(definition: LearnedDefinition, g, cfg: LearnerConfig) -> bool:
-    return any(
-        subsumption.covers_negative(lc.clause, g, cfg.subsumption_budget, cfg.repair_cap).covered
-        for lc in definition.clauses
-    )

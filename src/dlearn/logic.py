@@ -215,38 +215,32 @@ def clause_vars(clause: Clause) -> set:
     return out
 
 
-def fresh_var(clause_or_vars) -> Variable:
-    """A variable numbered above every variable of the clause (or set)."""
-    if isinstance(clause_or_vars, Clause):
-        clause_or_vars = (t for lit in (clause_or_vars.head, *clause_or_vars.body)
-                          for t in literal_terms(lit) if isinstance(t, Variable))
-    return Variable(max((v.id for v in clause_or_vars), default=-1) + 1)
+def fresh_var(clause: Clause) -> Variable:
+    """A variable numbered above every variable of the clause."""
+    return Variable(max((v.id for v in clause_vars(clause)), default=-1) + 1)
 
 
-def map_term(term: Term, subst: Substitution) -> Term:
-    return subst.get(term, term) if isinstance(term, Variable) else term
-
-
-def _map_any_term(term: Term, mapping: dict) -> Term:
-    """Like map_term but the mapping may also rewrite constants (used by
-    repair application, where a target can be a constant)."""
-    return mapping.get(term, term)
-
-
-def _substitute_literal(lit: Literal, mapping: dict, any_term: bool = False) -> Literal:
-    rw = _map_any_term if any_term else (lambda t, m: map_term(t, m))
+def _substitute_literal(lit: Literal, mapping: dict) -> Literal:
+    """The literal with every term rewritten through `mapping`: a term that
+    is a key becomes its value, any other term stays. Terms are type-strict
+    keys, so a mapping may rewrite constants as well as variables (repair
+    application replaces constant targets) and never confuses the two."""
+    get = mapping.get
     if isinstance(lit, Rel):
-        return Rel(lit.relation, tuple(rw(t, mapping) for t in lit.args))
+        return Rel(lit.relation, tuple(get(t, t) for t in lit.args))
     if isinstance(lit, Sim):
-        return Sim(rw(lit.a, mapping), rw(lit.b, mapping))
+        return Sim(get(lit.a, lit.a), get(lit.b, lit.b))
     if isinstance(lit, Eq):
-        return Eq(rw(lit.a, mapping), rw(lit.b, mapping))
-    cond = tuple(type(a)(rw(a.a, mapping), rw(a.b, mapping)) for a in lit.cond)
-    return RepairLit(cond, rw(lit.target, mapping), rw(lit.replacement, mapping),
+        return Eq(get(lit.a, lit.a), get(lit.b, lit.b))
+    cond = tuple(type(a)(get(a.a, a.a), get(a.b, a.b)) for a in lit.cond)
+    return RepairLit(cond, get(lit.target, lit.target), get(lit.replacement, lit.replacement),
                      origin=lit.origin, group=lit.group)
 
 
 def apply_substitution(clause: Clause, subst: Substitution) -> Clause:
+    """The clause with every term of its head and body, repair conditions
+    included, rewritten through `subst` (see _substitute_literal); the keys
+    may be variables or constants."""
     head = _substitute_literal(clause.head, subst)
     return Clause(head, tuple(_substitute_literal(l, subst) for l in clause.body))
 
@@ -357,8 +351,8 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
         if targets.isdisjoint(literal_terms(l)):
             new_body.append(l)
         else:
-            new_body.append(_substitute_literal(l, mapping, any_term=True))
-    head = _substitute_literal(clause.head, mapping, any_term=True)
+            new_body.append(_substitute_literal(l, mapping))
+    head = _substitute_literal(clause.head, mapping)
     result = Clause(head, tuple(new_body))
 
     # every surviving Eq is the clause's own, untouched by the mapping, so
@@ -456,15 +450,16 @@ def partial_repairs(clause: Clause, origin: str, cap: int = 256) -> list[Clause]
 # connectivity
 # ---------------------------------------------------------------------------
 
-def head_connected(clause: Clause) -> Clause:
-    """Keep only body literals reachable from the head through shared terms."""
-    connected_terms = set(clause.head.args)
-    body = list(clause.body)
+def head_reachable(head: Rel, indexed) -> set[int]:
+    """The indices of the (index, literal) pairs in `indexed` whose literal
+    is reachable from the head through shared terms."""
+    indexed = list(indexed)
+    connected_terms = set(head.args)
     kept: set[int] = set()
     changed = True
     while changed:
         changed = False
-        for i, lit in enumerate(body):
+        for i, lit in indexed:
             if i in kept:
                 continue
             terms = set(literal_terms(lit))
@@ -472,7 +467,13 @@ def head_connected(clause: Clause) -> Clause:
                 kept.add(i)
                 connected_terms |= terms
                 changed = True
-    return Clause(clause.head, tuple(l for i, l in enumerate(body) if i in kept))
+    return kept
+
+
+def head_connected(clause: Clause) -> Clause:
+    """Keep only body literals reachable from the head through shared terms."""
+    kept = head_reachable(clause.head, enumerate(clause.body))
+    return Clause(clause.head, tuple(l for i, l in enumerate(clause.body) if i in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -657,30 +658,6 @@ def _assign_groups(clause: Clause) -> Clause:
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _renumber(clause: Clause) -> Clause:
-    mapping: dict[Variable, Variable] = {}
-
-    def rn(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable(len(mapping))
-            return mapping[t]
-        return t
-
-    def rn_lit(lit: Literal) -> Literal:
-        if isinstance(lit, Rel):
-            return Rel(lit.relation, tuple(rn(t) for t in lit.args))
-        if isinstance(lit, Sim):
-            return Sim(rn(lit.a), rn(lit.b))
-        if isinstance(lit, Eq):
-            return Eq(rn(lit.a), rn(lit.b))
-        cond = tuple(type(a)(rn(a.a), rn(a.b)) for a in lit.cond)
-        return RepairLit(cond, rn(lit.target), rn(lit.replacement), origin=lit.origin, group=lit.group)
-
-    head = rn_lit(clause.head)
-    return Clause(head, tuple(rn_lit(l) for l in clause.body))
-
-
 def _template_term(t: Term) -> str:
     return "V%d" if isinstance(t, Variable) else print_term(t).replace("%", "%%")
 
@@ -744,7 +721,11 @@ def canonical(clause: Clause, sort: bool = False) -> Clause:
     which makes the form stable under both renaming and reordering for all
     but pathologically symmetric clauses."""
     body, _ = _canonical_order(clause, sort, {})
-    return _renumber(Clause(clause.head, tuple(body)))
+    mapping: dict[Variable, Variable] = {}
+    for lit in (clause.head, *body):
+        for v in literal_vars(lit):
+            mapping.setdefault(v, Variable(len(mapping)))
+    return apply_substitution(Clause(clause.head, tuple(body)), mapping)
 
 
 def clause_key(clause: Clause, sort: bool = False, cache: dict | None = None) -> str:

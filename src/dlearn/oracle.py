@@ -396,7 +396,7 @@ def normalize_clause(clause: Clause) -> Clause:
     variable equated with a constant becomes the constant), reflexive
     equality/similarity literals disappear, and literals not connected to the
     head are pruned."""
-    next_id = max((v.id for v in logic.clause_vars(clause)), default=-1) + 1
+    next_id = logic.fresh_var(clause).id
     fresh_map: dict = {}
     for lit in [clause.head] + list(clause.body):
         for t in logic.literal_terms(lit):
@@ -404,9 +404,7 @@ def normalize_clause(clause: Clause) -> Clause:
                 fresh_map[t] = Variable(next_id)
                 next_id += 1
     if fresh_map:
-        head = logic._substitute_literal(clause.head, fresh_map, any_term=True)
-        body = tuple(logic._substitute_literal(l, fresh_map, any_term=True) for l in clause.body)
-        clause = Clause(head, body)
+        clause = logic.apply_substitution(clause, fresh_map)
     dsu_members: dict = {}
     mapping: dict = {}
     closure = logic.eq_closure(clause)

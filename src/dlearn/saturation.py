@@ -39,14 +39,20 @@ class SaturationError(Exception):
 
 @dataclass(frozen=True)
 class SaturationConfig:
+    """Saturation settings, checked when the config is constructed: every
+    field named in `_positive` must be at least 1, else SaturationError."""
+
     d: int = 4
     sample_size: int = 10
     rng_seed: int = 0
     cfd_fixpoint_cap: int = 16
 
+    _positive = ("d", "sample_size", "cfd_fixpoint_cap")
+
     def __post_init__(self):
-        if self.d < 1 or self.sample_size < 1 or self.cfd_fixpoint_cap < 1:
-            raise SaturationError("d, sample_size and cfd_fixpoint_cap must be positive")
+        for name in self._positive:
+            if getattr(self, name) < 1:
+                raise SaturationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,11 @@ def collect_relevant(example: Example, db: Database, mds, idx: SimilarityIndex,
 
 
 class _VarAllocator:
-    def __init__(self):
-        self.next_id = 0
+    """Hands out variables numbered upwards from `start`, one shared
+    variable per value on request."""
+
+    def __init__(self, start: int = 0):
+        self.next_id = start
         self.by_value: dict[str, logic.Variable] = {}
 
     def fresh(self) -> logic.Variable:
@@ -158,11 +167,20 @@ class _VarAllocator:
         return self.by_value[value]
 
 
-def _occurrences(head: logic.Rel, rels: list[logic.Rel], term) -> int:
-    n = sum(1 for t in head.args if t == term)
-    for lit in rels:
-        n += sum(1 for t in lit.args if t == term)
-    return n
+def _occurrences(head: logic.Rel, rels, term) -> int:
+    """Occurrences of `term` among the head and the relation literals of
+    `rels`."""
+    return head.args.count(term) + sum(
+        lit.args.count(term) for lit in rels if isinstance(lit, logic.Rel))
+
+
+def _split(rels: list, i: int, pos: int, alloc: _VarAllocator) -> logic.Variable:
+    """Replace argument `pos` of the relation literal rels[i] by a fresh
+    variable, and return that variable."""
+    lit = rels[i]
+    split = alloc.fresh()
+    rels[i] = logic.Rel(lit.relation, lit.args[:pos] + (split,) + lit.args[pos + 1:])
+    return split
 
 
 def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: store.Schema,
@@ -213,13 +231,8 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
             homes = [k for k, r in enumerate(rels)
                      if r.relation == left_rel and r.args[pos] == logic.Constant(probe)]
             if len(homes) == 1:
-                split = alloc.fresh()
-                li2 = homes[0]
-                segments[li2].append(logic.Eq(logic.Constant(probe), split))
-                args = list(rels[li2].args)
-                args[pos] = split
-                rels[li2] = logic.Rel(rels[li2].relation, tuple(args))
-                left_splits[key] = split
+                split = left_splits[key] = _split(rels, homes[0], pos, alloc)
+                segments[homes[0]].append(logic.Eq(logic.Constant(probe), split))
                 return split
         return logic.Constant(probe)
 
@@ -256,12 +269,9 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
         # constant matched exactly once simply turns into a variable.
         anchored = _occurrences(head, rels, right_term) > 1 or left_fanout[left_term] > 1
         if anchored or (variabilize and isinstance(right_term, logic.Constant)):
-            split = alloc.fresh()
+            split = _split(rels, li, pos, alloc)
             if anchored:
                 segments[li].append(logic.Eq(right_term, split))
-            args = list(rels[li].args)
-            args[pos] = split
-            rels[li] = logic.Rel(rels[li].relation, tuple(args))
             right_term = split
         cond = (logic.SimAtom(left_term, right_term),)
         v_left, v_right = alloc.fresh(), alloc.fresh()
@@ -299,7 +309,7 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     body = list(clause.body)
     # one allocator for every round: each id it hands out lands in the body,
     # so it stays the first free id without rescanning the clause
-    counter = [logic.fresh_var(clause).id]
+    alloc = _VarAllocator(logic.fresh_var(clause).id)
     for _ in range(cfg.cfd_fixpoint_cap):
         closure = logic.EqClosure(body)
         alternatives: dict[logic.Term, list[logic.Term]] = {}
@@ -319,7 +329,7 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             if {violation.first, violation.second} & touched:
                 deferred = True
                 continue
-            if _repair_one_violation(head, body, cfd, violation, counter):
+            if _repair_one_violation(head, body, cfd, violation, alloc):
                 emitted = True
                 touched.update((violation.first, violation.second))
         if not emitted and not deferred:
@@ -329,27 +339,24 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     )
 
 
-def _split_position(head, body, lit_index: int, pos: int, alloc_counter: list[int]) -> logic.Term:
-    """Give the occurrence at (lit_index, pos) its own variable when its term
-    appears anywhere else among the head and relation literals; an induced
-    equality literal keeps the connection."""
-    lit = body[lit_index]
-    term = lit.args[pos]
-    rel_lits = [head] + [b for b in body if isinstance(b, logic.Rel)]
-    occurrences = sum(sum(1 for t in l.args if t == term) for l in rel_lits)
-    if occurrences <= 1:
+def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,
+                    rhs: bool = False) -> logic.Term:
+    """The term for the occurrence at argument `pos` of body[i]. When its
+    term appears anywhere else among the head and relation literals, the
+    occurrence gets its own variable, and an induced equality literal keeps
+    the connection. A right-hand term (rhs=True) feeds the swap repairs,
+    whose replacement slot must be a variable, so a constant there is split
+    unconditionally."""
+    term = body[i].args[pos]
+    if not (rhs and isinstance(term, logic.Constant)) and _occurrences(head, body, term) <= 1:
         return term
-    fresh = logic.Variable(alloc_counter[0])
-    alloc_counter[0] += 1
-    args = list(lit.args)
-    args[pos] = fresh
-    body[lit_index] = logic.Rel(lit.relation, tuple(args))
-    body.append(logic.Eq(term, fresh))
-    return fresh
+    split = _split(body, i, pos, alloc)
+    body.append(logic.Eq(term, split))
+    return split
 
 
 def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
-                          counter: list[int]) -> bool:
+                          alloc: _VarAllocator) -> bool:
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
 
@@ -370,14 +377,14 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         t1, t2 = violation.x_terms[k]
         if cfd.pattern.cells[k] is None:
             if t1 == body[i].args[p]:
-                t1 = _split_position(head, body, i, p, counter)
+                t1 = _split_position(head, body, i, p, alloc)
             if t2 == body[j].args[p]:
-                t2 = _split_position(head, body, j, p, counter)
+                t2 = _split_position(head, body, j, p, alloc)
         x_pairs.append((t1, t2))
     if z == body[i].args[cfd.rhs_position]:
-        z = _maybe_split_rhs(head, body, i, cfd.rhs_position, counter)
+        z = _split_position(head, body, i, cfd.rhs_position, alloc, rhs=True)
     if t == body[j].args[cfd.rhs_position]:
-        t = _maybe_split_rhs(head, body, j, cfd.rhs_position, counter)
+        t = _split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
 
     atoms: list[logic.Atom] = []
     for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
@@ -397,29 +404,11 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         if cell is not None:
             continue
         for side in (t1, t2):
-            fresh = logic.Variable(counter[0])
-            counter[0] += 1
-            new_lits.append(logic.RepairLit(cond, side, fresh, origin="cfd"))
+            new_lits.append(logic.RepairLit(cond, side, alloc.fresh(), origin="cfd"))
     new_lits += [logic.RepairLit(cond, z, t, origin="cfd"),
                  logic.RepairLit(cond, t, z, origin="cfd")]
     body.extend(l for l in new_lits if l not in body)
     return True
-
-
-def _maybe_split_rhs(head, body, lit_index: int, pos: int, counter: list[int]) -> logic.Term:
-    """Right-hand terms feed the swap repairs, whose replacement slot must be
-    a variable; constants are split unconditionally."""
-    lit = body[lit_index]
-    term = lit.args[pos]
-    if isinstance(term, logic.Constant):
-        fresh = logic.Variable(counter[0])
-        counter[0] += 1
-        args = list(lit.args)
-        args[pos] = fresh
-        body[lit_index] = logic.Rel(lit.relation, tuple(args))
-        body.append(logic.Eq(term, fresh))
-        return fresh
-    return _split_position(head, body, lit_index, pos, counter)
 
 
 def bottom_clause(example: Example, db: Database, mds, cfds, idx: SimilarityIndex,

@@ -21,6 +21,7 @@ from . import learner, logic, oracle, saturation, store, subsumption, textsim
 from .constraints import ConstraintError, parse_constraints
 from .learner import LearnedClause, LearnedDefinition, LearnerConfig
 from .logic import ClauseError
+from .saturation import SaturationError
 from .store import Example, StoreError
 from .util import derive_rng
 
@@ -78,11 +79,12 @@ def evaluate(definition: LearnedDefinition, test_pos, test_neg, db, mds, cfds,
 
 def stratified_folds(pos, neg, folds: int, rng) -> list[tuple[list, list, list, list]]:
     """(train_pos, train_neg, test_pos, test_neg) per fold, keeping the
-    positive/negative ratio of every fold close to the global one."""
+    positive/negative ratio of every fold close to the global one. Raises
+    ExamplesError for fewer than 2 folds or fewer positives than folds."""
     if folds < 2:
-        raise ValueError("cross validation needs at least 2 folds")
+        raise ExamplesError(f"cross validation needs at least 2 folds, got {folds}")
     if len(pos) < folds:
-        raise ValueError("fewer positive examples than folds")
+        raise ExamplesError(f"{len(pos)} positive examples for {folds} folds")
     pos, neg = list(pos), list(neg)
     rng.shuffle(pos)
     rng.shuffle(neg)
@@ -149,14 +151,27 @@ def write_definition(definition: LearnedDefinition, path: str) -> None:
         fh.write(definition.pretty())
 
 
-def read_definition(path: str, target: str) -> LearnedDefinition:
+def read_definition(path: str, target: str, arity: int | None = None) -> LearnedDefinition:
+    """The clauses of a definition file, one per line (`#` lines are
+    comments). Every clause head must be the target relation, with `arity`
+    arguments when given; errors name the line."""
     definition = LearnedDefinition(target=target)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            clause = logic.parse_clause(line)
+            try:
+                clause = logic.parse_clause(line)
+            except ClauseError as exc:
+                raise ClauseError(f"definition line {lineno}: {exc}") from None
+            head = clause.head
+            if head.relation != target:
+                raise ClauseError(f"definition line {lineno}: clause head is {head.relation}, "
+                                  f"not the target {target}")
+            if arity is not None and len(head.args) != arity:
+                raise ClauseError(f"definition line {lineno}: clause head has {len(head.args)} "
+                                  f"arguments for a target of arity {arity}")
             definition.clauses.append(
                 LearnedClause(clause, learner.ClauseStats(pos=0, neg=0))
             )
@@ -237,6 +252,8 @@ def _load(args):
 def _cmd_learn(args) -> int:
     db, mds, cfds, pos, neg = _load(args)
     cfg = _config(args)
+    if not pos:
+        raise ExamplesError(f"{args.examples}: no positive example to learn from")
     definition = learner.learn(db, mds, cfds, pos, neg, cfg)
     write_definition(definition, args.out)
     metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
@@ -250,7 +267,8 @@ def _cmd_learn(args) -> int:
 def _cmd_eval(args) -> int:
     db, mds, cfds, pos, neg = _load(args)
     cfg = _config(args)
-    definition = read_definition(args.definition, args.target)
+    arity = db.schema.relation(args.target).arity
+    definition = read_definition(args.definition, args.target, arity)
     metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
     rows = [("test", metrics)]
     print(metrics_table(rows))
@@ -377,13 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Malformed schema, data, constraint, example or
-    definition files end the run with a one-line message on stderr and exit
-    code 2."""
+    """Run one subcommand. Malformed or unreadable schema, data, constraint,
+    example or definition files, option values the config rejects, and a
+    CFD repair without a fixpoint end the run with a one-line message on
+    stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StoreError, ConstraintError, ClauseError, ExamplesError) as exc:
+    except (StoreError, ConstraintError, ClauseError, ExamplesError, SaturationError,
+            OSError) as exc:
         print(f"dlearn: error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,10 @@ from .util import derive_rng
 @dataclass(frozen=True)
 class LearnerConfig(SaturationConfig):
     """Learning settings. The saturation fields (d, sample_size, rng_seed,
-    cfd_fixpoint_cap) and their check are inherited, so the config is passed
-    to saturation as it is."""
+    cfd_fixpoint_cap) are inherited, so the config is passed to saturation
+    as it is. Construction checks that those fields, k_m, K,
+    subsumption_budget and repair_cap are positive and raises
+    SaturationError otherwise."""
 
     k_m: int = 5
     sim_threshold: float = 0.65
@@ -35,6 +37,8 @@ class LearnerConfig(SaturationConfig):
     # accepted and ignored: coverage tests are pure Python, so threads cannot
     # run them in parallel under the GIL
     threads: int = 1
+
+    _positive = SaturationConfig._positive + ("k_m", "K", "subsumption_budget", "repair_cap")
 
     def saturation_config(self) -> SaturationConfig:
         """The config itself, which is a SaturationConfig."""

@@ -271,6 +271,67 @@ def test_cli_saturate_example_with_wrong_value_count_is_one_line_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _written(path, text) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _cfd_without_fixpoint(tmp):
+    # every ground clause violates the CFD, and one round is allowed
+    (tmp / "data").mkdir()
+    _written(tmp / "data" / "r.csv", "x,1\nx,2\n")
+    return ["learn", "--schema", _written(tmp / "schema.txt", "r(a:text, b:text)\nt(v:text)\n"),
+            "--data", str(tmp / "data"), "--target", "t",
+            "--constraints", _written(tmp / "c.txt", "cfd: r : a -> b : (_ || _)\n"),
+            "--examples", _written(tmp / "e.txt", "+,x\n"), "--cfd-cap", "1"]
+
+
+def _definition(tmp, clause):
+    return ["eval"] + movie_args(["--definition", _written(tmp / "def.txt", f"# c\n{clause}\n")])
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: ["learn"] + movie_args(["--d", "0"]), "d must be positive, got 0"),
+    (lambda tmp: ["learn"] + movie_args(["--sample-size", "0"]), "sample_size must be positive"),
+    (lambda tmp: ["learn"] + movie_args(["--cfd-cap", "0"]), "cfd_fixpoint_cap must be positive"),
+    (lambda tmp: ["learn"] + movie_args(["--K", "-1"]), "K must be positive, got -1"),
+    (lambda tmp: ["learn"] + movie_args(["--km", "-1"]), "k_m must be positive, got -1"),
+    (lambda tmp: ["learn"] + movie_args(["--budget", "0"]), "subsumption_budget must be positive"),
+    (lambda tmp: ["cv"] + movie_args(["--folds", "1"]), "at least 2 folds, got 1"),
+    (lambda tmp: ["cv"] + movie_args(["--folds", "3"]), "2 positive examples for 3 folds"),
+    (lambda tmp: ["learn"] + movie_args(["--examples", _written(tmp / "e.txt", "-,Superbad\n")]),
+     "no positive example"),
+    (_cfd_without_fixpoint, "no repair fixpoint after 1 rounds"),
+    (lambda tmp: ["learn"] + movie_args(["--schema", str(tmp / "none.txt")]), "No such file"),
+    (lambda tmp: ["learn"] + movie_args(["--examples", str(tmp / "none.txt")]), "No such file"),
+    (lambda tmp: ["learn"] + movie_args(["--constraints", str(tmp / "none.txt")]), "No such file"),
+    (lambda tmp: ["eval"] + movie_args(["--definition", str(tmp / "none.txt")]), "No such file"),
+    (lambda tmp: ["subsume", str(tmp / "none.txt"), str(tmp / "none.txt")], "No such file"),
+    (lambda tmp: _definition(tmp, "movies(V0,V1,V2) :- mov2genres(V0,V1)."),
+     "definition line 2: clause head is movies, not the target highGrossing"),
+    (lambda tmp: _definition(tmp, "highGrossing(V0,V1) :- movies(V1,V0,V2)."),
+     "definition line 2: clause head has 2 arguments for a target of arity 1"),
+    (lambda tmp: _definition(tmp, "highGrossing(V0) :- movies(V1,V0,V2)"),
+     "definition line 2: parse error at position 36: expected '.'"),
+], ids=["d", "sample-size", "cfd-cap", "K", "km", "budget", "one-fold", "folds-over-positives",
+        "no-positive", "cfd-fixpoint", "schema-file", "examples-file", "constraints-file",
+        "definition-file", "clause-file", "definition-head", "definition-arity",
+        "definition-parse"])
+def test_cli_bad_option_or_input_is_one_line_error(tmp_path, capsys, make_argv, message):
+    argv = make_argv(tmp_path)
+    if argv[0] == "learn":
+        argv += ["--out", str(tmp_path / "d.txt")]
+    assert message in _one_line_error(argv, capsys)
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_read_definition_checks_the_target_without_an_arity(tmp_path):
+    path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V0,V1).\n")
+    assert len(evalcli.read_definition(path, "highGrossing").clauses) == 2
+    with pytest.raises(logic.ClauseError, match="definition line 1: clause head is highGrossing"):
+        evalcli.read_definition(path, "movies")
+
+
 _EXAMPLE_VALUE = st.text(
     alphabet=st.one_of(st.sampled_from(",\"'\\ \n"),
                        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from dlearn import constraints, learner, logic, store
 from dlearn.learner import (ClauseStats, LearnerConfig, learn, minimum_criterion)
+from dlearn.saturation import SaturationConfig, SaturationError
 from dlearn.store import Example
 
 MINI_SCHEMA = """\
@@ -185,3 +188,15 @@ def test_budget_exhaustion_is_recorded_and_printed():
     assert tight.pretty() == "# pos=3 neg=0 budget_exhausted\nt(V0) :- r(V0,'1').\n"
     roomy = learn(db, [], [], pos, neg, LearnerConfig(d=1, sample_size=50))
     assert roomy.pretty() == "# pos=4 neg=0\nt(V0) :- r(V0,'1').\n"
+
+
+def test_learner_config_is_a_checked_saturation_config():
+    assert {f.name for f in fields(LearnerConfig)} == {
+        "d", "k_m", "sample_size", "sim_threshold", "K", "min_pos", "min_precision",
+        "rng_seed", "subsumption_budget", "repair_cap", "cfd_fixpoint_cap", "threads"}
+    cfg = LearnerConfig(d=2, sample_size=7, rng_seed=3, cfd_fixpoint_cap=5)
+    assert isinstance(cfg, SaturationConfig) and cfg.saturation_config() is cfg
+    for bad in ({"d": 0}, {"sample_size": 0}, {"cfd_fixpoint_cap": 0}, {"k_m": 0}, {"K": -1},
+                {"subsumption_budget": 0}, {"repair_cap": -1}):
+        with pytest.raises(SaturationError, match=f"{next(iter(bad))} must be positive"):
+            LearnerConfig(**bad)

@@ -40,6 +40,15 @@ def test_apply_substitution_rewrites_conditions():
     assert print_clause(got) == "t(V0) :- rep{sim(V0,'z')}('z',V2)."
 
 
+def test_apply_substitution_rewrites_constant_keys():
+    c = parse_clause("t('a') :- r('a',V0), eq(V0,'1'), rep{eq('a',V0)}('a',V1).")
+    got = apply_substitution(c, {C("a"): V(5), V(0): C("b")})
+    assert print_clause(got) == "t(V5) :- r(V5,'b'), eq('b','1'), rep{eq(V5,'b')}(V5,V1)."
+    # keys are type-strict: V1 is rewritten, the constant '1' is not
+    got = apply_substitution(c, {V(1): V(8)})
+    assert print_clause(got) == "t('a') :- r('a',V0), eq(V0,'1'), rep{eq('a',V0)}('a',V8)."
+
+
 def test_condition_holds_cases():
     c = parse_clause("t(V0) :- r(V0,V1), sim(V0,V1), eq(V2,V3), r(V2,V3).")
     assert condition_holds((SimAtom(V(0), V(1)),), c)

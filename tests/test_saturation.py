@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from dlearn import constraints, logic, oracle, saturation, store, subsumption
+from dlearn import constraints, logic, oracle, saturation, store, subsumption, textsim
+from dlearn.learner import LearnerConfig
 from dlearn.saturation import (SaturationConfig, SaturationError, bottom_clause,
                                build_bottom_clause, collect_relevant,
                                ground_bottom_clause, inject_cfd_repairs,
                                naive_sample)
 from dlearn.store import Example
 from dlearn.util import derive_rng
-from helpers import random_micro_db
+from helpers import AKA_MD, TITLE_MD, TITLE_SCHEMA_TEXT, random_micro_db
 
 
 @pytest.fixture
@@ -204,6 +205,20 @@ def test_inject_cfd_chain_uses_replacement_variables():
         assert not any(isinstance(l, logic.RepairLit) for l in r.body)
 
 
+def test_inject_cfd_repairs_splits_from_the_first_free_id_and_splits_constant_rhs():
+    schema = store.parse_schema("r(a:text, b:text)\nt(v:text)", target="t")
+    _, cfds = constraints.parse_constraints("cfd: r : a -> b : (_ || _)", schema)
+    clause = logic.parse_clause("t(V4) :- r(V4,'x'), r(V4,'y').")
+    got = inject_cfd_repairs(clause, cfds, SaturationConfig(d=1, sample_size=1))
+    # new variables start above V4; the constant right-hand terms occur once
+    # each but are split anyway, because a swap repair's replacement must be
+    # a variable
+    cond = "rep{eq(V5,V6);neq(V7,V8)}"
+    assert logic.print_clause(got) == (
+        "t(V4) :- r(V5,V7), r(V6,V8), eq(V4,V5), eq(V4,V6), eq('x',V7), eq('y',V8), "
+        f"{cond}(V5,V9), {cond}(V6,V10), {cond}(V7,V8), {cond}(V8,V7).")
+
+
 def test_inject_cfd_fixpoint_cap():
     schema = store.parse_schema("r(a:text, b:text, c:text)\nt(v:text)", target="t")
     _, cfds = constraints.parse_constraints(
@@ -212,6 +227,43 @@ def test_inject_cfd_fixpoint_cap():
     with pytest.raises(SaturationError):
         inject_cfd_repairs(clause, cfds, SaturationConfig(d=1, sample_size=1, rng_seed=0,
                                                           cfd_fixpoint_cap=1))
+
+
+def test_left_side_split_keeps_its_value_through_an_anchoring_equality():
+    # movies' title is the left side of the stored-to-stored match with aka:
+    # its one occurrence gets a variable of its own, and the induced
+    # equality keeps the title it stood for
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    db = store.from_tuples(schema, {
+        "movies": [("m1", "Superbad (2007)", "2007"), ("m2", "Orphanage (2008)", "2008")],
+        "aka": [("m1", "Superbad [2007]")]})
+    mds, _ = constraints.parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
+    idx = textsim.SimilarityIndex(k_m=5, threshold=0.5, entries={
+        (("highGrossing", "title"), ("movies", "title")): {"Superbad": [("Superbad (2007)", 0.8)]},
+        (("movies", "title"), ("aka", "title")): {"Superbad (2007)": [("Superbad [2007]", 0.9)]}})
+    ex = Example("highGrossing", ("Superbad",))
+    cfg = SaturationConfig(d=3, sample_size=10, rng_seed=0)
+    assert logic.print_clause(ground_bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "highGrossing('Superbad') :- movies('m1',V0,'2007'), eq('Superbad (2007)',V0), "
+        "sim('Superbad',V0), rep{sim('Superbad',V0)}('Superbad',V1), "
+        "rep{sim('Superbad',V0)}(V0,V2), eq(V1,V2), aka('m1','Superbad [2007]'), "
+        "sim(V0,'Superbad [2007]'), rep{sim(V0,'Superbad [2007]')}(V0,V3), "
+        "rep{sim(V0,'Superbad [2007]')}('Superbad [2007]',V4), eq(V3,V4).")
+    assert logic.print_clause(bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "highGrossing(V0) :- movies(V1,V3,V2), eq('Superbad (2007)',V3), sim(V0,V3), "
+        "rep{sim(V0,V3)}(V0,V4), rep{sim(V0,V3)}(V3,V5), eq(V4,V5), aka(V1,V6), "
+        "sim(V3,V6), rep{sim(V3,V6)}(V3,V7), rep{sim(V3,V6)}(V6,V8), eq(V7,V8).")
+
+
+def test_learner_config_saturates_like_its_saturation_fields():
+    for seed in range(12):
+        db, mds, cfds, idx, examples = random_micro_db(random.Random(seed), with_cfd=seed % 2 == 0)
+        fields = dict(d=3, sample_size=2, rng_seed=seed, cfd_fixpoint_cap=16)
+        sat_cfg, learn_cfg = SaturationConfig(**fields), LearnerConfig(**fields, k_m=1, K=3)
+        for ex in examples:
+            for build in (bottom_clause, ground_bottom_clause):
+                assert (build(ex, db, mds, cfds, idx, learn_cfg)
+                        == build(ex, db, mds, cfds, idx, sat_cfg))
 
 
 def test_self_coverage_micro_databases():

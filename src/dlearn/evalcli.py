@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import learner, logic, oracle, saturation, store, subsumption, textsim
 from .constraints import ConstraintError, parse_constraints
-from .learner import LearnedClause, LearnedDefinition, LearnerConfig
+from .learner import ExamplesError, LearnedClause, LearnedDefinition, LearnerConfig
 from .logic import ClauseError
 from .saturation import SaturationError
 from .store import Example, StoreError
@@ -119,10 +119,6 @@ def cross_validate(db, mds, cfds, pos, neg, folds: int, cfg: LearnerConfig):
 # file formats
 # ---------------------------------------------------------------------------
 
-class ExamplesError(ValueError):
-    pass
-
-
 def parse_examples(text: str, target: str,
                    arity: int | None = None) -> tuple[list[Example], list[Example]]:
     """Positive and negative examples; given the target's arity, every line
@@ -151,10 +147,10 @@ def write_definition(definition: LearnedDefinition, path: str) -> None:
         fh.write(definition.pretty())
 
 
-def read_definition(path: str, target: str, arity: int | None = None) -> LearnedDefinition:
+def read_definition(path: str, target: str, arity: int) -> LearnedDefinition:
     """The clauses of a definition file, one per line (`#` lines are
-    comments). Every clause head must be the target relation, with `arity`
-    arguments when given; errors name the line."""
+    comments). Every clause head must be the target relation with `arity`
+    arguments; errors name the line."""
     definition = LearnedDefinition(target=target)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -169,7 +165,7 @@ def read_definition(path: str, target: str, arity: int | None = None) -> Learned
             if head.relation != target:
                 raise ClauseError(f"definition line {lineno}: clause head is {head.relation}, "
                                   f"not the target {target}")
-            if arity is not None and len(head.args) != arity:
+            if len(head.args) != arity:
                 raise ClauseError(f"definition line {lineno}: clause head has {len(head.args)} "
                                   f"arguments for a target of arity {arity}")
             definition.clauses.append(
@@ -244,16 +240,15 @@ def _load(args):
         with open(args.constraints, encoding="utf-8") as fh:
             mds, cfds = parse_constraints(fh.read(), schema)
     mds, cfds = apply_mode(mds, cfds, args.mode)
+    arity = schema.relation(args.target).arity
     with open(args.examples, encoding="utf-8") as fh:
-        pos, neg = parse_examples(fh.read(), args.target, schema.relation(args.target).arity)
-    return db, mds, cfds, pos, neg
+        pos, neg = parse_examples(fh.read(), args.target, arity)
+    return db, mds, cfds, pos, neg, arity
 
 
 def _cmd_learn(args) -> int:
-    db, mds, cfds, pos, neg = _load(args)
+    db, mds, cfds, pos, neg, _ = _load(args)
     cfg = _config(args)
-    if not pos:
-        raise ExamplesError(f"{args.examples}: no positive example to learn from")
     definition = learner.learn(db, mds, cfds, pos, neg, cfg)
     write_definition(definition, args.out)
     metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
@@ -265,9 +260,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    db, mds, cfds, pos, neg = _load(args)
+    db, mds, cfds, pos, neg, arity = _load(args)
     cfg = _config(args)
-    arity = db.schema.relation(args.target).arity
     definition = read_definition(args.definition, args.target, arity)
     metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
     rows = [("test", metrics)]
@@ -278,7 +272,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    db, mds, cfds, pos, neg = _load(args)
+    db, mds, cfds, pos, neg, _ = _load(args)
     cfg = _config(args)
     results, mean = cross_validate(db, mds, cfds, pos, neg, args.folds, cfg)
     rows = [(f"fold{i}", m) for i, m in enumerate(results)] + [("mean", mean)]
@@ -289,10 +283,9 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_saturate(args) -> int:
-    db, mds, cfds, _, _ = _load(args)
+    db, mds, cfds, _, _, arity = _load(args)
     cfg = _config(args)
     values = next(csv.reader(io.StringIO(args.example)), [])
-    arity = db.schema.relation(args.target).arity
     if len(values) != arity:
         raise ExamplesError(f"--example: {len(values)} values for a target of arity {arity}")
     example = Example(args.target, tuple(values))
@@ -320,7 +313,7 @@ def _cmd_subsume(args) -> int:
 
 
 def _cmd_sim_index(args) -> int:
-    db, mds, _, pos, neg = _load(args)
+    db, mds, _, pos, neg, _ = _load(args)
     cfg = _config(args)
     idx = textsim.build_similarity_index(db, pos + neg, mds, cfg.k_m, cfg.sim_threshold)
     writer = csv.writer(sys.stdout)
@@ -330,7 +323,7 @@ def _cmd_sim_index(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    db, mds, cfds, pos, neg = _load(args)
+    db, mds, cfds, pos, neg, _ = _load(args)
     cfg = _config(args)
     idx = textsim.build_similarity_index(db, pos + neg, mds, cfg.k_m, cfg.sim_threshold)
     rows = [e.values for e in pos + neg]

@@ -19,6 +19,10 @@ from .store import Database, Example
 from .util import derive_rng
 
 
+class ExamplesError(ValueError):
+    """Examples that cannot be parsed, split into folds or learned from."""
+
+
 @dataclass(frozen=True)
 class LearnerConfig(SaturationConfig):
     """Learning settings. The saturation fields (d, sample_size, rng_seed,
@@ -125,7 +129,7 @@ def learn_clause(session: _Session, seed: Example, uncovered, negatives,
 def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefinition:
     """Learn a definition of the target relation covering the positives."""
     if not pos:
-        raise ValueError("at least one positive example is required")
+        raise ExamplesError("no positive example to learn from")
     session = _Session(db, mds, cfds, pos, neg, cfg)
     definition = LearnedDefinition(target=db.schema.target)
     uncovered = list(pos)

@@ -325,11 +325,11 @@ def test_cli_bad_option_or_input_is_one_line_error(tmp_path, capsys, make_argv, 
     assert not (tmp_path / "d.txt").exists()
 
 
-def test_read_definition_checks_the_target_without_an_arity(tmp_path):
-    path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V0,V1).\n")
-    assert len(evalcli.read_definition(path, "highGrossing").clauses) == 2
+def test_read_definition_checks_each_head_against_the_target(tmp_path):
+    path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V1) :- movies(V1,V0,V2).\n")
+    assert len(evalcli.read_definition(path, "highGrossing", 1).clauses) == 2
     with pytest.raises(logic.ClauseError, match="definition line 1: clause head is highGrossing"):
-        evalcli.read_definition(path, "movies")
+        evalcli.read_definition(path, "movies", 3)
 
 
 _EXAMPLE_VALUE = st.text(

@@ -124,7 +124,7 @@ def test_pretty_round_trip(mini, tmp_path):
     definition = learn(db, mds, cfds, pos, neg, LearnerConfig(d=3, rng_seed=7))
     path = tmp_path / "def.txt"
     evalcli.write_definition(definition, str(path))
-    again = evalcli.read_definition(str(path), "highGrossing")
+    again = evalcli.read_definition(str(path), "highGrossing", 1)
     assert [lc.clause for lc in again.clauses] == [lc.clause for lc in definition.clauses]
 
 

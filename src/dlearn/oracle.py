@@ -95,7 +95,7 @@ def _cfd_moves(instance: Instance, cfds):
     return moves
 
 
-def _apply_move(instance: Instance, move, mds, cfds, schema, esc_counter):
+def _apply_move(instance: Instance, move, mds, cfds, schema, escapes):
     out = {rel: list(rows) for rel, rows in instance.items()}
     if move[0] == "md":
         _, mi, i, j = move
@@ -124,8 +124,7 @@ def _apply_move(instance: Instance, move, mds, cfds, schema, esc_counter):
         rows = out[cfd.relation]
         which = i if side == 0 else j
         row = list(rows[which])
-        row[cfd.x_positions[k]] = f"{ESCAPE_PREFIX}{esc_counter[0]}>"
-        esc_counter[0] += 1
+        row[cfd.x_positions[k]] = f"{ESCAPE_PREFIX}{next(escapes)}>"
         rows[which] = tuple(row)
     return out
 
@@ -164,7 +163,7 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
         start[rel.name] = rows
     results: dict[str, Instance] = {}
     seen: set[str] = set()
-    esc_counter = [0]
+    escapes = itertools.count()
     stack = [start]
     guard = 0
     while stack:
@@ -183,7 +182,7 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
                 raise OracleCapExceeded(f"more than {cap} stable instances")
             continue
         for move in moves:
-            stack.append(_apply_move(instance, move, mds, cfds, schema, esc_counter))
+            stack.append(_apply_move(instance, move, mds, cfds, schema, escapes))
     return [results[k] for k in sorted(results)]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import generalization, logic, saturation, subsumption, textsim
 from .generalization import ClauseStats
-from .saturation import SaturationConfig
+from .saturation import SaturationConfig, SaturationError
 from .store import Database, Example
 from .util import derive_rng
 
@@ -28,8 +28,8 @@ class LearnerConfig(SaturationConfig):
     """Learning settings. The saturation fields (d, sample_size, rng_seed,
     cfd_fixpoint_cap) are inherited, so the config is passed to saturation
     as it is. Construction checks that those fields, k_m, K,
-    subsumption_budget and repair_cap are positive and raises
-    SaturationError otherwise."""
+    subsumption_budget and repair_cap are positive, and that sim_threshold
+    and min_precision lie in [0, 1], and raises SaturationError otherwise."""
 
     k_m: int = 5
     sim_threshold: float = 0.65
@@ -43,6 +43,15 @@ class LearnerConfig(SaturationConfig):
     threads: int = 1
 
     _positive = SaturationConfig._positive + ("k_m", "K", "subsumption_budget", "repair_cap")
+    _unit_interval = ("sim_threshold", "min_precision")
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in self._unit_interval:
+            value = getattr(self, name)
+            # written so that NaN, which compares false, fails too
+            if not 0 <= value <= 1:
+                raise SaturationError(f"{name} must be in [0, 1], got {value}")
 
     def saturation_config(self) -> SaturationConfig:
         """The config itself, which is a SaturationConfig."""

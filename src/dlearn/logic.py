@@ -24,6 +24,7 @@ int or str, so terms and plain values can share dict and set keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from . import store
@@ -162,6 +163,13 @@ class Clause:
     head: Rel
     body: tuple[Literal, ...] = ()
 
+    @cached_property
+    def match_index(self) -> MatchIndex:
+        """The clause's MatchIndex, built on first use and kept in the
+        object's own attribute dict for as long as the clause lives. It is
+        not a field, so equality, hashing and printing ignore it."""
+        return MatchIndex(self)
+
 
 Substitution = dict
 
@@ -254,6 +262,12 @@ class EqClosure:
 
     Constants are equal exactly when they are the same value, unless equality
     literals merge their classes (a degenerate but representable clause).
+
+    The classes are fixed at construction; there is no way to merge two
+    later. A clause's MatchIndex shares one closure with every search
+    against the clause, so nothing may change it after it is built. `same`
+    adds no term it is asked about; a lookup may only compress a path,
+    which changes no answer.
     """
 
     def __init__(self, body=()):
@@ -261,9 +275,6 @@ class EqClosure:
         for lit in body:
             if isinstance(lit, Eq):
                 self._dsu.union(lit.a, lit.b)
-
-    def union(self, a: Term, b: Term) -> None:
-        self._dsu.union(a, b)
 
     def find(self, a: Term):
         return self._dsu.find(a)
@@ -274,6 +285,74 @@ class EqClosure:
 
 def eq_closure(clause: Clause) -> EqClosure:
     return EqClosure(clause.body)
+
+
+class MatchIndex:
+    """What theta-subsumption looks up in a clause, kept with the Clause
+    object (Clause.match_index). Each part is computed on its first use and
+    never changes afterwards, so a clause that is only ever matched onto
+    builds no pattern parts, and one that is only ever mapped builds no
+    target parts.
+
+    As the clause mapped onto (the target):
+    - closure: the EqClosure of its equality literals;
+    - rels: its relation literals as (body index, literal) pairs, bucketed
+      by (relation, arity);
+    - reps: its repair literals as (body index, literal) pairs;
+    - sim_pairs: the term pairs of its similarity literals, both ways round;
+    - terms: its distinct terms, head first, in order of appearance.
+
+    As the clause being mapped (the pattern):
+    - body_vars: per body literal, its variables in order (repeats kept);
+    - binders: body indices of the relation and repair literals;
+    - constraints: body indices of the equality and similarity literals.
+    """
+
+    def __init__(self, clause: Clause):
+        # the head and body, not the clause: the clause holds its index, and
+        # a reference back would make every clause a reference cycle
+        self._head = clause.head
+        self._body = clause.body
+
+    @cached_property
+    def closure(self) -> EqClosure:
+        return EqClosure(self._body)
+
+    @cached_property
+    def rels(self) -> dict[tuple[str, int], list[tuple[int, Rel]]]:
+        rels: dict[tuple[str, int], list[tuple[int, Rel]]] = {}
+        for i, lit in enumerate(self._body):
+            if isinstance(lit, Rel):
+                rels.setdefault((lit.relation, len(lit.args)), []).append((i, lit))
+        return rels
+
+    @cached_property
+    def reps(self) -> tuple[tuple[int, RepairLit], ...]:
+        return tuple((i, lit) for i, lit in enumerate(self._body) if isinstance(lit, RepairLit))
+
+    @cached_property
+    def sim_pairs(self) -> frozenset:
+        return frozenset(pair for lit in self._body if isinstance(lit, Sim)
+                         for pair in ((lit.a, lit.b), (lit.b, lit.a)))
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        terms = list(self._head.args)
+        for lit in self._body:
+            terms.extend(literal_terms(lit))
+        return tuple(dict.fromkeys(terms))
+
+    @cached_property
+    def body_vars(self) -> tuple[tuple[Variable, ...], ...]:
+        return tuple(tuple(literal_vars(lit)) for lit in self._body)
+
+    @cached_property
+    def binders(self) -> tuple[int, ...]:
+        return tuple(i for i, lit in enumerate(self._body) if isinstance(lit, (Rel, RepairLit)))
+
+    @cached_property
+    def constraints(self) -> tuple[int, ...]:
+        return tuple(i for i, lit in enumerate(self._body) if isinstance(lit, (Eq, Sim)))
 
 
 def _sim_holds(a: Term, b: Term, clause: Clause, closure: EqClosure) -> bool:

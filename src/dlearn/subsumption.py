@@ -10,6 +10,15 @@ with the same origin, target, replacement and condition. On top of the plain
 mapping, every repair literal of D that is connected to a mapped literal must
 itself be mapped; this is what makes the test sound as a proxy for entailment
 between the repair-free expansions of the two clauses.
+
+The search (_Matcher) checks each equality and similarity literal as soon as
+its terms are bound, reuses a literal's candidate list within one search
+while the bindings it depends on stay the same, and reads both clauses
+through Clause.match_index, which is built once per Clause object and lives
+as long as the clause. None of this changes a verdict or a witness. The
+search budget counts the candidate unifications tried; because pruned
+branches cost nothing, a search may now finish within a budget that it used
+to exhaust.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import logic
-from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
+from .logic import Clause, Constant, Rel, RepairLit, Sim, Variable
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_REPAIR_CAP = 256
@@ -58,129 +67,178 @@ def _connected_repairs(reps, terms) -> set[int]:
 
 
 class _Matcher:
+    """One search for a substitution theta mapping clause c into clause d.
+
+    The search binds c's relation and repair literals one at a time, always
+    the one with the fewest candidate images under the current theta (the
+    first such literal on ties), and backtracks over its candidates in d's
+    body order. It prunes and reuses work without changing which theta it
+    returns:
+
+    - Forward checking. An equality or similarity literal of c is checked as
+      soon as both of its terms are bound: after the head unification and
+      after each candidate binding. A failed check cuts the branch. Only the
+      still-unbound constraints go down the search, and the leaf enumerates
+      their free variables over d's terms, as before.
+    - Candidate reuse. A literal's candidates are binding deltas, the new
+      bindings only; theta is copied only for the chosen literal's
+      candidates. Within one solve the candidates of a literal are memoized
+      under the projection of theta onto that literal's variables, which is
+      all they depend on.
+    - Per-clause index. d's equality closure, relation buckets, repair and
+      similarity lists and term list, and c's per-literal variable tuples,
+      come from Clause.match_index: built once per Clause object, kept as
+      long as it lives, and shared by every search against it.
+
+    The budget counts candidate unifications tried (one per d literal
+    examined as an image, one per condition-atom pairing, one per leaf
+    assignment of a free constraint variable). A memoized candidate list is
+    charged its full recorded count each time it is consulted, so a search
+    spends exactly what the unpruned search spent on the nodes it still
+    visits and never more in total; pruning can only let it finish within a
+    budget that used to run out.
+    """
+
     def __init__(self, c: Clause, d: Clause, with_repairs: bool, budget: int):
         self.c = c
         self.d = d
         self.with_repairs = with_repairs
         self.budget = budget
-        self.d_closure = logic.eq_closure(self.d)
-        self.d_rels: dict[tuple[str, int], list[tuple[int, Rel]]] = {}
-        self.d_reps: list[tuple[int, RepairLit]] = []
-        self.d_sims: list[Sim] = []
-        for i, lit in enumerate(self.d.body):
-            if isinstance(lit, Rel):
-                self.d_rels.setdefault((lit.relation, len(lit.args)), []).append((i, lit))
-            elif isinstance(lit, RepairLit):
-                self.d_reps.append((i, lit))
-            elif isinstance(lit, Sim):
-                self.d_sims.append(lit)
-        terms = list(self.d.head.args)
-        for lit in self.d.body:
-            terms.extend(logic.literal_terms(lit))
-        self.d_terms = list(dict.fromkeys(terms))
+        self.c_index = c.match_index
+        self.d_index = d.match_index
+        self._cands: dict[tuple, tuple[list, int]] = {}
 
     # -- unification ------------------------------------------------------
 
-    def _spend(self):
-        self.budget -= 1
+    def _charge(self, n):
+        self.budget -= n
         if self.budget < 0:
             raise _OutOfBudget
 
-    def _unify(self, ct, dt, theta):
+    def _bind(self, ct, dt, theta, delta):
+        """`delta` extended so that theta plus delta maps ct to dt (a new
+        dict when a binding is added), or None."""
         if isinstance(ct, Constant):
-            return theta if ct == dt else None
+            return delta if ct == dt else None
         bound = theta.get(ct)
         if bound is None:
-            out = dict(theta)
+            bound = delta.get(ct)
+        if bound is None:
+            out = dict(delta)
             out[ct] = dt
             return out
-        return theta if bound == dt else None
+        return delta if bound == dt else None
 
-    def _unify_args(self, c_args, d_args, theta):
-        for ct, dt in zip(c_args, d_args):
-            theta = self._unify(ct, dt, theta)
-            if theta is None:
-                return None
-        return theta
-
-    def _match_conditions(self, c_atoms, d_atoms, theta):
-        """Bijections between condition atom sets under theta (atoms are
-        symmetric in their two arguments)."""
+    def _match_conditions(self, c_atoms, d_atoms, theta, delta):
+        """Bijections between condition atom sets under theta plus delta
+        (atoms are symmetric in their two arguments), as deltas."""
         if len(c_atoms) != len(d_atoms):
             return
         if not c_atoms:
-            yield theta
+            yield delta
             return
         first, rest = c_atoms[0], c_atoms[1:]
         for k, datom in enumerate(d_atoms):
             if type(datom) is not type(first):
                 continue
             for pair in ((first.a, first.b), (first.b, first.a)):
-                self._spend()
-                t1 = self._unify(pair[0], datom.a, theta)
+                self._charge(1)
+                t1 = self._bind(pair[0], datom.a, theta, delta)
                 if t1 is None:
                     continue
-                t2 = self._unify(pair[1], datom.b, t1)
+                t2 = self._bind(pair[1], datom.b, theta, t1)
                 if t2 is None:
                     continue
-                yield from self._match_conditions(rest, d_atoms[:k] + d_atoms[k + 1:], t2)
+                yield from self._match_conditions(rest, d_atoms[:k] + d_atoms[k + 1:], theta, t2)
 
-    def _candidates(self, lit, theta):
+    def _candidates(self, ci, theta):
+        """(delta, d body index) pairs for c's body literal ci, memoized
+        under theta's projection onto the literal's variables."""
+        key = (ci, *map(theta.get, self.c_index.body_vars[ci]))
+        hit = self._cands.get(key)
+        if hit is not None:
+            self._charge(hit[1])
+            return hit[0]
+        start = self.budget
+        lit = self.c.body[ci]
+        out = []
         if isinstance(lit, Rel):
-            for di, dlit in self.d_rels.get((lit.relation, len(lit.args)), ()):
-                self._spend()
-                out = self._unify_args(lit.args, dlit.args, theta)
-                if out is not None:
-                    yield out, di
+            bucket = self.d_index.rels.get((lit.relation, len(lit.args)), ())
+            self._charge(len(bucket))
+            # _bind inlined: one fresh delta per image, filled in place
+            for di, dlit in bucket:
+                delta = {}
+                for ct, dt in zip(lit.args, dlit.args):
+                    if isinstance(ct, Constant):
+                        if ct != dt:
+                            break
+                        continue
+                    bound = theta.get(ct)
+                    if bound is None:
+                        bound = delta.setdefault(ct, dt)
+                    if bound != dt:
+                        break
+                else:
+                    out.append((delta, di))
         else:
-            for di, dlit in self.d_reps:
+            cond = tuple(lit.cond)
+            for di, dlit in self.d_index.reps:
                 if dlit.origin != lit.origin:
                     continue
-                self._spend()
-                out = self._unify(lit.target, dlit.target, theta)
-                if out is None:
+                self._charge(1)
+                delta = self._bind(lit.target, dlit.target, theta, {})
+                if delta is None:
                     continue
-                out = self._unify(lit.replacement, dlit.replacement, out)
-                if out is None:
+                delta = self._bind(lit.replacement, dlit.replacement, theta, delta)
+                if delta is None:
                     continue
-                for final in self._match_conditions(tuple(lit.cond), tuple(dlit.cond), out):
-                    yield final, di
+                for final in self._match_conditions(cond, tuple(dlit.cond), theta, delta):
+                    out.append((final, di))
+        self._cands[key] = (out, start - self.budget)
+        return out
 
     # -- constraint literals ----------------------------------------------
 
-    def _eq_holds(self, a, b):
-        return self.d_closure.same(a, b)
-
-    def _sim_holds(self, a, b):
+    def _holds(self, lit, theta):
+        """An Eq/Sim literal of c whose terms theta binds, checked in d."""
+        a = theta.get(lit.a, lit.a)
+        b = theta.get(lit.b, lit.b)
         # terms with provably equal values are trivially similar; otherwise a
         # similarity literal of d must relate exactly these terms (matching
         # through the equality closure would survive expansions that the
         # repairs of d actually destroy)
-        if self.d_closure.same(a, b):
+        if self.d_index.closure.same(a, b):
             return True
-        for s in self.d_sims:
-            if (s.a, s.b) == (a, b) or (s.a, s.b) == (b, a):
-                return True
-        return False
+        return isinstance(lit, Sim) and (a, b) in self.d_index.sim_pairs
+
+    def _split_bound(self, constraints, bound, extra=()):
+        """(the literals of `constraints` whose variables are all in `bound`
+        or `extra`, the body indices of the rest), both in order."""
+        body, body_vars = self.c.body, self.c_index.body_vars
+        now, later = [], []
+        for k in constraints:
+            for v in body_vars[k]:
+                if v not in bound and v not in extra:
+                    later.append(k)
+                    break
+            else:
+                now.append(body[k])
+        return now, later
 
     def _check_constraints(self, constraints, theta):
         """Verify Sim/Eq literals, enumerating any still-unbound variables."""
         pending = []
         for lit in constraints:
-            a = theta.get(lit.a, lit.a)
-            b = theta.get(lit.b, lit.b)
             if any(isinstance(t, Variable) and t not in theta for t in (lit.a, lit.b)):
                 pending.append(lit)
-                continue
-            ok = self._eq_holds(a, b) if isinstance(lit, Eq) else self._sim_holds(a, b)
-            if not ok:
+            elif not self._holds(lit, theta):
                 return None
         if not pending:
             return theta
         var = next(t for lit in pending for t in (lit.a, lit.b)
                    if isinstance(t, Variable) and t not in theta)
-        for dt in self.d_terms:
-            self._spend()
+        for dt in self.d_index.terms:
+            self._charge(1)
             out = dict(theta)
             out[var] = dt
             final = self._check_constraints(pending, out)
@@ -198,7 +256,7 @@ class _Matcher:
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], RepairLit)}
         region = (t for di in mapped if di not in mapped_rep
                   for t in logic.literal_terms(self.d.body[di]))
-        if not _connected_repairs(self.d_reps, region) <= mapped_rep:
+        if not _connected_repairs(self.d_index.reps, region) <= mapped_rep:
             return False
         # a constant the pattern pins cannot survive a repair of d that
         # targets it: every expansion of d rewrites all its occurrences while
@@ -212,7 +270,7 @@ class _Matcher:
                 demands.update(t for t in clit.args if isinstance(t, Constant))
             else:
                 c_rep_targets.add(clit.target)
-        for _, dlit in self.d_reps:
+        for _, dlit in self.d_index.reps:
             if (isinstance(dlit.target, Constant) and dlit.target in demands
                     and dlit.target not in c_rep_targets):
                 return False
@@ -220,7 +278,7 @@ class _Matcher:
 
     def _d_group(self, di):
         dlit = self.d.body[di]
-        return frozenset(dj for dj, dl in self.d_reps if logic.same_group(dl, dlit))
+        return frozenset(dj for dj, dl in self.d_index.reps if logic.same_group(dl, dlit))
 
     def _group_condition(self, rep_map):
         """Repair groups of c must land inside single groups of d, and two
@@ -252,22 +310,28 @@ class _Matcher:
         if (self.c.head.relation != self.d.head.relation
                 or len(self.c.head.args) != len(self.d.head.args)):
             return CoverageVerdict(False)
-        theta = self._unify_args(self.c.head.args, self.d.head.args, {})
-        if theta is None:
+        theta = {}
+        for ct, dt in zip(self.c.head.args, self.d.head.args):
+            theta = self._bind(ct, dt, {}, theta)
+            if theta is None:
+                return CoverageVerdict(False)
+        check, pending = self._split_bound(self.c_index.constraints, theta)
+        if not all(self._holds(lit, theta) for lit in check):
             return CoverageVerdict(False)
-        binders = [(i, l) for i, l in enumerate(self.c.body) if isinstance(l, (Rel, RepairLit))]
-        constraints = [l for l in self.c.body if isinstance(l, (Sim, Eq))]
         try:
-            found = self._search(binders, constraints, theta, set(), {})
+            found = self._search(self.c_index.binders, pending, theta, set(), {})
         except _OutOfBudget:
             return CoverageVerdict(False, budget_exhausted=True)
         if found is None:
             return CoverageVerdict(False)
         return CoverageVerdict(True, witness=found)
 
-    def _search(self, remaining, constraints, theta, mapped, lit_map):
+    def _search(self, remaining, pending, theta, mapped, lit_map):
+        """`remaining`: body indices of c's unbound relation and repair
+        literals; `pending`: body indices of its constraints with an
+        unbound variable."""
         if not remaining:
-            final = self._check_constraints(constraints, theta)
+            final = self._check_constraints([self.c.body[k] for k in pending], theta)
             if final is None:
                 return None
             if self.with_repairs:
@@ -279,18 +343,23 @@ class _Matcher:
             return final
         # most constrained literal first
         best_i, best_cands = None, None
-        for i, (_, lit) in enumerate(remaining):
-            cands = list(self._candidates(lit, theta))
+        for i, ci in enumerate(remaining):
+            cands = self._candidates(ci, theta)
             if best_cands is None or len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
                 if not cands:
                     return None
-        ci, lit = remaining[best_i]
+        ci = remaining[best_i]
         rest = remaining[:best_i] + remaining[best_i + 1:]
-        for theta2, di in best_cands:
+        # binding ci binds all of its variables, whichever candidate is taken
+        check, pending = self._split_bound(pending, theta, self.c_index.body_vars[ci])
+        for delta, di in best_cands:
+            theta2 = {**theta, **delta}
+            if check and not all(self._holds(lit, theta2) for lit in check):
+                continue
             lit_map2 = dict(lit_map)
             lit_map2[ci] = di
-            out = self._search(rest, constraints, theta2, mapped | {di}, lit_map2)
+            out = self._search(rest, pending, theta2, mapped | {di}, lit_map2)
             if out is not None:
                 return out
         return None

@@ -17,7 +17,8 @@ def derive_rng(seed: int, *tokens) -> random.Random:
 
 
 class DisjointSet:
-    """Union-find over hashable items, created lazily on first touch.
+    """Union-find over hashable items, each added by the first find or
+    union that touches it.
 
     Roots are compared by identity: a root's stored parent is always its own
     key object, and find returns that object for every item equal to it.
@@ -44,4 +45,9 @@ class DisjointSet:
             self._parent[rb] = ra
 
     def same(self, a, b) -> bool:
+        """Whether a and b are in one class. Asking adds nothing: an item
+        that find and union never touched is alone in its class."""
+        parent = self._parent
+        if a not in parent or b not in parent:
+            return a == b
         return self.find(a) is self.find(b)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from dlearn import constraints, generalization, logic, saturation, store, textsim
+from dlearn import constraints, generalization, logic, saturation, store, subsumption, textsim
 from dlearn.store import Example
 
 MICRO_SCHEMA_TEXT = """\
@@ -102,6 +102,25 @@ def clause_pair(rng: random.Random, with_cfd: bool = False, same_example: bool =
     c = random_drop_variant(c, rng)
     d = saturation.ground_bottom_clause(e2, db, mds, cfds, idx, cfg)
     return c, d
+
+
+def cfd_micro_db_clauses(n_cases: int = 60):
+    """Per seeded micro database with a CFD, a (bottom clause, random
+    generalization of it, ground bottom clause) triple for each example.
+    They are saturated at d=3: the CFD's relation is three hops from the
+    example, so the clauses carry CFD repair literals."""
+    cases = []
+    for case in range(n_cases):
+        rng = random.Random(50_000 + case)
+        db, mds, cfds, idx, examples = random_micro_db(rng, with_cfd=True)
+        cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=case)
+        triples = []
+        for ex in examples:
+            bottom = saturation.bottom_clause(ex, db, mds, cfds, idx, cfg)
+            triples.append((bottom, random_drop_variant(bottom, rng),
+                            saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg)))
+        cases.append(triples)
+    return cases
 
 
 def count_repair_literals(clause: logic.Clause) -> int:
@@ -253,3 +272,259 @@ def reference_exhaust_repairs(clause: logic.Clause, origin: str | None, cap: int
         if len(results) > cap:
             raise logic.RepairCapExceeded(f"more than {cap} repaired clauses")
     return [results[k] for k in sorted(results)]
+
+
+# Reference subsumption search: the matcher before forward checking,
+# candidate memoization and the per-clause index. It checks equality and
+# similarity literals only at a leaf, rebuilds every remaining literal's
+# candidate list at every node (copying theta per candidate) and indexes d
+# afresh on each call. Differential tests compare theta_subsumes and
+# subsumes_with_repairs against it.
+
+class _ReferenceOutOfBudget(Exception):
+    pass
+
+
+class _ReferenceMatcher:
+    def __init__(self, c: logic.Clause, d: logic.Clause, with_repairs: bool, budget: int):
+        self.c = c
+        self.d = d
+        self.with_repairs = with_repairs
+        self.budget = budget
+        self.d_closure = logic.eq_closure(self.d)
+        self.d_rels: dict[tuple[str, int], list[tuple[int, logic.Rel]]] = {}
+        self.d_reps: list[tuple[int, logic.RepairLit]] = []
+        self.d_sims: list[logic.Sim] = []
+        for i, lit in enumerate(self.d.body):
+            if isinstance(lit, logic.Rel):
+                self.d_rels.setdefault((lit.relation, len(lit.args)), []).append((i, lit))
+            elif isinstance(lit, logic.RepairLit):
+                self.d_reps.append((i, lit))
+            elif isinstance(lit, logic.Sim):
+                self.d_sims.append(lit)
+        terms = list(self.d.head.args)
+        for lit in self.d.body:
+            terms.extend(logic.literal_terms(lit))
+        self.d_terms = list(dict.fromkeys(terms))
+
+    # -- unification ------------------------------------------------------
+
+    def _spend(self):
+        self.budget -= 1
+        if self.budget < 0:
+            raise _ReferenceOutOfBudget
+
+    def _unify(self, ct, dt, theta):
+        if isinstance(ct, logic.Constant):
+            return theta if ct == dt else None
+        bound = theta.get(ct)
+        if bound is None:
+            out = dict(theta)
+            out[ct] = dt
+            return out
+        return theta if bound == dt else None
+
+    def _unify_args(self, c_args, d_args, theta):
+        for ct, dt in zip(c_args, d_args):
+            theta = self._unify(ct, dt, theta)
+            if theta is None:
+                return None
+        return theta
+
+    def _match_conditions(self, c_atoms, d_atoms, theta):
+        """Bijections between condition atom sets under theta (atoms are
+        symmetric in their two arguments)."""
+        if len(c_atoms) != len(d_atoms):
+            return
+        if not c_atoms:
+            yield theta
+            return
+        first, rest = c_atoms[0], c_atoms[1:]
+        for k, datom in enumerate(d_atoms):
+            if type(datom) is not type(first):
+                continue
+            for pair in ((first.a, first.b), (first.b, first.a)):
+                self._spend()
+                t1 = self._unify(pair[0], datom.a, theta)
+                if t1 is None:
+                    continue
+                t2 = self._unify(pair[1], datom.b, t1)
+                if t2 is None:
+                    continue
+                yield from self._match_conditions(rest, d_atoms[:k] + d_atoms[k + 1:], t2)
+
+    def _candidates(self, lit, theta):
+        if isinstance(lit, logic.Rel):
+            for di, dlit in self.d_rels.get((lit.relation, len(lit.args)), ()):
+                self._spend()
+                out = self._unify_args(lit.args, dlit.args, theta)
+                if out is not None:
+                    yield out, di
+        else:
+            for di, dlit in self.d_reps:
+                if dlit.origin != lit.origin:
+                    continue
+                self._spend()
+                out = self._unify(lit.target, dlit.target, theta)
+                if out is None:
+                    continue
+                out = self._unify(lit.replacement, dlit.replacement, out)
+                if out is None:
+                    continue
+                for final in self._match_conditions(tuple(lit.cond), tuple(dlit.cond), out):
+                    yield final, di
+
+    # -- constraint literals ----------------------------------------------
+
+    def _eq_holds(self, a, b):
+        return self.d_closure.same(a, b)
+
+    def _sim_holds(self, a, b):
+        # terms with provably equal values are trivially similar; otherwise a
+        # similarity literal of d must relate exactly these terms (matching
+        # through the equality closure would survive expansions that the
+        # repairs of d actually destroy)
+        if self.d_closure.same(a, b):
+            return True
+        for s in self.d_sims:
+            if (s.a, s.b) == (a, b) or (s.a, s.b) == (b, a):
+                return True
+        return False
+
+    def _check_constraints(self, constraints, theta):
+        """Verify Sim/Eq literals, enumerating any still-unbound variables."""
+        pending = []
+        for lit in constraints:
+            a = theta.get(lit.a, lit.a)
+            b = theta.get(lit.b, lit.b)
+            if any(isinstance(t, logic.Variable) and t not in theta for t in (lit.a, lit.b)):
+                pending.append(lit)
+                continue
+            ok = self._eq_holds(a, b) if isinstance(lit, logic.Eq) else self._sim_holds(a, b)
+            if not ok:
+                return None
+        if not pending:
+            return theta
+        var = next(t for lit in pending for t in (lit.a, lit.b)
+                   if isinstance(t, logic.Variable) and t not in theta)
+        for dt in self.d_terms:
+            self._spend()
+            out = dict(theta)
+            out[var] = dt
+            final = self._check_constraints(pending, out)
+            if final is not None:
+                return final
+        return None
+
+    # -- side condition ----------------------------------------------------
+
+    def _side_condition(self, mapped, lit_map):
+        # every repair literal of d reachable from the mapped body region must
+        # be mapped too. The head does not seed the region; candidate heads
+        # are always variables, and a variable head argument tracks whatever
+        # value a repair gives it.
+        mapped_rep = {di for di in mapped if isinstance(self.d.body[di], logic.RepairLit)}
+        region = (t for di in mapped if di not in mapped_rep
+                  for t in logic.literal_terms(self.d.body[di]))
+        if not subsumption._connected_repairs(self.d_reps, region) <= mapped_rep:
+            return False
+        # a constant the pattern pins cannot survive a repair of d that
+        # targets it: every expansion of d rewrites all its occurrences while
+        # the pattern keeps demanding the constant, unless the pattern repairs
+        # the very same constant and the two rewrites run in lockstep
+        demands = {t for t in self.c.head.args if isinstance(t, logic.Constant)}
+        c_rep_targets = set()
+        for ci in lit_map:
+            clit = self.c.body[ci]
+            if isinstance(clit, logic.Rel):
+                demands.update(t for t in clit.args if isinstance(t, logic.Constant))
+            else:
+                c_rep_targets.add(clit.target)
+        for _, dlit in self.d_reps:
+            if (isinstance(dlit.target, logic.Constant) and dlit.target in demands
+                    and dlit.target not in c_rep_targets):
+                return False
+        return True
+
+    def _d_group(self, di):
+        dlit = self.d.body[di]
+        return frozenset(dj for dj, dl in self.d_reps if logic.same_group(dl, dlit))
+
+    def _group_condition(self, rep_map):
+        """Repair groups of c must land inside single groups of d, and two
+        c-groups sharing a target must land in distinct d-groups: collapsing
+        diverging repair alternatives onto one would claim more than the
+        pattern's own expansions deliver."""
+        c_reps = [(ci, self.c.body[ci]) for ci in rep_map]
+        groups: list[tuple[list, frozenset]] = []
+        used = set()
+        for ci, lit in c_reps:
+            if ci in used:
+                continue
+            members = [cj for cj, lj in c_reps if logic.same_group(lj, lit)]
+            used.update(members)
+            d_groups = {self._d_group(rep_map[cj]) for cj in members}
+            if len(d_groups) > 1:
+                return False
+            targets = frozenset(self.c.body[cj].target for cj in members)
+            groups.append((targets, next(iter(d_groups))))
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i][0] & groups[j][0] and groups[i][1] == groups[j][1]:
+                    return False
+        return True
+
+    # -- search -------------------------------------------------------------
+
+    def solve(self) -> subsumption.CoverageVerdict:
+        if (self.c.head.relation != self.d.head.relation
+                or len(self.c.head.args) != len(self.d.head.args)):
+            return subsumption.CoverageVerdict(False)
+        theta = self._unify_args(self.c.head.args, self.d.head.args, {})
+        if theta is None:
+            return subsumption.CoverageVerdict(False)
+        binders = [(i, l) for i, l in enumerate(self.c.body)
+                   if isinstance(l, (logic.Rel, logic.RepairLit))]
+        constraints = [l for l in self.c.body if isinstance(l, (logic.Sim, logic.Eq))]
+        try:
+            found = self._search(binders, constraints, theta, set(), {})
+        except _ReferenceOutOfBudget:
+            return subsumption.CoverageVerdict(False, budget_exhausted=True)
+        if found is None:
+            return subsumption.CoverageVerdict(False)
+        return subsumption.CoverageVerdict(True, witness=found)
+
+    def _search(self, remaining, constraints, theta, mapped, lit_map):
+        if not remaining:
+            final = self._check_constraints(constraints, theta)
+            if final is None:
+                return None
+            if self.with_repairs:
+                rep_map = {ci: di for ci, di in lit_map.items()
+                           if isinstance(self.c.body[ci], logic.RepairLit)}
+                if not (self._side_condition(mapped, lit_map)
+                        and self._group_condition(rep_map)):
+                    return None
+            return final
+        # most constrained literal first
+        best_i, best_cands = None, None
+        for i, (_, lit) in enumerate(remaining):
+            cands = list(self._candidates(lit, theta))
+            if best_cands is None or len(cands) < len(best_cands):
+                best_i, best_cands = i, cands
+                if not cands:
+                    return None
+        ci, lit = remaining[best_i]
+        rest = remaining[:best_i] + remaining[best_i + 1:]
+        for theta2, di in best_cands:
+            lit_map2 = dict(lit_map)
+            lit_map2[ci] = di
+            out = self._search(rest, constraints, theta2, mapped | {di}, lit_map2)
+            if out is not None:
+                return out
+        return None
+
+
+def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
+                       budget: int = subsumption.DEFAULT_BUDGET) -> subsumption.CoverageVerdict:
+    return _ReferenceMatcher(c, d, with_repairs, budget).solve()

@@ -325,6 +325,21 @@ def test_cli_bad_option_or_input_is_one_line_error(tmp_path, capsys, make_argv, 
     assert not (tmp_path / "d.txt").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--sim-threshold", "5", "sim_threshold must be in [0, 1], got 5.0"),
+    ("--sim-threshold", "nan", "sim_threshold must be in [0, 1], got nan"),
+    ("--min-precision", "2", "min_precision must be in [0, 1], got 2.0"),
+    ("--min-precision", "-0.5", "min_precision must be in [0, 1], got -0.5"),
+])
+def test_cli_threshold_or_precision_outside_unit_interval_is_one_line_error(
+        tmp_path, capsys, option, value, message):
+    # these used to learn an empty definition silently, with exit code 0
+    out = tmp_path / "d.txt"
+    argv = ["learn"] + movie_args(["--min-pos", "1", option, value, "--out", str(out)])
+    assert message in _one_line_error(argv, capsys)
+    assert not out.exists()
+
+
 def test_read_definition_checks_each_head_against_the_target(tmp_path):
     path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V1) :- movies(V1,V0,V2).\n")
     assert len(evalcli.read_definition(path, "highGrossing", 1).clauses) == 2

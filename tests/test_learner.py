@@ -200,3 +200,12 @@ def test_learner_config_is_a_checked_saturation_config():
                 {"subsumption_budget": 0}, {"repair_cap": -1}):
         with pytest.raises(SaturationError, match=f"{next(iter(bad))} must be positive"):
             LearnerConfig(**bad)
+
+
+def test_learner_config_checks_threshold_and_precision_lie_in_the_unit_interval():
+    for value in (0, 0.5, 1):
+        LearnerConfig(sim_threshold=value, min_precision=value)
+    for name in ("sim_threshold", "min_precision"):
+        for value in (-0.01, 1.01, 5, float("nan"), float("inf")):
+            with pytest.raises(SaturationError, match=rf"{name} must be in \[0, 1\]"):
+                LearnerConfig(**{name: value})

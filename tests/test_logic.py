@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlearn import logic, saturation
+from dlearn import logic
 from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
                           SimAtom, Variable, apply_repair_literal,
                           apply_substitution, canonical_instance, clause_key,
                           condition_holds, parse_clause, partial_repairs,
                           print_clause, repaired_clauses)
-from helpers import (random_drop_variant, random_micro_db, reference_clause_key,
-                     reference_exhaust_repairs, reference_renumber)
+from helpers import (cfd_micro_db_clauses, reference_clause_key, reference_exhaust_repairs,
+                     reference_renumber)
 
 V = Variable
 C = Constant
@@ -373,18 +373,9 @@ def _has_repairs(clause, origin):
 @pytest.fixture(scope="module")
 def micro_db_clauses():
     """Bottom clauses, generalizations of them and ground bottom clauses of
-    seeded micro databases with a CFD. They are saturated at d=3: the CFD's
-    relation is three hops from the example."""
-    clauses = []
-    for case in range(60):
-        rng = random.Random(50_000 + case)
-        db, mds, cfds, idx, examples = random_micro_db(rng, with_cfd=True)
-        cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=case)
-        for ex in examples:
-            bottom = saturation.bottom_clause(ex, db, mds, cfds, idx, cfg)
-            clauses += [bottom, random_drop_variant(bottom, rng),
-                        saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg)]
-    return list(dict.fromkeys(clauses))
+    seeded micro databases with a CFD, saturated at d=3."""
+    return list(dict.fromkeys(c for case in cfd_micro_db_clauses() for triple in case
+                              for c in triple))
 
 
 def _outcome(expand, *args):

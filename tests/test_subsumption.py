@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from dlearn import generalization, logic, oracle, saturation, subsumption
 from dlearn.logic import parse_clause, print_clause
 from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs, theta_subsumes)
-from helpers import clause_pair, count_repair_literals
+from helpers import (cfd_micro_db_clauses, clause_pair, count_repair_literals,
+                     reference_subsumes)
 
 
 def test_theta_subsumes_movie_pair():
@@ -314,3 +317,101 @@ def test_covers_positive_cfd_branch_mismatch():
     assert not subsumes_with_repairs(c2, g).covered
     assert subsumes_with_repairs(md_part(c2), md_part(g)).covered
     assert not covers_positive(c2, g).covered
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the reference matcher
+# ---------------------------------------------------------------------------
+
+def _has_cfd_repairs(clause):
+    return any(isinstance(l, logic.RepairLit) and l.origin == "cfd" for l in clause.body)
+
+
+@pytest.fixture(scope="module")
+def differential_pairs():
+    """clause_pair pairs, and on each CFD micro database every d=3 bottom
+    clause and generalization of it against every ground bottom clause."""
+    pairs = []
+    for case in cfd_micro_db_clauses():
+        for bottom, variant, _ in case:
+            for _, _, ground in case:
+                pairs += [(bottom, ground), (variant, ground)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        pairs.append(clause_pair(rng, with_cfd=rng.random() < 0.5,
+                                 same_example=rng.random() < 0.5))
+    return pairs
+
+
+_ENGINES = ((False, theta_subsumes), (True, subsumes_with_repairs))
+
+
+def test_search_gives_the_reference_verdict_and_witness(differential_pairs):
+    assert sum(_has_cfd_repairs(c) or _has_cfd_repairs(d) for c, d in differential_pairs) >= 10
+    covered = 0
+    for c, d in differential_pairs:
+        for with_repairs, engine in _ENGINES:
+            ref = reference_subsumes(c, d, with_repairs)
+            new = engine(c, d)
+            assert not ref.budget_exhausted
+            assert (new.covered, new.witness, new.budget_exhausted) == (
+                ref.covered, ref.witness, False), (print_clause(c), print_clause(d))
+            covered += new.covered
+    assert 0 < covered < 2 * len(differential_pairs)
+
+
+def test_search_within_a_budget_spends_no_more_than_the_reference(differential_pairs):
+    only_reference_exhausted = 0
+    for c, d in differential_pairs:
+        for with_repairs, engine in _ENGINES:
+            for budget in range(1, 51):
+                ref = reference_subsumes(c, d, with_repairs, budget)
+                new = engine(c, d, budget)
+                if new.budget_exhausted:
+                    assert ref.budget_exhausted, (budget, print_clause(c), print_clause(d))
+                elif ref.budget_exhausted:
+                    only_reference_exhausted += 1
+                else:
+                    assert (new.covered, new.witness) == (ref.covered, ref.witness)
+    assert only_reference_exhausted > 0
+
+
+def test_search_without_constraints_spends_exactly_what_the_reference_spends(differential_pairs):
+    # with no eq/sim literal in c nothing is pruned, so the search visits the
+    # reference's nodes, and a reused candidate list must cost what
+    # rebuilding it did: every budget gives the reference's verdict
+    for c, d in differential_pairs[::2]:
+        c = logic.Clause(c.head, tuple(l for l in c.body
+                                       if not isinstance(l, (logic.Eq, logic.Sim))))
+        for with_repairs, engine in _ENGINES:
+            for budget in range(1, 51):
+                assert engine(c, d, budget) == reference_subsumes(c, d, with_repairs, budget), (
+                    budget, print_clause(c), print_clause(d))
+
+
+def test_failed_equality_prunes_before_the_remaining_literals_are_mapped():
+    # eq('USA',V6) fails as soon as countries binds V6 to 'Spain'; the
+    # reference tries every mapping of the three mov2genres literals first
+    c = parse_clause("highGrossing(V0) :- movies(V1,V0,V2), mov2genres(V1,V3), mov2genres(V1,V4), "
+                     "mov2genres(V1,V7), mov2countries(V1,V5), countries(V5,V6), eq('USA',V6).")
+    genres = ", ".join(f"mov2genres('m3','g{i}')" for i in range(5))
+    d = parse_clause(f"highGrossing('Orphanage') :- movies('m3','Orphanage','2007'), {genres}, "
+                     "mov2countries('m3','c2'), countries('c2','Spain').")
+    for with_repairs, engine in _ENGINES:
+        assert reference_subsumes(c, d, with_repairs, budget=100).budget_exhausted
+        assert engine(c, d, budget=100) == subsumption.CoverageVerdict(False)
+        assert engine(c, d) == reference_subsumes(c, d, with_repairs)
+        assert engine(c, d) == subsumption.CoverageVerdict(False)
+    usa = parse_clause(print_clause(d).replace("Spain", "USA"))
+    assert theta_subsumes(c, usa).covered and subsumes_with_repairs(c, usa).covered
+
+
+def test_match_index_is_built_once_per_clause_object():
+    c = parse_clause("t(V0) :- r(V0,V1), eq(V1,'k').")
+    d = parse_clause("t('a') :- r('a','k'), s('k').")
+    index = d.match_index
+    assert theta_subsumes(c, d).covered and subsumes_with_repairs(c, d).covered
+    assert d.match_index is index and c.match_index is c.match_index
+    # the index is not a field: equal clauses stay equal and hash alike
+    fresh = parse_clause(print_clause(d))
+    assert fresh == d and hash(fresh) == hash(d) and "match_index" not in vars(fresh)

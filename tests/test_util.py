@@ -48,3 +48,11 @@ def test_disjoint_set_agrees_with_an_equality_reference(ops):
 def test_fresh_keys_are_distinct_objects():
     for key in _KEYS:
         assert _fresh(key) == key and _fresh(key) is not key
+
+
+def test_disjoint_set_same_adds_no_item():
+    dsu = DisjointSet()
+    dsu.union("a", "b")
+    assert dsu.same("a", "b") and dsu.same("c", "c") and not dsu.same("a", "c")
+    assert not dsu.same("c", "d")
+    assert set(dsu._parent) == {"a", "b"}

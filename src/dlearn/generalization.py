@@ -227,18 +227,17 @@ def score_clause(clause: Clause, positives, neg_gs, budget: int = DEFAULT_BUDGET
     `positives` pairs each positive's key with its ground bottom clause, and
     the stats keep the keys of the covered ones in order. Every example is
     tested, and the stats record whether any verdict ran out of budget.
-    The coverage tests share one memo, so the clause and each ground clause
-    are expanded once per call, not once per example.
+    The clause and each ground clause are expanded once, not once per
+    example: their coverage views stay with them (Clause.views).
     """
     covered, neg, exhausted = [], 0, False
-    memo: dict = {}
     for key, g in positives:
-        verdict = subsumption.covers_positive(clause, g, budget, repair_cap, memo=memo)
+        verdict = subsumption.covers_positive(clause, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
         if verdict.covered:
             covered.append(key)
     for g in neg_gs:
-        verdict = subsumption.covers_negative(clause, g, budget, repair_cap, memo=memo)
+        verdict = subsumption.covers_negative(clause, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
         neg += verdict.covered
     stats = ClauseStats(pos=len(covered), neg=neg, covered_pos=tuple(covered),

@@ -170,6 +170,12 @@ class Clause:
         not a field, so equality, hashing and printing ignore it."""
         return MatchIndex(self)
 
+    @cached_property
+    def views(self) -> dict:
+        """The clause's coverage views (subsumption._view), each built on
+        first use and kept, like match_index, as long as the clause lives."""
+        return {}
+
 
 Substitution = dict
 

@@ -18,7 +18,9 @@ through Clause.match_index, which is built once per Clause object and lives
 as long as the clause. None of this changes a verdict or a witness. The
 search budget counts the candidate unifications tried; because pruned
 branches cost nothing, a search may now finish within a budget that it used
-to exhaust.
+to exhaust. The views the coverage tests derive from a clause (md_part,
+logic.partial_repairs, logic.repaired_clauses) sit beside match_index in
+Clause.views: each is built once per Clause object and shared by all callers.
 """
 
 from __future__ import annotations
@@ -392,30 +394,25 @@ def md_part(clause: Clause) -> Clause:
     return Clause(clause.head, tuple(body))
 
 
-def _view(memo, view: str, fn, clause: Clause, *args):
-    """fn(clause, *args), the `view` of a clause. Without a memo it is
-    computed on every call. A memo is a dict that one scoring pass owns: in
-    it each view of a clause is computed once, keyed by `(view, clause,
-    args)` with value equality on the clause, and a RepairCapExceeded is
-    kept like a result, so every later use raises it again."""
-    if memo is None:
-        return fn(clause, *args)
-    key = (view, clause, args)
-    out = memo.get(key)
+def _view(view: str, fn, clause: Clause, *args):
+    """fn(clause, *args), the `view` of a clause, computed on first use and
+    kept in clause.views under `(view, args)`. A RepairCapExceeded is kept
+    like a result, so every later use raises it again."""
+    key = (view, args)
+    out = clause.views.get(key)
     if out is None:
         try:
             out = fn(clause, *args)
         except logic.RepairCapExceeded as exc:
             out = exc
-        memo[key] = out
+        clause.views[key] = out
     if isinstance(out, logic.RepairCapExceeded):
         raise out.with_traceback(None)
     return out
 
 
 def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
-                    repair_cap: int = DEFAULT_REPAIR_CAP, *,
-                    memo: dict | None = None) -> CoverageVerdict:
+                    repair_cap: int = DEFAULT_REPAIR_CAP) -> CoverageVerdict:
     """Three-stage positive coverage of a ground bottom clause.
 
     1. direct subsumption (sound);
@@ -423,21 +420,16 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
        conclusive, because for those parts the test is also complete);
     3. otherwise expand the CFD repair literals on both sides and require
        every expansion of c to subsume some expansion of g.
-
-    `memo` shares the `md_part` and CFD expansions of c and g with the other
-    coverage tests of one scoring pass (see generalization.score_clause).
-    It must not outlive that pass; None computes them afresh, as every
-    caller outside scoring does.
     """
     v1 = subsumes_with_repairs(c, g, budget)
     if v1.covered:
         return v1
-    v2 = subsumes_with_repairs(_view(memo, "md", md_part, c), _view(memo, "md", md_part, g), budget)
+    v2 = subsumes_with_repairs(_view("md", md_part, c), _view("md", md_part, g), budget)
     if not v2.covered:
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
     try:
-        c_variants = _view(memo, "cfd", logic.partial_repairs, c, "cfd", repair_cap)
-        g_variants = _view(memo, "cfd", logic.partial_repairs, g, "cfd", repair_cap)
+        c_variants = _view("cfd", logic.partial_repairs, c, "cfd", repair_cap)
+        g_variants = _view("cfd", logic.partial_repairs, g, "cfd", repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
     exhausted = v1.budget_exhausted
@@ -455,23 +447,18 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
 
 
 def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
-                    repair_cap: int = DEFAULT_REPAIR_CAP, *,
-                    memo: dict | None = None) -> CoverageVerdict:
+                    repair_cap: int = DEFAULT_REPAIR_CAP) -> CoverageVerdict:
     """A clause covers a negative example as soon as one of its repair-free
-    expansions covers the example's ground bottom clause.
-
-    `memo` is a scoring pass's memo, as for covers_positive: with it c is
-    expanded once per pass rather than once per negative, and the views of
-    each expansion are shared across the negatives too. None expands
-    afresh.
+    expansions covers the example's ground bottom clause. The expansions
+    are kept with c (Clause.views), so c is expanded once, not per negative.
     """
     try:
-        expansions = _view(memo, "repaired", logic.repaired_clauses, c, repair_cap)
+        expansions = _view("repaired", logic.repaired_clauses, c, repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
     exhausted = False
     for r in expansions:
-        verdict = covers_positive(r, g, budget, repair_cap, memo=memo)
+        verdict = covers_positive(r, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
         if verdict.covered:
             return CoverageVerdict(True, witness=verdict.witness, budget_exhausted=exhausted)

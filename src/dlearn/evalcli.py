@@ -21,6 +21,7 @@ from . import learner, logic, oracle, saturation, store, subsumption, textsim
 from .constraints import ConstraintError, parse_constraints
 from .learner import ExamplesError, LearnedClause, LearnedDefinition, LearnerConfig
 from .logic import ClauseError
+from .oracle import OracleCapExceeded
 from .saturation import SaturationError
 from .store import Example, StoreError
 from .util import derive_rng
@@ -296,6 +297,8 @@ def _cmd_saturate(args) -> int:
 
 
 def _cmd_subsume(args) -> int:
+    if args.budget < 1:
+        raise SaturationError(f"--budget must be positive, got {args.budget}")
     with open(args.clause_c, encoding="utf-8") as fh:
         c = logic.parse_clause(fh.read().strip())
     with open(args.clause_d, encoding="utf-8") as fh:
@@ -308,7 +311,7 @@ def _cmd_subsume(args) -> int:
         )
         print("COVERED " + witness)
         return 0
-    print("NOT_COVERED")
+    print("NOT_COVERED budget_exhausted" if verdict.budget_exhausted else "NOT_COVERED")
     return 1
 
 
@@ -389,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Malformed or unreadable schema, data, constraint,
-    example or definition files, option values the config rejects, and a
-    CFD repair without a fixpoint end the run with a one-line message on
-    stderr and exit code 2."""
+    example or definition files, option values the config rejects, a CFD
+    repair without a fixpoint and an oracle search past its cap end the run
+    with a one-line message on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (StoreError, ConstraintError, ClauseError, ExamplesError, SaturationError,
-            OSError) as exc:
+            OracleCapExceeded, OSError) as exc:
         print(f"dlearn: error: {exc}", file=sys.stderr)
         return 2
 

@@ -340,6 +340,29 @@ def test_cli_threshold_or_precision_outside_unit_interval_is_one_line_error(
     assert not out.exists()
 
 
+def test_cli_subsume_rejects_a_budget_below_one_and_reports_exhaustion(tmp_path, capsys):
+    # an 8-literal chain: the pair subsumes, but not within 5 unifications
+    c = _written(tmp_path / "c.txt", "t(V0) :- " + ", ".join(
+        f"r(V{i},V{i + 1})" for i in range(8)) + ".\n")
+    d = _written(tmp_path / "d.txt", "t('a0') :- " + ", ".join(
+        f"r('a{i}','a{i + 1}')" for i in range(8)) + ".\n")
+    for budget in ("0", "-3"):
+        err = _one_line_error(["subsume", c, d, "--budget", budget], capsys)
+        assert err == f"dlearn: error: --budget must be positive, got {budget}\n"
+    assert main(["subsume", c, d, "--budget", "5"]) == 1
+    assert capsys.readouterr().out == "NOT_COVERED budget_exhausted\n"
+    assert main(["subsume", c, d]) == 0
+    assert capsys.readouterr().out.startswith("COVERED V0='a0',V1='a1',")
+
+
+def test_cli_oracle_past_its_cap_is_one_line_error(tmp_path, capsys):
+    # the CFD a -> b has more than one stable repair of r(x,1), r(x,2)
+    argv = ["oracle"] + _cfd_without_fixpoint(tmp_path)[1:] + ["--repair-cap", "1"]
+    err = _one_line_error(argv, capsys)
+    assert err == "dlearn: error: more than 1 stable instances\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_read_definition_checks_each_head_against_the_target(tmp_path):
     path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V1) :- movies(V1,V0,V2).\n")
     assert len(evalcli.read_definition(path, "highGrossing", 1).clauses) == 2

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from dlearn import constraints, logic, saturation, store, subsumption, textsim
+from dlearn import constraints, evalcli, learner, logic, saturation, store, subsumption, textsim
 from dlearn.generalization import (ClauseStats, armg, best_candidate, drop_with_repair,
                                    find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
@@ -277,14 +277,11 @@ t(v:text)
 """
 
 
-def _cfd_micro_db(by_title: bool, n: int = 4):
+def _cfd_micro_dataset(by_title: bool, n: int = 4):
     """Movies whose country ids have two names each, under the CFD
     cid -> name, so every clause reaching `countries` carries CFD repairs.
     Examples are movie ids, or with by_title=True titles matched to movies
-    by an MD. Returns the positives as (key, ground clause) pairs, the
-    negative ground clauses, and the candidates: every example's bottom
-    clause, also without one or two of its movies, mov2genres and
-    mov2countries literals."""
+    by an MD. Returns (db, mds, cfds, similarity index, examples, config)."""
     schema = store.parse_schema(CFD_MICRO_SCHEMA_TEXT, target="t")
     db = store.from_tuples(schema, {
         "movies": [(f"m{i}", f"T{i}") for i in range(n)],
@@ -301,6 +298,15 @@ def _cfd_micro_db(by_title: bool, n: int = 4):
     idx = textsim.SimilarityIndex(k_m=1, threshold=0.5, entries=entries)
     examples = [store.Example("t", (f"e{i}" if by_title else f"m{i}",)) for i in range(n)]
     cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=3)
+    return db, mds, cfds, idx, examples, cfg
+
+
+def _cfd_micro_db(by_title: bool, n: int = 4):
+    """The _cfd_micro_dataset examples, the first half positive. Returns the
+    positives as (key, ground clause) pairs, the negative ground clauses,
+    and the candidates: every example's bottom clause, also without one or
+    two of its movies, mov2genres and mov2countries literals."""
+    db, mds, cfds, idx, examples, cfg = _cfd_micro_dataset(by_title, n)
     grounds = [saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg) for e in examples]
     candidates = []
     for e in examples:
@@ -379,3 +385,63 @@ def test_score_clause_expands_each_clause_once(monkeypatch):
         score_clause(clause, positives, neg_gs)
         assert repaired == Counter({clause: 1})
         assert max(partial.values(), default=1) == 1
+
+
+def _fresh(clause):
+    return logic.Clause(clause.head, clause.body)
+
+
+@pytest.mark.parametrize("by_title", [False, True])
+def test_score_clause_with_kept_views_equals_fresh_copies(by_title):
+    # the candidates and ground clauses keep their coverage views from one
+    # score to the next; fresh copies start with none. Scoring under cap 2,
+    # the default cap, then 2 again catches a view kept under the wrong cap.
+    positives, neg_gs, candidates = _cfd_micro_db(by_title)
+    capped = 0
+    for clause in candidates:
+        scores = []
+        for cap in (2, subsumption.DEFAULT_REPAIR_CAP, 2):
+            expected = score_clause(_fresh(clause), [(key, _fresh(g)) for key, g in positives],
+                                    [_fresh(g) for g in neg_gs], repair_cap=cap)
+            assert score_clause(clause, positives, neg_gs, repair_cap=cap) == expected
+            scores.append(expected)
+        capped += scores[0] != scores[1]
+    assert capped >= 5
+
+
+def test_evaluate_expands_each_definition_clause_once(monkeypatch):
+    db, mds, cfds, idx, examples, _ = _cfd_micro_dataset(by_title=False)
+    cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3)
+    pos, neg = examples[:2], examples[2:]
+    clauses = [saturation.bottom_clause(e, db, mds, cfds, idx, cfg) for e in pos]
+    assert all(map(_has_cfd_repairs, clauses))
+    definition = learner.LearnedDefinition(
+        target="t", clauses=[learner.LearnedClause(c, ClauseStats(0, 0)) for c in clauses])
+    repaired, partial = Counter(), Counter()
+    real_repaired, real_partial = logic.repaired_clauses, logic.partial_repairs
+
+    def counting_repaired(clause, cap=256):
+        repaired[clause] += 1
+        return real_repaired(clause, cap)
+
+    def counting_partial(clause, origin, cap=256):
+        partial[clause] += 1
+        return real_partial(clause, origin, cap)
+
+    monkeypatch.setattr(logic, "repaired_clauses", counting_repaired)
+    monkeypatch.setattr(logic, "partial_repairs", counting_partial)
+    metrics = evalcli.evaluate(definition, pos, neg, db, mds, cfds, cfg)
+    assert metrics.fp == 0
+    # each clause is tested against both negatives, and expanded once
+    assert repaired == Counter({c: 1 for c in clauses})
+
+    g = saturation.ground_bottom_clause(neg[0], db, mds, cfds, idx, cfg)
+    first = subsumption.covers_negative(clauses[0], g)
+    repaired.clear()
+    partial.clear()
+    assert subsumption.covers_negative(clauses[0], g) == first
+    assert not repaired and not partial
+
+    fresh = parse_clause(print_clause(clauses[0]))
+    assert "views" in vars(clauses[0]) and "views" not in vars(fresh)
+    assert fresh == clauses[0] and hash(fresh) == hash(clauses[0])

@@ -392,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Malformed or unreadable schema, data, constraint,
-    example or definition files, option values the config rejects, a CFD
-    repair without a fixpoint and an oracle search past its cap end the run
-    with a one-line message on stderr and exit code 2."""
+    example or definition files, option values the config or `subsume`
+    rejects, a CFD repair without a fixpoint and an oracle search past its
+    cap end the run with a one-line message on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -18,9 +18,9 @@ through Clause.match_index, which is built once per Clause object and lives
 as long as the clause. None of this changes a verdict or a witness. The
 search budget counts the candidate unifications tried; because pruned
 branches cost nothing, a search may now finish within a budget that it used
-to exhaust. The views the coverage tests derive from a clause (md_part,
-logic.partial_repairs, logic.repaired_clauses) sit beside match_index in
-Clause.views: each is built once per Clause object and shared by all callers.
+to exhaust. Like match_index, the views the coverage tests derive from a
+clause (md_part, logic.partial_repairs, logic.repaired_clauses) are built
+once per Clause object, kept in Clause.views and shared by all callers.
 """
 
 from __future__ import annotations

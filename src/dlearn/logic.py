@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import store
 from .util import DisjointSet
@@ -271,22 +272,27 @@ class EqClosure:
 
     The classes are fixed at construction; there is no way to merge two
     later. A clause's MatchIndex shares one closure with every search
-    against the clause, so nothing may change it after it is built. `same`
-    adds no term it is asked about; a lookup may only compress a path,
-    which changes no answer.
+    against the clause, and a repair expansion shares one with every child
+    of a state, so nothing may change it after it is built. It keeps a flat
+    map from each term of an equality literal to its class's root, so `find`
+    and `same` are dict lookups that add nothing; any other term is alone
+    in its class and is its own root.
     """
 
     def __init__(self, body=()):
-        self._dsu = DisjointSet()
-        for lit in body:
-            if isinstance(lit, Eq):
-                self._dsu.union(lit.a, lit.b)
+        eqs = [lit for lit in body if isinstance(lit, Eq)]
+        dsu = DisjointSet()
+        for lit in eqs:
+            dsu.union(lit.a, lit.b)
+        self._root = {t: dsu.find(t) for lit in eqs for t in (lit.a, lit.b)}
 
     def find(self, a: Term):
-        return self._dsu.find(a)
+        return self._root.get(a, a)
 
     def same(self, a: Term, b: Term) -> bool:
-        return a == b or self._dsu.same(a, b)
+        # roots are the disjoint-set's own key objects, one per class
+        root = self._root.get
+        return root(a, a) is root(b, b) or a == b
 
 
 def eq_closure(clause: Clause) -> EqClosure:
@@ -361,37 +367,129 @@ class MatchIndex:
         return tuple(i for i, lit in enumerate(self._body) if isinstance(lit, (Eq, Sim)))
 
 
-def _sim_holds(a: Term, b: Term, clause: Clause, closure: EqClosure) -> bool:
-    if closure.same(a, b):
-        return True
-    for lit in clause.body:
-        if isinstance(lit, Sim):
-            if (closure.same(lit.a, a) and closure.same(lit.b, b)) or (
-                closure.same(lit.a, b) and closure.same(lit.b, a)
-            ):
-                return True
-    return False
+def _sim_pairs(body, closure: EqClosure) -> frozenset:
+    """The class pairs of a body's similarity literals under `closure`, both
+    ways round."""
+    find = closure.find
+    return frozenset(pair for lit in body if isinstance(lit, Sim)
+                     for pair in ((find(lit.a), find(lit.b)), (find(lit.b), find(lit.a))))
+
+
+def _holds(cond: Condition, closure: EqClosure, sims: frozenset) -> bool:
+    """condition_holds over a clause's equality closure and similarity pairs
+    (_sim_pairs): sim(a, b) holds when a and b are equal or their classes
+    are a pair."""
+    same = closure.same
+    for atom in cond:
+        if isinstance(atom, EqAtom):
+            if not same(atom.a, atom.b):
+                return False
+        elif isinstance(atom, NeqAtom):
+            if same(atom.a, atom.b):
+                return False
+        elif not (same(atom.a, atom.b) or (closure.find(atom.a), closure.find(atom.b)) in sims):
+            return False
+    return True
 
 
 def condition_holds(cond: Condition, clause: Clause, closure: EqClosure | None = None) -> bool:
     """Evaluate a repair condition against the clause's own literals."""
     closure = closure or eq_closure(clause)
-    for atom in cond:
-        if isinstance(atom, EqAtom):
-            if not closure.same(atom.a, atom.b):
-                return False
-        elif isinstance(atom, NeqAtom):
-            if closure.same(atom.a, atom.b):
-                return False
-        else:
-            if not _sim_holds(atom.a, atom.b, clause, closure):
-                return False
-    return True
+    return _holds(cond, closure, _sim_pairs(clause.body, closure))
 
 
 # ---------------------------------------------------------------------------
 # repair application
 # ---------------------------------------------------------------------------
+
+class _State(NamedTuple):
+    """A state of a repair expansion: the head and the body literals still
+    present, each an entry (original body index, literal, its terms in
+    order), the head with index -1. Entries are interned by index and terms
+    for the whole expansion, so a literal with the same terms is the same
+    object in every state. Every child of the state shares the rest: its
+    equality closure, its similarity pairs (_sim_pairs) and the original
+    indices of its repair literals whose condition fails."""
+
+    head: tuple
+    body: tuple
+    closure: EqClosure
+    sims: frozenset
+    failing: frozenset
+
+    def clause(self) -> Clause:
+        return Clause(self.head[1], tuple([lit for _, lit, _ in self.body]))
+
+
+def _root_state(clause: Clause, closure: EqClosure | None, interned: dict) -> _State:
+    """The state of the clause itself, its literal objects interned as they
+    are."""
+    entries = [(-1, clause.head, tuple(clause.head.args))]
+    entries += [(k, lit, tuple(literal_terms(lit))) for k, lit in enumerate(clause.body)]
+    for entry in entries:
+        interned[entry[0], entry[2]] = entry
+    closure = closure or eq_closure(clause)
+    sims = _sim_pairs(clause.body, closure)
+    failing = frozenset(k for k, lit in enumerate(clause.body)
+                        if isinstance(lit, RepairLit) and not _holds(lit.cond, closure, sims))
+    return _State(entries[0], tuple(entries[1:]), closure, sims, failing)
+
+
+def _repair_step(state: _State, p: int, interned: dict) -> _State:
+    """The state after applying or discarding the repair literal at body
+    position p of `state` (see apply_repair_literal)."""
+    body = state.body
+    k, lit, _ = body[p]
+    if k in state.failing:
+        return _State(state.head, body[:p] + body[p + 1:], state.closure, state.sims,
+                      state.failing - {k})
+    group = {q for q, (_, l, _) in enumerate(body) if isinstance(l, RepairLit) and same_group(l, lit)}
+    mapping = {body[q][1].target: body[q][1].replacement for q in group}
+    targets = mapping.keys()
+
+    def rewrite(entry: tuple) -> tuple:
+        j, l, terms = entry
+        new = tuple([mapping.get(t, t) for t in terms])
+        out = interned.get((j, new))
+        if out is None:
+            out = interned[j, new] = (j, _substitute_literal(l, mapping), new)
+        return out
+
+    # the child before its conditions are judged; a literal that mentions
+    # no target (never one of the group) stays the same entry
+    child = []
+    rejudge = set()  # positions in child of rewritten repair literals
+    dropped_eq = dropped_sim = False
+    for q, entry in enumerate(body):
+        l = entry[1]
+        if targets.isdisjoint(entry[2]):
+            child.append(entry)
+        elif q in group:
+            continue
+        elif isinstance(l, Eq):
+            dropped_eq = True
+        elif isinstance(l, Sim):
+            dropped_sim = True
+        else:
+            rejudge.add(len(child))
+            child.append(rewrite(entry))
+    head = state.head if targets.isdisjoint(state.head[2]) else rewrite(state.head)
+
+    # Eq and Sim literals are never rewritten, only dropped: unless one was,
+    # the state's closure and similarity pairs are the child's, and only a
+    # rewritten condition can have changed its truth
+    closure, sims, failing = state.closure, state.sims, state.failing
+    if dropped_eq:
+        closure = EqClosure([l for _, l, _ in child])
+    if dropped_eq or dropped_sim:
+        sims = _sim_pairs([l for _, l, _ in child], closure)
+        rejudge = range(len(child))
+    kept = tuple(entry for i, entry in enumerate(child)
+                 if not isinstance(entry[1], RepairLit)
+                 or (_holds(entry[1].cond, closure, sims) if i in rejudge
+                     else entry[0] not in failing))
+    return _State(head, kept, closure, sims, frozenset())
+
 
 def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None = None) -> Clause:
     """Apply (or discard) the repair literal at a body index.
@@ -403,52 +501,20 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     literals that mention a replaced term are removed rather than rewritten:
     the repair breaks the term's old relationships, and a fresh replacement
     value matches nothing. Finally, any repair literal whose condition became
-    false is dropped. `closure` is the clause's equality closure, when the
-    caller applies several of its repair literals and builds it once; the
-    final filter reuses it unless the fired group dropped an equality
-    literal.
+    false is dropped. A literal that mentions no replaced term stays the same
+    object. `closure` is the clause's equality closure, when the caller
+    already has it.
+
+    This is the one-step case of the expansion step (_repair_step) from the
+    clause's own state: conditions are judged once against the clause, and
+    after a firing only the rewritten ones are judged again, unless an
+    equality or similarity literal was dropped, which rebuilds the closure
+    or the similarity pairs and judges them all.
     """
     if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], RepairLit):
         raise ClauseError(f"body index {index} is not a repair literal")
-    lit = clause.body[index]
-    closure = closure or eq_closure(clause)
-    if not condition_holds(lit.cond, clause, closure):
-        body = clause.body[:index] + clause.body[index + 1:]
-        return Clause(clause.head, body)
-
-    group_idx = {
-        i for i, l in enumerate(clause.body)
-        if isinstance(l, RepairLit) and same_group(l, lit)
-    }
-    mapping = {clause.body[i].target: clause.body[i].replacement for i in group_idx}
-    targets = set(mapping)
-
-    new_body = []
-    dropped_eq = False
-    for i, l in enumerate(clause.body):
-        if i in group_idx:
-            continue
-        if isinstance(l, (Sim, Eq)) and (l.a in targets or l.b in targets):
-            dropped_eq = dropped_eq or isinstance(l, Eq)
-            continue
-        # an untouched literal stays the same object, which the literal-form
-        # cache of an expansion recognises by identity
-        if targets.isdisjoint(literal_terms(l)):
-            new_body.append(l)
-        else:
-            new_body.append(_substitute_literal(l, mapping))
-    head = _substitute_literal(clause.head, mapping)
-    result = Clause(head, tuple(new_body))
-
-    # every surviving Eq is the clause's own, untouched by the mapping, so
-    # unless one was dropped the clause's closure is the result's
-    if dropped_eq:
-        closure = eq_closure(result)
-    kept = tuple(
-        l for l in result.body
-        if not (isinstance(l, RepairLit) and not condition_holds(l.cond, result, closure))
-    )
-    return Clause(head, kept)
+    interned: dict = {}
+    return _repair_step(_root_state(clause, closure, interned), index, interned).clause()
 
 
 def drop_dangling_restrictions(clause: Clause) -> Clause:
@@ -476,43 +542,47 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
     repair literal to apply is returned as it is. Raises RepairCapExceeded
     when more than `cap` distinct results appear.
 
-    Each distinct state value is canonicalized once: its key is memoized by
-    clause value, so a state reached again by another application order is
-    skipped after one dict lookup. The keys share one cache of printed
-    literal forms, and each expanded state's equality closure is built once
-    for all its children. Memo and cache live for this call only."""
-    def applicable(c: Clause) -> list[int]:
-        return [i for i, l in enumerate(c.body)
-                if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
+    A state is the literals still present, each an original body index with
+    its current terms, after the replacements fired on the way (_State). A
+    child is computed from its parent's state by the step of
+    apply_repair_literal, sharing the parent's equality closure, similarity
+    pairs and condition truths. A state popped again is skipped before its
+    clause is built; any other state's clause is built and canonicalized
+    once. Literals are interned, so the keys' shared cache of printed
+    literal forms hits across application orders. All of it lives for this
+    call only."""
+    def applicable(lit: Literal) -> bool:
+        return isinstance(lit, RepairLit) and (origin is None or lit.origin == origin)
 
-    if not applicable(clause):
+    if not any(applicable(l) for l in clause.body):
         return [clause]
+    interned: dict = {}
     forms: dict = {}
-    keys: dict[Clause, str] = {}
-
-    def key_of(c: Clause) -> str:
-        key = keys.get(c)
-        if key is None:
-            key = keys[c] = clause_key(c, sort=True, cache=forms)
-        return key
-
     results: dict[str, Clause] = {}
     seen: set[str] = set()
-    stack = [clause]
+    seen_states: set[tuple] = set()
+    stack = [_root_state(clause, None, interned)]
     while stack:
-        c = stack.pop()
-        key = key_of(c)
+        state = stack.pop()
+        # interned entries identify their index and terms for the whole call
+        ids = (id(state.head), *map(id, state.body))
+        if ids in seen_states:
+            continue
+        seen_states.add(ids)
+        c = state.clause()
+        key = clause_key(c, sort=True, cache=forms)
         if key in seen:
             continue
         seen.add(key)
-        repair_idx = applicable(c)
-        if repair_idx:
-            closure = eq_closure(c)
-            stack.extend(apply_repair_literal(c, i, closure) for i in repair_idx)
+        positions = [p for p, (_, l, _) in enumerate(state.body) if applicable(l)]
+        if positions:
+            stack.extend(_repair_step(state, p, interned) for p in positions)
             continue
         if origin is None:
-            c = drop_dangling_restrictions(c)
-            key = key_of(c)
+            full = drop_dangling_restrictions(c)
+            if len(full.body) < len(c.body):
+                key = clause_key(full, sort=True, cache=forms)
+            c = full
         results[key] = c
         if len(results) > cap:
             raise RepairCapExceeded(f"more than {cap} repaired clauses")

@@ -274,6 +274,165 @@ def reference_exhaust_repairs(clause: logic.Clause, origin: str | None, cap: int
     return [results[k] for k in sorted(results)]
 
 
+# Reference repair step: logic.apply_repair_literal as it was before
+# expansion states shared their closure and condition truths, a rebuilt
+# Clause per child, with the condition evaluator of that time, which scans
+# the clause's similarity literals under the closure. Differential tests
+# compare the current step and the expansions built on it against it.
+
+def _reference_sim_holds(a, b, clause: logic.Clause, closure) -> bool:
+    if closure.same(a, b):
+        return True
+    for lit in clause.body:
+        if isinstance(lit, logic.Sim):
+            if (closure.same(lit.a, a) and closure.same(lit.b, b)) or (
+                closure.same(lit.a, b) and closure.same(lit.b, a)
+            ):
+                return True
+    return False
+
+
+def reference_condition_holds(cond, clause: logic.Clause, closure=None) -> bool:
+    closure = closure or logic.eq_closure(clause)
+    for atom in cond:
+        if isinstance(atom, logic.EqAtom):
+            if not closure.same(atom.a, atom.b):
+                return False
+        elif isinstance(atom, logic.NeqAtom):
+            if closure.same(atom.a, atom.b):
+                return False
+        else:
+            if not _reference_sim_holds(atom.a, atom.b, clause, closure):
+                return False
+    return True
+
+
+def reference_apply_repair_literal(clause: logic.Clause, index: int, closure=None) -> logic.Clause:
+    if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], logic.RepairLit):
+        raise logic.ClauseError(f"body index {index} is not a repair literal")
+    lit = clause.body[index]
+    closure = closure or logic.eq_closure(clause)
+    if not reference_condition_holds(lit.cond, clause, closure):
+        body = clause.body[:index] + clause.body[index + 1:]
+        return logic.Clause(clause.head, body)
+
+    group_idx = {
+        i for i, l in enumerate(clause.body)
+        if isinstance(l, logic.RepairLit) and logic.same_group(l, lit)
+    }
+    mapping = {clause.body[i].target: clause.body[i].replacement for i in group_idx}
+    targets = set(mapping)
+
+    new_body = []
+    dropped_eq = False
+    for i, l in enumerate(clause.body):
+        if i in group_idx:
+            continue
+        if isinstance(l, (logic.Sim, logic.Eq)) and (l.a in targets or l.b in targets):
+            dropped_eq = dropped_eq or isinstance(l, logic.Eq)
+            continue
+        if targets.isdisjoint(logic.literal_terms(l)):
+            new_body.append(l)
+        else:
+            new_body.append(logic._substitute_literal(l, mapping))
+    head = logic._substitute_literal(clause.head, mapping)
+    result = logic.Clause(head, tuple(new_body))
+
+    if dropped_eq:
+        closure = logic.eq_closure(result)
+    kept = tuple(
+        l for l in result.body
+        if not (isinstance(l, logic.RepairLit)
+                and not reference_condition_holds(l.cond, result, closure))
+    )
+    return logic.Clause(head, kept)
+
+
+def reference_step_exhaust(clause: logic.Clause, origin: str | None, cap: int) -> list[logic.Clause]:
+    """The expansion loop of logic._exhaust_repairs before it kept states,
+    built on reference_apply_repair_literal: each popped clause is keyed
+    (memoized by clause value) and, when new, gets one equality closure for
+    all its children."""
+    def applicable(c):
+        return [i for i, l in enumerate(c.body)
+                if isinstance(l, logic.RepairLit) and (origin is None or l.origin == origin)]
+
+    if not applicable(clause):
+        return [clause]
+    keys: dict = {}
+
+    def key_of(c):
+        if c not in keys:
+            keys[c] = logic.clause_key(c, sort=True)
+        return keys[c]
+
+    results: dict = {}
+    seen: set = set()
+    stack = [clause]
+    while stack:
+        c = stack.pop()
+        key = key_of(c)
+        if key in seen:
+            continue
+        seen.add(key)
+        repair_idx = applicable(c)
+        if repair_idx:
+            closure = logic.eq_closure(c)
+            stack.extend(reference_apply_repair_literal(c, i, closure) for i in repair_idx)
+            continue
+        if origin is None:
+            c = logic.drop_dangling_restrictions(c)
+            key = key_of(c)
+        results[key] = c
+        if len(results) > cap:
+            raise logic.RepairCapExceeded(f"more than {cap} repaired clauses")
+    return [results[k] for k in sorted(results)]
+
+
+def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
+    """A clause whose repair conditions meet equalities over replaced terms.
+
+    Equality literals chain a few variables together, each repair literal
+    replaces a variable of such a chain, and the conditions are eq/neq atoms
+    over chain variables (with an occasional similarity atom over a
+    similarity literal), so firing one repair drops equalities that decide
+    the conditions of others. Repair literals are CFD ones, each alone, or
+    matching-dependency pairs that share a similarity condition."""
+    V, Eq, Sim = logic.Variable, logic.Eq, logic.Sim
+    n = rng.randint(5, 8)
+    chain = [V(i) for i in range(1, n + 1)]
+    fresh = iter(V(i) for i in range(20, 60))
+    body: list = [logic.Rel("r", (V(0), chain[0]))]
+    body += [logic.Rel("s", (rng.choice(chain), rng.choice(chain))) for _ in range(rng.randint(1, 3))]
+    # a path of equalities, sometimes with a gap, so that most chain
+    # variables start in one class and a replaced one splits it
+    gap = rng.randrange(n) if rng.random() < 0.3 else -1
+    body += [Eq(a, b) for k, (a, b) in enumerate(zip(chain, chain[1:])) if k != gap]
+    if rng.random() < 0.5:
+        body.append(Eq(*rng.sample(chain, 2)))
+    sims = []
+    if rng.random() < 0.5:
+        a, b = rng.sample(chain, 2)
+        sims.append((a, b))
+        body.append(Sim(a, b))
+    group = 0
+    for _ in range(rng.randint(3, 6)):
+        if sims and rng.random() < 0.3:
+            a, b = sims[0]
+            cond = (logic.SimAtom(a, b),)
+            body += [logic.RepairLit(cond, a, next(fresh), origin="md", group=group),
+                     logic.RepairLit(cond, b, next(fresh), origin="md", group=group)]
+            group += 1
+            continue
+        atoms = []
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice((logic.EqAtom, logic.EqAtom, logic.NeqAtom))
+            atoms.append(kind(*rng.sample(chain, 2)))
+        body.append(logic.RepairLit(tuple(atoms), rng.choice(chain), next(fresh), origin="cfd"))
+    rng.shuffle(body)
+    return logic.Clause(logic.Rel("t", (V(0),)), tuple(body))
+
+
 # Reference subsumption search: the matcher before forward checking,
 # candidate memoization and the per-clause index. It checks equality and
 # similarity literals only at a leaf, rebuilds every remaining literal's

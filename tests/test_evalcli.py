@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,38 @@ def test_cli_determinism_and_threads(tmp_path):
                                      "--threads", threads, "--out", str(out)]))
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+_HASH_SEED_RUN = """\
+import contextlib, io, sys
+from dlearn import logic
+from dlearn.evalcli import main
+from helpers import cfd_micro_db_clauses
+
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+for case in cfd_micro_db_clauses():
+    for triple in case:
+        for clause in triple:
+            print(*map(logic.print_clause, logic.repaired_clauses(clause)), sep="\\n")
+"""
+
+
+def test_cli_learn_is_identical_across_hash_seeds(tmp_path):
+    # str hashes, and so Constant hashes, are salted per process: neither a
+    # learned definition nor an expansion may depend on the order of a set
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests_dir), "src"), tests_dir])
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"def_{seed}.txt"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        argv = ["learn"] + movie_args(["--min-pos", "1", "--out", str(out)])
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_RUN, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append((out.read_bytes(), done.stdout))
+    assert runs[0][0].startswith(b"# pos=") and runs[0][1].count("\n") > 1000
+    assert runs[0] == runs[1]
 
 
 def test_cli_saturate_prints_ground_clause(capsys):

@@ -14,8 +14,9 @@ from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           apply_substitution, canonical_instance, clause_key,
                           condition_holds, parse_clause, partial_repairs,
                           print_clause, repaired_clauses)
-from helpers import (cfd_micro_db_clauses, reference_clause_key, reference_exhaust_repairs,
-                     reference_renumber)
+from helpers import (cfd_micro_db_clauses, random_eq_repair_clause, reference_apply_repair_literal,
+                     reference_clause_key, reference_condition_holds, reference_exhaust_repairs,
+                     reference_renumber, reference_step_exhaust)
 
 V = Variable
 C = Constant
@@ -489,6 +490,119 @@ def test_exhaustion_keys_each_distinct_state_once(monkeypatch, micro_db_clauses)
     # states are reached along several application orders, yet each value is keyed once
     assert max(produced.values()) > 1
     assert max(keyed.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the repair step against the step it replaced
+# ---------------------------------------------------------------------------
+
+def test_fired_group_that_drops_a_sim_rechecks_conditions_on_the_child():
+    # the group swaps V0 and V1, so both live on and the dropped sim(V0,V1)
+    # must not keep deciding the rewritten sim(V1,V0) of the CFD repair
+    c = parse_clause("t(V0) :- r(V0,V1,V2), sim(V0,V1), rep{sim(V0,V1)}(V0,V1), "
+                     "rep{sim(V0,V1)}(V1,V0), rep{sim(V0,V1);neq(V2,V0)}(V2,V3).")
+    got = apply_repair_literal(c, 2)
+    assert print_clause(got) == "t(V1) :- r(V1,V0,V2)."
+    assert got == reference_apply_repair_literal(c, 2)
+
+
+def _repair_indices(clause):
+    return [i for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
+
+
+def _fired_targets(clause, i):
+    """The terms the group of the repair literal at body index i replaces,
+    or None when its condition fails and it is only discarded."""
+    lit = clause.body[i]
+    if not reference_condition_holds(lit.cond, clause):
+        return None
+    return {l.target for l in clause.body
+            if isinstance(l, RepairLit) and logic.same_group(l, lit)}
+
+
+def test_repair_step_equals_reference_step(micro_db_clauses):
+    steps = 0
+    for c in micro_db_clauses:
+        closure = EqClosure(c.body)
+        for i in _repair_indices(c):
+            assert apply_repair_literal(c, i) == reference_apply_repair_literal(c, i)
+            assert apply_repair_literal(c, i, closure) == reference_apply_repair_literal(c, i, closure)
+            steps += 1
+    assert steps >= 1000
+
+
+def test_expansions_equal_the_loop_on_the_reference_step(micro_db_clauses):
+    hits = 0
+    for c in micro_db_clauses:
+        for cap in (1, 2, 3, 5, 256):
+            got = _outcome(repaired_clauses, c, cap)
+            assert got == _outcome(reference_step_exhaust, c, None, cap)
+            assert _outcome(partial_repairs, c, "cfd", cap) == _outcome(
+                reference_step_exhaust, c, "cfd", cap)
+            hits += isinstance(got, tuple)
+    assert hits >= 100
+
+
+def _flips(clause, i, child):
+    """Whether firing the repair literal at body index i drops an equality
+    and changes the truth of a repair literal whose terms it leaves alone."""
+    targets = _fired_targets(clause, i)
+    if targets is None or not any(isinstance(l, Eq) and (l.a in targets or l.b in targets)
+                                  for l in clause.body):
+        return False
+    lit = clause.body[i]
+    return any(reference_condition_holds(l.cond, clause) != reference_condition_holds(l.cond, child)
+               for l in clause.body
+               if isinstance(l, RepairLit) and not logic.same_group(l, lit)
+               and targets.isdisjoint(logic.literal_terms(l)))
+
+
+def test_dropped_equality_rechecks_the_conditions_it_decides():
+    # conditions over a chain of equalities: replacing a chain variable
+    # drops its equalities and flips conditions that mention only other
+    # variables, so a step that kept their old truth would keep or drop them
+    # wrongly
+    flips = 0
+    for seed in range(80):
+        c = random_eq_repair_clause(random.Random(seed))
+        closure = EqClosure(c.body)
+        for i in _repair_indices(c):
+            child = reference_apply_repair_literal(c, i)
+            assert apply_repair_literal(c, i) == child
+            assert apply_repair_literal(c, i, closure) == child
+            flips += _flips(c, i, child)
+        assert repaired_clauses(c) == reference_step_exhaust(c, None, 256)
+        assert partial_repairs(c, "cfd") == reference_step_exhaust(c, "cfd", 256)
+    assert flips >= 50
+
+
+def test_step_keeps_equalities_and_untouched_literals_as_parent_objects(micro_db_clauses):
+    # the expansion shares a state's closure with its children because Eq and
+    # Sim literals are never rewritten, only dropped; and literal objects are
+    # shared across application orders because an untouched literal is kept
+    # as it is. Checked on every state reachable from the clauses.
+    seen, stack, steps = set(), list(micro_db_clauses), 0
+    while stack:
+        parent = stack.pop()
+        key = clause_key(parent, sort=True)
+        if key in seen:
+            continue
+        seen.add(key)
+        for i in _repair_indices(parent):
+            child = apply_repair_literal(parent, i)
+            stack.append(child)
+            steps += 1
+            targets = _fired_targets(parent, i) or set()
+            for l in child.body:
+                if isinstance(l, (Eq, Sim)):
+                    assert any(l is m for m in parent.body)
+            for k, m in enumerate(parent.body):
+                if k == i or not targets.isdisjoint(logic.literal_terms(m)):
+                    continue
+                # only a repair literal whose condition now fails may go
+                assert any(l is m for l in child.body) or (
+                    isinstance(m, RepairLit) and m not in child.body)
+    assert steps >= 2000
 
 
 # ---------------------------------------------------------------------------

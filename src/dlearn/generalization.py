@@ -221,7 +221,8 @@ class ClauseStats:
 
 
 def score_clause(clause: Clause, positives, neg_gs, budget: int = DEFAULT_BUDGET,
-                 repair_cap: int = DEFAULT_REPAIR_CAP) -> tuple[int, ClauseStats]:
+                 repair_cap: int = DEFAULT_REPAIR_CAP, *,
+                 beat: int | None = None) -> tuple[int, ClauseStats] | None:
     """(covered positives minus covered negatives, stats) of a clause.
 
     `positives` pairs each positive's key with its ground bottom clause, and
@@ -229,17 +230,31 @@ def score_clause(clause: Clause, positives, neg_gs, budget: int = DEFAULT_BUDGET
     tested, and the stats record whether any verdict ran out of budget.
     The clause and each ground clause are expanded once, not once per
     example: their coverage views stay with them (Clause.views).
+
+    With `beat` set, testing stops as soon as the score is known to be at
+    most `beat`: after each uncovered positive and each covered negative the
+    bound covered + untested positives - covered negatives is checked, and
+    None is returned once it is <= beat. A clause that the bound does not
+    rule out gets the exact result, as without `beat`, even when its score
+    turns out to be <= beat.
     """
     covered, neg, exhausted = [], 0, False
+    untested = len(positives)
     for key, g in positives:
         verdict = subsumption.covers_positive(clause, g, budget, repair_cap)
+        untested -= 1
         exhausted = exhausted or verdict.budget_exhausted
         if verdict.covered:
             covered.append(key)
+        elif beat is not None and len(covered) + untested <= beat:
+            return None
     for g in neg_gs:
         verdict = subsumption.covers_negative(clause, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
-        neg += verdict.covered
+        if verdict.covered:
+            neg += 1
+            if beat is not None and len(covered) - neg <= beat:
+                return None
     stats = ClauseStats(pos=len(covered), neg=neg, covered_pos=tuple(covered),
                         budget_exhausted=exhausted)
     return len(covered) - neg, stats

@@ -27,7 +27,7 @@ class ExamplesError(ValueError):
 class LearnerConfig(SaturationConfig):
     """Learning settings. The saturation fields (d, sample_size, rng_seed,
     cfd_fixpoint_cap) are inherited, so the config is passed to saturation
-    as it is. Construction checks that those fields, k_m, K,
+    as it is. Construction checks that those fields, k_m, K, min_pos,
     subsumption_budget and repair_cap are positive, and that sim_threshold
     and min_precision lie in [0, 1], and raises SaturationError otherwise."""
 
@@ -42,7 +42,8 @@ class LearnerConfig(SaturationConfig):
     # run them in parallel under the GIL
     threads: int = 1
 
-    _positive = SaturationConfig._positive + ("k_m", "K", "subsumption_budget", "repair_cap")
+    _positive = SaturationConfig._positive + (
+        "k_m", "K", "min_pos", "subsumption_budget", "repair_cap")
     _unit_interval = ("sim_threshold", "min_precision")
 
     def __post_init__(self):
@@ -109,13 +110,23 @@ class _Session:
 
 def learn_clause(session: _Session, seed: Example, uncovered, negatives,
                  cfg: LearnerConfig) -> tuple[logic.Clause, ClauseStats]:
-    """One bottom clause, generalized greedily while the score improves."""
+    """One bottom clause, generalized greedily while the score improves.
+
+    Each round generalizes the current clause against sampled positives
+    (one candidate per distinct clause, none equal to the current one) and
+    moves to the best candidate when it scores strictly higher. The bottom
+    clause is scored only as far as round 1 needs: its testing stops once
+    it is known to score below that round's best candidate (score_clause's
+    `beat`), often before any negative is tested. It is scored in full only
+    when it is kept. Clause and stats are the same as when the bottom
+    clause is scored in full first.
+    """
     limits = (cfg.subsumption_budget, cfg.repair_cap)
     positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
     neg_gs = [session.ground[e.key()] for e in negatives]
     current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
                                        session.idx, cfg)
-    score, stats = generalization.score_clause(current, positives, neg_gs, *limits)
+    score = stats = None  # not known yet for the bottom clause
     rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
     while True:
         k = min(cfg.K, len(uncovered))
@@ -124,14 +135,24 @@ def learn_clause(session: _Session, seed: Example, uncovered, negatives,
         for e in picked:
             cand = generalization.armg(current, session.ground[e.key()], *limits)
             seen.setdefault(logic.clause_key(cand, sort=True), cand)
-        if not seen:
+        # a candidate equal to the current clause scores the same and cannot
+        # replace it; dropped after deduplication, so each key keeps its clause
+        candidates = [seen[k2] for k2 in sorted(seen) if seen[k2] != current]
+        if not candidates:
             break
-        candidates = [seen[k2] for k2 in sorted(seen)]
         cand, cand_score, cand_stats = generalization.best_scored(candidates, positives,
                                                                   neg_gs, *limits)
-        if cand_score <= score:
+        if score is None:
+            # None: the bottom clause scores below the candidate, which replaces it
+            scored = generalization.score_clause(current, positives, neg_gs, *limits,
+                                                 beat=cand_score - 1)
+            if scored is not None:
+                score, stats = scored
+        if score is not None and cand_score <= score:
             break
         current, score, stats = cand, cand_score, cand_stats
+    if score is None:
+        _, stats = generalization.score_clause(current, positives, neg_gs, *limits)
     return current, stats
 
 
@@ -154,8 +175,6 @@ def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefin
             definition.clauses.append(LearnedClause(clause, stats))
             covered = set(stats.covered_pos)
             uncovered = [e for e in uncovered if e.key() not in covered]
-            if not covered:
-                exhausted.add(seed.key())
         else:
             exhausted.add(seed.key())
     return definition

@@ -7,6 +7,7 @@ import random
 
 from dlearn import constraints, generalization, logic, saturation, store, subsumption, textsim
 from dlearn.store import Example
+from dlearn.util import derive_rng
 
 MICRO_SCHEMA_TEXT = """\
 a(k:text, x:text)
@@ -121,6 +122,39 @@ def cfd_micro_db_clauses(n_cases: int = 60):
                             saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg)))
         cases.append(triples)
     return cases
+
+
+CFD_MICRO_SCHEMA_TEXT = """\
+movies(id:text, title:text)
+mov2genres(id:text, genre:text)
+mov2countries(id:text, cid:text)
+countries(cid:text, name:text)
+t(v:text)
+"""
+
+
+def cfd_micro_dataset(by_title: bool, n: int = 4):
+    """Movies whose country ids have two names each, under the CFD
+    cid -> name, so every clause reaching `countries` carries CFD repairs.
+    Examples are movie ids, or with by_title=True titles matched to movies
+    by an MD. Returns (db, mds, cfds, similarity index, examples, config)."""
+    schema = store.parse_schema(CFD_MICRO_SCHEMA_TEXT, target="t")
+    db = store.from_tuples(schema, {
+        "movies": [(f"m{i}", f"T{i}") for i in range(n)],
+        "mov2genres": [(f"m{i}", "comedy" if i < n // 2 else "drama") for i in range(n)],
+        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)],
+        "countries": [("c0", "USA"), ("c0", "United States"), ("c1", "Spain"), ("c1", "España")],
+    })
+    text = "cfd: countries : cid -> name : (_ || _)\n"
+    entries = {}
+    if by_title:
+        text += "md: t[v] ~ movies[title] -> t[v] <-> movies[title]\n"
+        entries[(("t", "v"), ("movies", "title"))] = {f"e{i}": [(f"T{i}", 0.9)] for i in range(n)}
+    mds, cfds = constraints.parse_constraints(text, schema)
+    idx = textsim.SimilarityIndex(k_m=1, threshold=0.5, entries=entries)
+    examples = [store.Example("t", (f"e{i}" if by_title else f"m{i}",)) for i in range(n)]
+    cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=3)
+    return db, mds, cfds, idx, examples, cfg
 
 
 def count_repair_literals(clause: logic.Clause) -> int:
@@ -687,3 +721,35 @@ class _ReferenceMatcher:
 def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
                        budget: int = subsumption.DEFAULT_BUDGET) -> subsumption.CoverageVerdict:
     return _ReferenceMatcher(c, d, with_repairs, budget).solve()
+
+
+# Reference covering step: learner.learn_clause as it was before the bottom
+# clause was scored lazily. It scores the bottom clause in full, against
+# every positive and negative, before the first round, and scores every
+# distinct candidate, also one equal to the current clause. Differential
+# tests run learner.learn with it in place of learner.learn_clause.
+
+def reference_learn_clause(session, seed: Example, uncovered, negatives, cfg):
+    limits = (cfg.subsumption_budget, cfg.repair_cap)
+    positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
+    neg_gs = [session.ground[e.key()] for e in negatives]
+    current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
+                                       session.idx, cfg)
+    score, stats = generalization.score_clause(current, positives, neg_gs, *limits)
+    rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
+    while True:
+        k = min(cfg.K, len(uncovered))
+        picked = [uncovered[i] for i in sorted(rng.sample(range(len(uncovered)), k))]
+        seen: dict[str, logic.Clause] = {}
+        for e in picked:
+            cand = generalization.armg(current, session.ground[e.key()], *limits)
+            seen.setdefault(logic.clause_key(cand, sort=True), cand)
+        if not seen:
+            break
+        candidates = [seen[k2] for k2 in sorted(seen)]
+        cand, cand_score, cand_stats = generalization.best_scored(candidates, positives,
+                                                                  neg_gs, *limits)
+        if cand_score <= score:
+            break
+        current, score, stats = cand, cand_score, cand_stats
+    return current, stats

@@ -374,6 +374,15 @@ def test_cli_threshold_or_precision_outside_unit_interval_is_one_line_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_min_pos_below_one_is_one_line_error(tmp_path, capsys, value):
+    # these used to accept clauses that cover no positive
+    out = tmp_path / "d.txt"
+    argv = ["learn"] + movie_args(["--min-pos", value, "--out", str(out)])
+    assert _one_line_error(argv, capsys) == f"dlearn: error: min_pos must be positive, got {value}\n"
+    assert not out.exists()
+
+
 def test_cli_subsume_rejects_a_budget_below_one_and_reports_exhaustion(tmp_path, capsys):
     # an 8-literal chain: the pair subsumes, but not within 5 unifications
     c = _written(tmp_path / "c.txt", "t(V0) :- " + ", ".join(

@@ -8,7 +8,7 @@ from dlearn import constraints, evalcli, learner, logic, saturation, store, subs
 from dlearn.generalization import (ClauseStats, armg, best_candidate, drop_with_repair,
                                    find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
-from helpers import TITLE_MD, random_micro_db, seeded_titles
+from helpers import TITLE_MD, cfd_micro_dataset, random_micro_db, seeded_titles
 
 
 @pytest.fixture
@@ -268,45 +268,12 @@ def test_armg_keeps_matched_movie_under_fanout():
     assert cross_family >= 8
 
 
-CFD_MICRO_SCHEMA_TEXT = """\
-movies(id:text, title:text)
-mov2genres(id:text, genre:text)
-mov2countries(id:text, cid:text)
-countries(cid:text, name:text)
-t(v:text)
-"""
-
-
-def _cfd_micro_dataset(by_title: bool, n: int = 4):
-    """Movies whose country ids have two names each, under the CFD
-    cid -> name, so every clause reaching `countries` carries CFD repairs.
-    Examples are movie ids, or with by_title=True titles matched to movies
-    by an MD. Returns (db, mds, cfds, similarity index, examples, config)."""
-    schema = store.parse_schema(CFD_MICRO_SCHEMA_TEXT, target="t")
-    db = store.from_tuples(schema, {
-        "movies": [(f"m{i}", f"T{i}") for i in range(n)],
-        "mov2genres": [(f"m{i}", "comedy" if i < n // 2 else "drama") for i in range(n)],
-        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)],
-        "countries": [("c0", "USA"), ("c0", "United States"), ("c1", "Spain"), ("c1", "España")],
-    })
-    text = "cfd: countries : cid -> name : (_ || _)\n"
-    entries = {}
-    if by_title:
-        text += "md: t[v] ~ movies[title] -> t[v] <-> movies[title]\n"
-        entries[(("t", "v"), ("movies", "title"))] = {f"e{i}": [(f"T{i}", 0.9)] for i in range(n)}
-    mds, cfds = constraints.parse_constraints(text, schema)
-    idx = textsim.SimilarityIndex(k_m=1, threshold=0.5, entries=entries)
-    examples = [store.Example("t", (f"e{i}" if by_title else f"m{i}",)) for i in range(n)]
-    cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=3)
-    return db, mds, cfds, idx, examples, cfg
-
-
 def _cfd_micro_db(by_title: bool, n: int = 4):
-    """The _cfd_micro_dataset examples, the first half positive. Returns the
+    """The cfd_micro_dataset examples, the first half positive. Returns the
     positives as (key, ground clause) pairs, the negative ground clauses,
     and the candidates: every example's bottom clause, also without one or
     two of its movies, mov2genres and mov2countries literals."""
-    db, mds, cfds, idx, examples, cfg = _cfd_micro_dataset(by_title, n)
+    db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title, n)
     grounds = [saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg) for e in examples]
     candidates = []
     for e in examples:
@@ -387,6 +354,52 @@ def test_score_clause_expands_each_clause_once(monkeypatch):
         assert max(partial.values(), default=1) == 1
 
 
+@pytest.mark.parametrize("by_title", [False, True])
+def test_score_clause_with_beat_stops_only_when_the_score_cannot_exceed_it(by_title):
+    positives, neg_gs, candidates = _cfd_micro_db(by_title)
+    stopped = by_negative = 0
+    for clause in candidates:
+        exact = score_clause(clause, positives, neg_gs)
+        for beat in range(-len(neg_gs) - 1, len(positives) + 1):
+            result = score_clause(clause, positives, neg_gs, beat=beat)
+            if result is None:
+                assert exact[0] <= beat
+                stopped += 1
+                by_negative += exact[1].pos > beat
+            else:
+                assert result == exact
+    assert stopped >= 5 and by_negative >= 1
+
+
+def test_learn_clause_skips_a_beaten_bottom_clause_and_the_current_clause(monkeypatch):
+    db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title=False)
+    cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
+    pos, neg = examples[:2], examples[2:]
+    session = learner._Session(db, mds, cfds, pos, neg, cfg)
+    bottom = saturation.bottom_clause(pos[0], db, mds, cfds, session.idx, cfg)
+    assert _has_cfd_repairs(bottom)
+    negatives, repaired = Counter(), Counter()
+    real_negative, real_repaired = subsumption.covers_negative, logic.repaired_clauses
+
+    def counting_negative(clause, g, *args):
+        negatives[clause] += 1
+        return real_negative(clause, g, *args)
+
+    def counting_repaired(clause, cap=256):
+        repaired[clause] += 1
+        return real_repaired(clause, cap)
+
+    monkeypatch.setattr(subsumption, "covers_negative", counting_negative)
+    monkeypatch.setattr(logic, "repaired_clauses", counting_repaired)
+    clause, stats = learner.learn_clause(session, pos[0], pos, neg, cfg)
+    assert clause != bottom and stats.pos == 2
+    assert sum(negatives.values()) >= len(neg)  # the candidates were tested
+    assert negatives[bottom] == 0 and repaired[bottom] == 0
+    # round 2 builds only clauses equal to the winner of round 1, which are
+    # not scored again
+    assert repaired[clause] == 1 and set(repaired.values()) == {1}
+
+
 def _fresh(clause):
     return logic.Clause(clause.head, clause.body)
 
@@ -410,7 +423,7 @@ def test_score_clause_with_kept_views_equals_fresh_copies(by_title):
 
 
 def test_evaluate_expands_each_definition_clause_once(monkeypatch):
-    db, mds, cfds, idx, examples, _ = _cfd_micro_dataset(by_title=False)
+    db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title=False)
     cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3)
     pos, neg = examples[:2], examples[2:]
     clauses = [saturation.bottom_clause(e, db, mds, cfds, idx, cfg) for e in pos]

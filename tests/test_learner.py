@@ -2,10 +2,11 @@ from dataclasses import fields
 
 import pytest
 
-from dlearn import constraints, learner, logic, store
+from dlearn import constraints, generalization, learner, logic, store, subsumption, textsim
 from dlearn.learner import (ClauseStats, LearnerConfig, learn, minimum_criterion)
 from dlearn.saturation import SaturationConfig, SaturationError
 from dlearn.store import Example
+from helpers import cfd_micro_dataset, reference_learn_clause, title_database
 
 MINI_SCHEMA = """\
 movies(id:text, title:text, year:integer)
@@ -128,9 +129,9 @@ def test_pretty_round_trip(mini, tmp_path):
     assert [lc.clause for lc in again.clauses] == [lc.clause for lc in definition.clauses]
 
 
-def test_learn_with_cfd_violations_present():
-    """Full mode with a violated dependency in the background data: the
-    bottom clauses carry CFD repair literals and learning still converges."""
+def build_cfd_violation_dataset():
+    """The mini schema with a locale relation whose CFD is violated by every
+    other movie; the first four titles (comedies) are the positives."""
     schema = store.parse_schema(
         MINI_SCHEMA.replace(
             "highGrossing(title:text)",
@@ -153,6 +154,13 @@ def test_learn_with_cfd_violations_present():
         schema)
     pos = [Example("highGrossing", (t,)) for t in TITLES[:4]]
     neg = [Example("highGrossing", (t,)) for t in TITLES[4:8]]
+    return db, mds, cfds, pos, neg
+
+
+def test_learn_with_cfd_violations_present():
+    """Full mode with a violated dependency in the background data: the
+    bottom clauses carry CFD repair literals and learning still converges."""
+    db, mds, cfds, pos, neg = build_cfd_violation_dataset()
     cfg = learner.LearnerConfig(d=3, rng_seed=5, min_pos=2)
     definition = learner.learn(db, mds, cfds, pos, neg, cfg)
     assert definition.clauses
@@ -174,14 +182,19 @@ def test_session_keeps_examples_with_commas_apart():
     assert Example("t", ("Superbad (2007)", "x")).key() == "Superbad (2007),x"
 
 
-def test_budget_exhaustion_is_recorded_and_printed():
-    # d's ground clause has 30 r literals, more than a budget of 20 search
-    # steps can try; a, b and c have one each
+def build_budget_dataset():
+    """d's ground clause has 30 r literals, more than a budget of 20 search
+    steps can try; a, b and c have one each. Positives a-d, negatives e, f."""
     schema = store.parse_schema("r(x:text, y:text)\nt(x:text)\n", target="t")
     rows = [("a", "1"), ("b", "1"), ("c", "1"), ("e", "2"), ("f", "2")]
     db = store.from_tuples(schema, {"r": rows + [("d", str(i)) for i in range(1, 31)]})
     pos = [Example("t", (v,)) for v in "abcd"]
     neg = [Example("t", (v,)) for v in "ef"]
+    return db, [], [], pos, neg
+
+
+def test_budget_exhaustion_is_recorded_and_printed():
+    db, _, _, pos, neg = build_budget_dataset()
     tight = learn(db, [], [], pos, neg, LearnerConfig(d=1, sample_size=50, subsumption_budget=20))
     assert tight.clauses[0].stats == ClauseStats(
         pos=3, neg=0, covered_pos=("a", "b", "c"), budget_exhausted=True)
@@ -209,3 +222,85 @@ def test_learner_config_checks_threshold_and_precision_lie_in_the_unit_interval(
         for value in (-0.01, 1.01, 5, float("nan"), float("inf")):
             with pytest.raises(SaturationError, match=rf"{name} must be in \[0, 1\]"):
                 LearnerConfig(**{name: value})
+
+
+def test_learner_config_rejects_min_pos_below_one():
+    # with min_pos 0 a clause covering no positive met the minimum criterion
+    # and was added to the definition
+    assert LearnerConfig(min_pos=1).min_pos == 1
+    for value in (0, -1):
+        with pytest.raises(SaturationError, match=f"min_pos must be positive, got {value}"):
+            LearnerConfig(min_pos=value, min_precision=0)
+
+
+def build_negative_decides_dataset():
+    """Positives a-d and negatives e-g over r(x, y) and s(x, z). The bottom
+    clause of a positive covers its s-partner and one negative (score 1);
+    t(V0) :- r(V0,'1') covers the four positives and two negatives (score 2).
+    After the positives the bottom clause may still reach 2, and only its
+    covered negative shows that it cannot."""
+    schema = store.parse_schema("r(x:text, y:text)\ns(x:text, z:text)\nt(x:text)\n", target="t")
+    db = store.from_tuples(schema, {
+        "r": [(v, "1") for v in "abcdef"] + [("g", "2")],
+        "s": [("a", "p"), ("b", "p"), ("c", "q"), ("d", "q"), ("e", "p"), ("f", "q"), ("g", "p")],
+    })
+    return db, [], [], [Example("t", (v,)) for v in "abcd"], [Example("t", (v,)) for v in "efg"]
+
+
+def _covering_step_cases(mini):
+    """(data, config, similarity index or None to build it) of each case
+    that test_learn_equals_reference_covering_step runs."""
+    cases = [(mini, LearnerConfig(d=3, rng_seed=seed), None) for seed in (1, 5, 7, 11)]
+    cases.append((build_cfd_violation_dataset(), LearnerConfig(d=3, rng_seed=5), None))
+    for by_title in (False, True):
+        db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title)
+        cfg = LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
+        cases.append(((db, mds, cfds, examples[:2], examples[2:]), cfg, idx))
+    for seed in (0, 1, 2):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, rng_seed=seed, min_pos=1)
+        cases.append(((db, mds, [], examples[:2], examples[2:]), cfg, None))
+        cases.append(((db, mds, [], examples[::2], examples[1::2]), cfg, None))
+    # with the default budget the bottom clause t(V0) :- r(V0,'1') is already
+    # general: every candidate equals it, and it is scored after the loop
+    budget = build_budget_dataset()
+    cases += [(budget, LearnerConfig(d=1, sample_size=50, subsumption_budget=limit, rng_seed=seed),
+               None) for limit in (20, subsumption.DEFAULT_BUDGET) for seed in (0, 1)]
+    cases.append((build_negative_decides_dataset(),
+                  LearnerConfig(d=1, rng_seed=0, min_pos=1, min_precision=0.5), None))
+    return cases
+
+
+def test_learn_equals_reference_covering_step(mini, monkeypatch):
+    """learn gives the same definitions and stats whether the bottom clause
+    is scored lazily (learner.learn_clause) or in full before the first
+    round (reference_learn_clause in helpers). The bottom clause's scores
+    against a candidate are counted by outcome, so that both a kept bottom
+    clause and one ruled out by a covered negative are seen."""
+    real_score = generalization.score_clause
+    kept = by_negative = 0
+
+    def counting_score(clause, positives, neg_gs, *limits, beat=None):
+        nonlocal kept, by_negative
+        result = real_score(clause, positives, neg_gs, *limits, beat=beat)
+        if beat is not None and result is not None:
+            kept += 1  # its exact score is above beat: no candidate beats it
+        elif beat is not None:
+            exact_score, exact = real_score(clause, positives, neg_gs, *limits)
+            assert exact_score <= beat
+            by_negative += exact.pos > beat  # the positives alone left it open
+        return result
+
+    monkeypatch.setattr(generalization, "score_clause", counting_score)
+    cases = _covering_step_cases(mini)
+    for (db, mds, cfds, pos, neg), cfg, idx in cases:
+        with monkeypatch.context() as m:
+            if idx is not None:
+                m.setattr(textsim, "build_similarity_index", lambda *args: idx)
+            lazy = learn(db, mds, cfds, pos, neg, cfg)
+            m.setattr(learner, "learn_clause", reference_learn_clause)
+            eager = learn(db, mds, cfds, pos, neg, cfg)
+        assert lazy.pretty() == eager.pretty()
+        assert [lc.stats for lc in lazy.clauses] == [lc.stats for lc in eager.clauses]
+    assert len(cases) == 18
+    assert kept >= 1 and by_negative >= 1

@@ -91,11 +91,6 @@ def make_cfd(schema: Schema, relation: str, lhs, rhs: str, cells) -> CFD:
     )
 
 
-def pattern_matches(value: str, cell: str | None) -> bool:
-    """A value matches a pattern cell when the cell is a wildcard or equal."""
-    return cell is None or value == cell
-
-
 _MD_RE = re.compile(
     r"^md:\s*(\w+)\[([^\]]*)\]\s*~\s*(\w+)\[([^\]]*)\]\s*->\s*(\w+)\[([^\]]*)\]\s*<->\s*(\w+)\[([^\]]*)\]$"
 )

@@ -66,16 +66,16 @@ def evaluate(definition: LearnedDefinition, test_pos, test_neg, db, mds, cfds,
     positive coverage of their ground bottom clauses, negatives through
     negative coverage."""
     start = time.perf_counter()
-    _, grounds = learner.ground_examples(db, mds, cfds, list(test_pos) + list(test_neg), cfg)
+    ground = learner.Grounding(db, mds, cfds, list(test_pos) + list(test_neg), cfg).ground
     limits = (cfg.subsumption_budget, cfg.repair_cap)
 
-    def covered(covers, g) -> bool:
+    def covered(covers, example) -> bool:
+        g = ground[example.key()]
         return any(covers(lc.clause, g, *limits).covered for lc in definition.clauses)
 
-    pos_gs, neg_gs = grounds[:len(test_pos)], grounds[len(test_pos):]
-    tp = sum(covered(subsumption.covers_positive, g) for g in pos_gs)
-    fp = sum(covered(subsumption.covers_negative, g) for g in neg_gs)
-    return Metrics(tp=tp, fp=fp, fn=len(pos_gs) - tp, wall_time=time.perf_counter() - start)
+    tp = sum(covered(subsumption.covers_positive, e) for e in test_pos)
+    fp = sum(covered(subsumption.covers_negative, e) for e in test_neg)
+    return Metrics(tp=tp, fp=fp, fn=len(test_pos) - tp, wall_time=time.perf_counter() - start)
 
 
 def stratified_folds(pos, neg, folds: int, rng) -> list[tuple[list, list, list, list]]:

@@ -270,12 +270,3 @@ def best_scored(candidates, positives, neg_gs, budget: int = DEFAULT_BUDGET,
     scored = [(clause, *score_clause(clause, positives, neg_gs, budget, repair_cap))
               for clause in candidates]
     return min(scored, key=lambda s: (-s[1], len(s[0].body), logic.print_clause(s[0])))
-
-
-def best_candidate(candidates, pos_gs, neg_gs, budget: int = DEFAULT_BUDGET,
-                   repair_cap: int = DEFAULT_REPAIR_CAP):
-    """(clause, score, covered positive count, covered negative count) of
-    the best candidate over plain lists of ground bottom clauses."""
-    clause, score, stats = best_scored(candidates, list(enumerate(pos_gs)), neg_gs,
-                                       budget, repair_cap)
-    return clause, score, stats.pos, stats.neg

@@ -87,28 +87,22 @@ def minimum_criterion(stats: ClauseStats, cfg: LearnerConfig) -> bool:
     return precision >= cfg.min_precision
 
 
-def ground_examples(db: Database, mds, cfds, examples, cfg: LearnerConfig):
-    """(similarity index over the examples, the ground bottom clause of each
-    example in order)."""
-    idx = textsim.build_similarity_index(db, examples, mds, cfg.k_m, cfg.sim_threshold)
-    return idx, [saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg) for ex in examples]
+class Grounding:
+    """The similarity index over a list of examples and each example's
+    ground bottom clause by example key, built once and read by every
+    coverage test of a learning or evaluation run."""
 
-
-class _Session:
-    """Shared state for one learning run: ground bottom clauses are built
-    once per example and reused by every coverage test."""
-
-    def __init__(self, db: Database, mds, cfds, pos, neg, cfg: LearnerConfig):
+    def __init__(self, db: Database, mds, cfds, examples, cfg: LearnerConfig):
         self.db = db
         self.mds = mds
         self.cfds = cfds
-        examples = list(pos) + list(neg)
-        self.idx, grounds = ground_examples(db, mds, cfds, examples, cfg)
+        self.idx = textsim.build_similarity_index(db, examples, mds, cfg.k_m, cfg.sim_threshold)
         self.ground: dict[str, logic.Clause] = {
-            ex.key(): g for ex, g in zip(examples, grounds)}
+            ex.key(): saturation.ground_bottom_clause(ex, db, mds, cfds, self.idx, cfg)
+            for ex in examples}
 
 
-def learn_clause(session: _Session, seed: Example, uncovered, negatives,
+def learn_clause(grounding: Grounding, seed: Example, uncovered, negatives,
                  cfg: LearnerConfig) -> tuple[logic.Clause, ClauseStats]:
     """One bottom clause, generalized greedily while the score improves.
 
@@ -122,10 +116,10 @@ def learn_clause(session: _Session, seed: Example, uncovered, negatives,
     clause is scored in full first.
     """
     limits = (cfg.subsumption_budget, cfg.repair_cap)
-    positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
-    neg_gs = [session.ground[e.key()] for e in negatives]
-    current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
-                                       session.idx, cfg)
+    positives = [(e.key(), grounding.ground[e.key()]) for e in uncovered]
+    neg_gs = [grounding.ground[e.key()] for e in negatives]
+    current = saturation.bottom_clause(seed, grounding.db, grounding.mds, grounding.cfds,
+                                       grounding.idx, cfg)
     score = stats = None  # not known yet for the bottom clause
     rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
     while True:
@@ -133,7 +127,7 @@ def learn_clause(session: _Session, seed: Example, uncovered, negatives,
         picked = [uncovered[i] for i in sorted(rng.sample(range(len(uncovered)), k))]
         seen: dict[str, logic.Clause] = {}
         for e in picked:
-            cand = generalization.armg(current, session.ground[e.key()], *limits)
+            cand = generalization.armg(current, grounding.ground[e.key()], *limits)
             seen.setdefault(logic.clause_key(cand, sort=True), cand)
         # a candidate equal to the current clause scores the same and cannot
         # replace it; dropped after deduplication, so each key keeps its clause
@@ -160,7 +154,7 @@ def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefin
     """Learn a definition of the target relation covering the positives."""
     if not pos:
         raise ExamplesError("no positive example to learn from")
-    session = _Session(db, mds, cfds, pos, neg, cfg)
+    grounding = Grounding(db, mds, cfds, list(pos) + list(neg), cfg)
     definition = LearnedDefinition(target=db.schema.target)
     uncovered = list(pos)
     exhausted: set[str] = set()
@@ -170,7 +164,7 @@ def learn(db: Database, mds, cfds, pos, neg, cfg: LearnerConfig) -> LearnedDefin
         if not available:
             break
         seed = available[rng.randrange(len(available))]
-        clause, stats = learn_clause(session, seed, uncovered, neg, cfg)
+        clause, stats = learn_clause(grounding, seed, uncovered, neg, cfg)
         if minimum_criterion(stats, cfg):
             definition.clauses.append(LearnedClause(clause, stats))
             covered = set(stats.covered_pos)

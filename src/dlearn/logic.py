@@ -28,7 +28,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import store
 from .util import DisjointSet
 
 
@@ -889,38 +888,3 @@ def clause_key(clause: Clause, sort: bool = False, cache: dict | None = None) ->
     same dict print each literal object they share once (it only grows)."""
     _, texts = _canonical_order(clause, sort, {} if cache is None else cache)
     return _clause_text(texts[0], texts[1:])
-
-
-# ---------------------------------------------------------------------------
-# canonical database instance
-# ---------------------------------------------------------------------------
-
-def canonical_instance(clause: Clause) -> store.Database:
-    """The database whose tuples are the clause's relation literals, with
-    variables rendered as distinct fresh constants. The head contributes the
-    seed tuple of the target relation."""
-    if any(isinstance(l, RepairLit) for l in clause.body):
-        raise ClauseError("canonical instance of a clause with repair literals")
-
-    def render(t: Term) -> str:
-        return f"_V{t.id}" if isinstance(t, Variable) else t.value
-
-    rels: dict[str, int] = {clause.head.relation: len(clause.head.args)}
-    for lit in clause.body:
-        if isinstance(lit, Rel):
-            rels.setdefault(lit.relation, len(lit.args))
-    decls = tuple(
-        store.RelationDecl(name, tuple(store.AttributeDecl(f"c{i}", "text") for i in range(arity)))
-        for name, arity in rels.items()
-    )
-    schema = store.Schema(decls, target=clause.head.relation)
-    rows: dict[str, list[tuple[str, ...]]] = {name: [] for name in rels}
-    rows[clause.head.relation].append(tuple(render(t) for t in clause.head.args))
-    for lit in clause.body:
-        if isinstance(lit, Rel):
-            rows[lit.relation].append(tuple(render(t) for t in lit.args))
-    db = store.Database(schema=schema)
-    for name in rels:
-        db.tables[name] = [store.Tuple(name, vals, tid=i) for i, vals in enumerate(rows[name])]
-    store.build_indexes(db)
-    return db

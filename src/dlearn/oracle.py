@@ -1,7 +1,7 @@
 """Brute-force machinery used as ground truth in tests: exhaustive repair
 enumeration of small database instances, exhaustive subsumption, entailment
-between clauses via their repair-free expansions, and coverage evaluated
-directly over enumerated repairs.
+between clauses via their repair-free expansions, coverage evaluated over
+enumerated repairs, and the canonical database instance of a clause.
 
 Everything here trades speed for being an independent check of the engine:
 subsumption is substitution enumeration, never the backtracking matcher.
@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from . import logic
+from . import logic, store
 from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
 from .store import Database
 
@@ -132,7 +132,7 @@ def _apply_move(instance: Instance, move, mds, cfds, schema, escapes):
 _ESC_RE = re.compile(re.escape(ESCAPE_PREFIX) + r"\d+>")
 
 
-def _canonical_instance(instance: Instance, schema) -> str:
+def _instance_key(instance: Instance, schema) -> str:
     """Printable form with escape constants renamed by first occurrence, so
     repairs differing only in escape identity collapse."""
     parts = []
@@ -171,7 +171,7 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
         if guard > 100000:
             raise OracleCapExceeded("repair search did not terminate")
         instance = stack.pop()
-        key = _canonical_instance(instance, schema)
+        key = _instance_key(instance, schema)
         if key in seen:
             continue
         seen.add(key)
@@ -184,6 +184,37 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
         for move in moves:
             stack.append(_apply_move(instance, move, mds, cfds, schema, escapes))
     return [results[k] for k in sorted(results)]
+
+
+def canonical_instance(clause: Clause) -> Database:
+    """The database whose tuples are the clause's relation literals, with
+    variables rendered as distinct fresh constants. The head contributes the
+    seed tuple of the target relation."""
+    if any(isinstance(l, RepairLit) for l in clause.body):
+        raise logic.ClauseError("canonical instance of a clause with repair literals")
+
+    def render(t: logic.Term) -> str:
+        return f"_V{t.id}" if isinstance(t, Variable) else t.value
+
+    rels: dict[str, int] = {clause.head.relation: len(clause.head.args)}
+    for lit in clause.body:
+        if isinstance(lit, Rel):
+            rels.setdefault(lit.relation, len(lit.args))
+    decls = tuple(
+        store.RelationDecl(name, tuple(store.AttributeDecl(f"c{i}", "text") for i in range(arity)))
+        for name, arity in rels.items()
+    )
+    schema = store.Schema(decls, target=clause.head.relation)
+    rows: dict[str, list[tuple[str, ...]]] = {name: [] for name in rels}
+    rows[clause.head.relation].append(tuple(render(t) for t in clause.head.args))
+    for lit in clause.body:
+        if isinstance(lit, Rel):
+            rows[lit.relation].append(tuple(render(t) for t in lit.args))
+    db = Database(schema=schema)
+    for name in rels:
+        db.tables[name] = [store.Tuple(name, vals, tid=i) for i, vals in enumerate(rows[name])]
+    store.build_indexes(db)
+    return db
 
 
 # ---------------------------------------------------------------------------

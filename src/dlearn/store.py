@@ -193,16 +193,6 @@ def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Datab
     return db
 
 
-def dump_csv(db: Database, data_dir: str) -> None:
-    os.makedirs(data_dir, exist_ok=True)
-    for rel in db.schema.stored_relations:
-        path = os.path.join(data_dir, rel.name + ".csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for t in db.tables.get(rel.name, []):
-                writer.writerow(t.values)
-
-
 def select_eq(db: Database, relation: str, attribute: str, values) -> list[Tuple]:
     """Tuples whose value at `attribute` is in `values`, in tuple-id order."""
     rel = db.schema.relation(relation)

@@ -21,6 +21,13 @@ branches cost nothing, a search may now finish within a budget that it used
 to exhaust. Like match_index, the views the coverage tests derive from a
 clause (md_part, logic.partial_repairs, logic.repaired_clauses) are built
 once per Clause object, kept in Clause.views and shared by all callers.
+
+Coverage is sound: when subsumes_with_repairs or covers_positive reports
+that c covers g, c entails g (oracle.brute_force_entails), and when
+covers_negative does, some repair-free expansion of c entails g. It is not
+complete, and two gaps are known: stage 2 of covers_positive can reject a
+clause that g entails, and covers_negative misses a negative covered only
+through its own repairs (see their docstrings).
 """
 
 from __future__ import annotations
@@ -101,10 +108,9 @@ class _Matcher:
     budget that used to run out.
     """
 
-    def __init__(self, c: Clause, d: Clause, with_repairs: bool, budget: int):
+    def __init__(self, c: Clause, d: Clause, budget: int):
         self.c = c
         self.d = d
-        self.with_repairs = with_repairs
         self.budget = budget
         self.c_index = c.match_index
         self.d_index = d.match_index
@@ -336,12 +342,11 @@ class _Matcher:
             final = self._check_constraints([self.c.body[k] for k in pending], theta)
             if final is None:
                 return None
-            if self.with_repairs:
-                rep_map = {ci: di for ci, di in lit_map.items()
-                           if isinstance(self.c.body[ci], RepairLit)}
-                if not (self._side_condition(mapped, lit_map)
-                        and self._group_condition(rep_map)):
-                    return None
+            rep_map = {ci: di for ci, di in lit_map.items()
+                       if isinstance(self.c.body[ci], RepairLit)}
+            if not (self._side_condition(mapped, lit_map)
+                    and self._group_condition(rep_map)):
+                return None
             return final
         # most constrained literal first
         best_i, best_cands = None, None
@@ -367,16 +372,11 @@ class _Matcher:
         return None
 
 
-def theta_subsumes(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) -> CoverageVerdict:
-    """Plain subsumption for repair-free clauses."""
-    return _Matcher(c, d, with_repairs=False, budget=budget).solve()
-
-
 def subsumes_with_repairs(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) -> CoverageVerdict:
     """Subsumption treating repair literals as matchable literals, plus the
     requirement that repair literals of d touching the mapped region are
     themselves mapped."""
-    return _Matcher(c, d, with_repairs=True, budget=budget).solve()
+    return _Matcher(c, d, budget).solve()
 
 
 def md_part(clause: Clause) -> Clause:
@@ -416,8 +416,12 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     """Three-stage positive coverage of a ground bottom clause.
 
     1. direct subsumption (sound);
-    2. subsumption of the matching-dependency parts (its failure is
-       conclusive, because for those parts the test is also complete);
+    2. subsumption of the matching-dependency parts; its failure ends the
+       test, though it is not conclusive: md_part(g) drops the literals that
+       CFD repairs touch. Under `cfd: countries : id -> name : (_ || _)`,
+       `t(V0) :- countries(V1,V2).` fails here against the CFD-repaired
+       ground clause of `t('a') :- m('a','c1'), countries('c1','USA'),
+       countries('c1','US').`, which entails it;
     3. otherwise expand the CFD repair literals on both sides and require
        every expansion of c to subsume some expansion of g.
     """
@@ -451,6 +455,8 @@ def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     """A clause covers a negative example as soon as one of its repair-free
     expansions covers the example's ground bottom clause. The expansions
     are kept with c (Clause.views), so c is expanded once, not per negative.
+    g is not expanded: a negative covered only through its own repairs is
+    missed, as the side condition keeps r off the parts of g they touch.
     """
     try:
         expansions = _view("repaired", logic.repaired_clauses, c, repair_cap)

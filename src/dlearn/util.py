@@ -43,11 +43,3 @@ class DisjointSet:
         ra, rb = self.find(a), self.find(b)
         if ra is not rb:
             self._parent[rb] = ra
-
-    def same(self, a, b) -> bool:
-        """Whether a and b are in one class. Asking adds nothing: an item
-        that find and union never touched is alone in its class."""
-        parent = self._parent
-        if a not in parent or b not in parent:
-            return a == b
-        return self.find(a) is self.find(b)

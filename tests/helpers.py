@@ -471,8 +471,8 @@ def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
 # candidate memoization and the per-clause index. It checks equality and
 # similarity literals only at a leaf, rebuilds every remaining literal's
 # candidate list at every node (copying theta per candidate) and indexes d
-# afresh on each call. Differential tests compare theta_subsumes and
-# subsumes_with_repairs against it.
+# afresh on each call. Differential tests compare subsumes_with_repairs
+# against it with with_repairs=True.
 
 class _ReferenceOutOfBudget(Exception):
     pass
@@ -729,12 +729,12 @@ def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
 # distinct candidate, also one equal to the current clause. Differential
 # tests run learner.learn with it in place of learner.learn_clause.
 
-def reference_learn_clause(session, seed: Example, uncovered, negatives, cfg):
+def reference_learn_clause(grounding, seed: Example, uncovered, negatives, cfg):
     limits = (cfg.subsumption_budget, cfg.repair_cap)
-    positives = [(e.key(), session.ground[e.key()]) for e in uncovered]
-    neg_gs = [session.ground[e.key()] for e in negatives]
-    current = saturation.bottom_clause(seed, session.db, session.mds, session.cfds,
-                                       session.idx, cfg)
+    positives = [(e.key(), grounding.ground[e.key()]) for e in uncovered]
+    neg_gs = [grounding.ground[e.key()] for e in negatives]
+    current = saturation.bottom_clause(seed, grounding.db, grounding.mds, grounding.cfds,
+                                       grounding.idx, cfg)
     score, stats = generalization.score_clause(current, positives, neg_gs, *limits)
     rng = derive_rng(cfg.rng_seed, "generalize", seed.key())
     while True:
@@ -742,7 +742,7 @@ def reference_learn_clause(session, seed: Example, uncovered, negatives, cfg):
         picked = [uncovered[i] for i in sorted(rng.sample(range(len(uncovered)), k))]
         seen: dict[str, logic.Clause] = {}
         for e in picked:
-            cand = generalization.armg(current, session.ground[e.key()], *limits)
+            cand = generalization.armg(current, grounding.ground[e.key()], *limits)
             seen.setdefault(logic.clause_key(cand, sort=True), cand)
         if not seen:
             break

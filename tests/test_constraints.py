@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from dlearn import constraints, logic, store
 from dlearn.constraints import (MD, ConstraintError, find_cfd_violations,
-                                make_cfd, parse_constraints, pattern_matches,
-                                print_constraints)
+                                make_cfd, parse_constraints, print_constraints)
 from dlearn.logic import Constant as C
 from dlearn.logic import Eq, EqClosure, Rel
 from dlearn.logic import Variable as V
@@ -147,12 +146,6 @@ def test_round_trip_pretty(schema):
     printed = print_constraints(mds, cfds)
     mds2, cfds2 = parse_constraints(printed, schema)
     assert mds2 == mds and cfds2 == cfds
-
-
-def test_pattern_matches():
-    assert pattern_matches("English", "English")
-    assert pattern_matches("USA", None)
-    assert not pattern_matches("Ireland", "English")
 
 
 @pytest.fixture

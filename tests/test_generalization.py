@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from dlearn import constraints, evalcli, learner, logic, saturation, store, subsumption, textsim
-from dlearn.generalization import (ClauseStats, armg, best_candidate, drop_with_repair,
+from dlearn.generalization import (ClauseStats, armg, best_scored, drop_with_repair,
                                    find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
 from helpers import TITLE_MD, cfd_micro_dataset, random_micro_db, seeded_titles
@@ -194,14 +194,14 @@ def test_best_candidate_scoring(movie_clauses, movie_db, movie_mds, movie_idx, m
     generalized = armg(c, gs["Zoolander"])
     pos = [gs["Superbad"], gs["Zoolander"]]
     neg = [gs["Orphanage"]]
-    best, score, p, n = best_candidate([c, generalized], pos, neg)
+    best, score, stats = best_scored([c, generalized], list(enumerate(pos)), neg)
     assert best == generalized
-    assert (score, p, n) == (2, 2, 0)
+    assert (score, stats.pos, stats.neg) == (2, 2, 0)
 
 
 def test_best_candidate_single():
     c = parse_clause("t(V0) :- r(V0).")
-    best, score, p, n = best_candidate([c], [parse_clause("t('a') :- r('a').")], [])
+    best, score, _ = best_scored([c], [(0, parse_clause("t('a') :- r('a')."))], [])
     assert best == c and score == 1
 
 
@@ -213,8 +213,8 @@ def test_best_candidate_prefers_precision():
            parse_clause("t('c') :- r('c','good').")]
     neg = [parse_clause("t('x') :- r('x','bad')."),
            parse_clause("t('y') :- r('y','bad').")]
-    best, score, p, n = best_candidate([broad, narrow], pos, neg)
-    assert best == narrow and (p, n) == (3, 0)
+    best, score, stats = best_scored([broad, narrow], list(enumerate(pos)), neg)
+    assert best == narrow and (stats.pos, stats.neg) == (3, 0)
 
 
 def test_determinism_of_armg(movie_clauses):
@@ -375,8 +375,8 @@ def test_learn_clause_skips_a_beaten_bottom_clause_and_the_current_clause(monkey
     db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title=False)
     cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
     pos, neg = examples[:2], examples[2:]
-    session = learner._Session(db, mds, cfds, pos, neg, cfg)
-    bottom = saturation.bottom_clause(pos[0], db, mds, cfds, session.idx, cfg)
+    grounding = learner.Grounding(db, mds, cfds, pos + neg, cfg)
+    bottom = saturation.bottom_clause(pos[0], db, mds, cfds, grounding.idx, cfg)
     assert _has_cfd_repairs(bottom)
     negatives, repaired = Counter(), Counter()
     real_negative, real_repaired = subsumption.covers_negative, logic.repaired_clauses
@@ -391,7 +391,7 @@ def test_learn_clause_skips_a_beaten_bottom_clause_and_the_current_clause(monkey
 
     monkeypatch.setattr(subsumption, "covers_negative", counting_negative)
     monkeypatch.setattr(logic, "repaired_clauses", counting_repaired)
-    clause, stats = learner.learn_clause(session, pos[0], pos, neg, cfg)
+    clause, stats = learner.learn_clause(grounding, pos[0], pos, neg, cfg)
     assert clause != bottom and stats.pos == 2
     assert sum(negatives.values()) >= len(neg)  # the candidates were tested
     assert negatives[bottom] == 0 and repaired[bottom] == 0

@@ -175,10 +175,10 @@ def test_session_keeps_examples_with_commas_apart():
     schema = store.parse_schema("r(x:text, y:text)\nt(x:text, y:text)\n", target="t")
     db = store.from_tuples(schema, {"r": [("a,b", "c"), ("a", "b,c")]})
     pos, neg = [Example("t", ("a,b", "c"))], [Example("t", ("a", "b,c"))]
-    session = learner._Session(db, [], [], pos, neg, LearnerConfig(d=1))
-    assert len(session.ground) == 2
+    grounding = learner.Grounding(db, [], [], pos + neg, LearnerConfig(d=1))
+    assert len(grounding.ground) == 2
     for ex in pos + neg:
-        assert session.ground[ex.key()].head.args == tuple(logic.Constant(v) for v in ex.values)
+        assert grounding.ground[ex.key()].head.args == tuple(logic.Constant(v) for v in ex.values)
     assert Example("t", ("Superbad (2007)", "x")).key() == "Superbad (2007),x"
 
 

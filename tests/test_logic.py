@@ -11,7 +11,7 @@ from dlearn import logic
 from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
                           SimAtom, Variable, apply_repair_literal,
-                          apply_substitution, canonical_instance, clause_key,
+                          apply_substitution, clause_key,
                           condition_holds, parse_clause, partial_repairs,
                           print_clause, repaired_clauses)
 from helpers import (cfd_micro_db_clauses, random_eq_repair_clause, reference_apply_repair_literal,
@@ -317,36 +317,6 @@ def test_head_connected_filter():
     c = parse_clause("t(V0) :- r(V0,V1), s(V1), q(V5).")
     got = logic.head_connected(c)
     assert print_clause(got) == "t(V0) :- r(V0,V1), s(V1)."
-
-
-def test_canonical_instance_simple():
-    c = parse_clause("highGrossing(V0) :- movies(V0,V1,V2).")
-    db = canonical_instance(c)
-    assert [t.values for t in db.tuples("movies")] == [("_V0", "_V1", "_V2")]
-    assert [t.values for t in db.tuples("highGrossing")] == [("_V0",)]
-
-
-def test_canonical_instance_ground():
-    c = parse_clause("t('a') :- r('a','b').")
-    db = canonical_instance(c)
-    assert [t.values for t in db.tuples("r")] == [("a", "b")]
-
-
-def test_canonical_instance_rejects_repairs():
-    c = parse_clause("t(V0) :- r(V0,V1), sim(V0,V1), rep{sim(V0,V1)}(V0,V2).")
-    with pytest.raises(ClauseError):
-        canonical_instance(c)
-
-
-def test_canonical_instance_movie_clause():
-    c = parse_clause(
-        "highGrossing(V6) :- movies(V1,V7,V3), eq(V6,V7), mov2genres(V1,'comedy'), "
-        "mov2countries(V1,V4), countries(V4,'USA'), englishMovies(V1), "
-        "mov2releasedate(V1,'August',V5)."
-    )
-    db = canonical_instance(c)
-    total = sum(len(db.tuples(r.name)) for r in db.schema.relations if r.name != "highGrossing")
-    assert total == 6
 
 
 def test_apply_substitution_distributes_over_concatenation():

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from dlearn import constraints, logic, oracle, saturation, store, textsim
-from dlearn.logic import parse_clause, print_clause
+from dlearn.logic import ClauseError, parse_clause, print_clause
 from dlearn.oracle import (OracleCapExceeded, brute_force_covers,
-                           brute_force_entails, clause_set_key,
+                           brute_force_entails, canonical_instance, clause_set_key,
                            clause_sets_equal, clauses_isomorphic,
                            enumerate_repairs, exhaustive_subsumes,
                            fresh_value, is_fresh, normalize_clause)
@@ -92,6 +92,36 @@ def test_enumerate_repairs_cap():
     db, mds, idx = hetero_case()
     with pytest.raises(OracleCapExceeded):
         enumerate_repairs(db, mds, [], idx, cap=1, extra_rows={"t": [("a",)]})
+
+
+def test_canonical_instance_simple():
+    c = parse_clause("highGrossing(V0) :- movies(V0,V1,V2).")
+    db = canonical_instance(c)
+    assert [t.values for t in db.tuples("movies")] == [("_V0", "_V1", "_V2")]
+    assert [t.values for t in db.tuples("highGrossing")] == [("_V0",)]
+
+
+def test_canonical_instance_ground():
+    c = parse_clause("t('a') :- r('a','b').")
+    db = canonical_instance(c)
+    assert [t.values for t in db.tuples("r")] == [("a", "b")]
+
+
+def test_canonical_instance_rejects_repairs():
+    c = parse_clause("t(V0) :- r(V0,V1), sim(V0,V1), rep{sim(V0,V1)}(V0,V2).")
+    with pytest.raises(ClauseError):
+        canonical_instance(c)
+
+
+def test_canonical_instance_movie_clause():
+    c = parse_clause(
+        "highGrossing(V6) :- movies(V1,V7,V3), eq(V6,V7), mov2genres(V1,'comedy'), "
+        "mov2countries(V1,V4), countries(V4,'USA'), englishMovies(V1), "
+        "mov2releasedate(V1,'August',V5)."
+    )
+    db = canonical_instance(c)
+    total = sum(len(db.tuples(r.name)) for r in db.schema.relations if r.name != "highGrossing")
+    assert total == 6
 
 
 def test_exhaustive_subsumes_basic():

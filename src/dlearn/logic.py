@@ -600,6 +600,22 @@ def partial_repairs(clause: Clause, origin: str, cap: int = 256) -> list[Clause]
     return _exhaust_repairs(clause, origin, cap)
 
 
+def first_partial_repair(clause: Clause, origin: str) -> Clause:
+    """One member of partial_repairs(clause, origin), up to a renaming of
+    variables, reached without enumerating the others: the clause at the end
+    of the application path that always takes the last applicable repair
+    literal of the origin. That is the first path _exhaust_repairs walks, as
+    its stack pops the last child first."""
+    interned: dict = {}
+    state = _root_state(clause, None, interned)
+    while True:
+        positions = [p for p, (_, l, _) in enumerate(state.body)
+                     if isinstance(l, RepairLit) and l.origin == origin]
+        if not positions:
+            return state.clause()
+        state = _repair_step(state, positions[-1], interned)
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------

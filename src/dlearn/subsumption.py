@@ -19,8 +19,17 @@ as long as the clause. None of this changes a verdict or a witness. The
 search budget counts the candidate unifications tried; because pruned
 branches cost nothing, a search may now finish within a budget that it used
 to exhaust. Like match_index, the views the coverage tests derive from a
-clause (md_part, logic.partial_repairs, logic.repaired_clauses) are built
-once per Clause object, kept in Clause.views and shared by all callers.
+clause (md_part, logic.first_partial_repair, logic.partial_repairs,
+logic.repaired_clauses) are built once per Clause object, kept in
+Clause.views and shared by all callers.
+
+Stage 3 of covers_positive, the expansion of both clauses' CFD repairs,
+starts with one expansion of c, the end of a single repair path. If that
+expansion needs a constant that g does not have, the stage rejects without
+expanding anything. The shortcut is exact: every expansion of g has only
+terms of g, a constant of c maps only onto itself, so that one expansion of
+c subsumes no expansion of g, and the stage demands that every expansion of
+c subsume one.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
 that c covers g, c entails g (oracle.brute_force_entails), and when
@@ -35,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import logic
-from .logic import Clause, Constant, Rel, RepairLit, Sim, Variable
+from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_REPAIR_CAP = 256
@@ -411,6 +420,19 @@ def _view(view: str, fn, clause: Clause, *args):
     return out
 
 
+def _needed_constants(clause: Clause) -> set:
+    """The constants that a clause can map only onto the same constant of
+    the clause it subsumes: those of its head, its relation literals and its
+    repair literals (_bind), and those of its Eq and Sim literals whose two
+    terms differ (_holds). An Eq or Sim literal of one term twice holds in
+    any clause."""
+    terms = list(clause.head.args)
+    for lit in clause.body:
+        if not isinstance(lit, (Eq, Sim)) or lit.a != lit.b:
+            terms.extend(logic.literal_terms(lit))
+    return {t for t in terms if isinstance(t, Constant)}
+
+
 def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
                     repair_cap: int = DEFAULT_REPAIR_CAP) -> CoverageVerdict:
     """Three-stage positive coverage of a ground bottom clause.
@@ -423,7 +445,16 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
        ground clause of `t('a') :- m('a','c1'), countries('c1','USA'),
        countries('c1','US').`, which entails it;
     3. otherwise expand the CFD repair literals on both sides and require
-       every expansion of c to subsume some expansion of g.
+       every expansion of c to subsume some expansion of g. One expansion
+       of c is tried first, without expanding anything else
+       (logic.first_partial_repair): if it needs a constant that g lacks
+       (_needed_constants), the stage rejects at once. This is exact:
+       every expansion of g has only terms of g, as a repair rewrites its
+       target to its replacement, already a term of g, and otherwise only
+       drops literals; and a needed constant maps only onto itself. So that
+       expansion of c subsumes no expansion of g, and the full stage would
+       reject too. No cap is met on the way, so such a rejection is not
+       flagged as exhausted.
     """
     v1 = subsumes_with_repairs(c, g, budget)
     if v1.covered:
@@ -431,6 +462,9 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     v2 = subsumes_with_repairs(_view("md", md_part, c), _view("md", md_part, g), budget)
     if not v2.covered:
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
+    path = _view("cfd path", logic.first_partial_repair, c, "cfd")
+    if _needed_constants(path).difference(g.match_index.terms):
+        return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted)
     try:
         c_variants = _view("cfd", logic.partial_repairs, c, "cfd", repair_cap)
         g_variants = _view("cfd", logic.partial_repairs, g, "cfd", repair_cap)

@@ -723,6 +723,43 @@ def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
     return _ReferenceMatcher(c, d, with_repairs, budget).solve()
 
 
+# Reference positive coverage: subsumption.covers_positive as it was before
+# stage 3 tried one expansion of c first. Its stage 3 always expands the CFD
+# repair literals of both clauses (flagging a repair-cap overrun) and tests
+# every expansion of c against the expansions of g. Differential tests
+# compare covers_positive against it.
+
+def reference_covers_positive(c: logic.Clause, g: logic.Clause,
+                              budget: int = subsumption.DEFAULT_BUDGET,
+                              repair_cap: int = subsumption.DEFAULT_REPAIR_CAP
+                              ) -> subsumption.CoverageVerdict:
+    v1 = subsumption.subsumes_with_repairs(c, g, budget)
+    if v1.covered:
+        return v1
+    v2 = subsumption.subsumes_with_repairs(subsumption._view("md", subsumption.md_part, c),
+                                           subsumption._view("md", subsumption.md_part, g), budget)
+    if not v2.covered:
+        return subsumption.CoverageVerdict(
+            False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
+    try:
+        c_variants = subsumption._view("cfd", logic.partial_repairs, c, "cfd", repair_cap)
+        g_variants = subsumption._view("cfd", logic.partial_repairs, g, "cfd", repair_cap)
+    except logic.RepairCapExceeded:
+        return subsumption.CoverageVerdict(False, budget_exhausted=True)
+    exhausted = v1.budget_exhausted
+    for cv in c_variants:
+        ok = False
+        for gv in g_variants:
+            verdict = subsumption.subsumes_with_repairs(cv, gv, budget)
+            exhausted = exhausted or verdict.budget_exhausted
+            if verdict.covered:
+                ok = True
+                break
+        if not ok:
+            return subsumption.CoverageVerdict(False, budget_exhausted=exhausted)
+    return subsumption.CoverageVerdict(True, budget_exhausted=exhausted)
+
+
 # Reference covering step: learner.learn_clause as it was before the bottom
 # clause was scored lazily. It scores the bottom clause in full, against
 # every positive and negative, before the first round, and scores every

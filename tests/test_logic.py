@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlearn import logic
+from dlearn import logic, saturation
 from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
                           SimAtom, Variable, apply_repair_literal,
                           apply_substitution, clause_key,
                           condition_holds, parse_clause, partial_repairs,
                           print_clause, repaired_clauses)
-from helpers import (cfd_micro_db_clauses, random_eq_repair_clause, reference_apply_repair_literal,
+from dlearn.learner import Grounding, LearnerConfig
+from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, random_drop_variant,
+                     random_eq_repair_clause, reference_apply_repair_literal,
                      reference_clause_key, reference_condition_holds, reference_exhaust_repairs,
-                     reference_renumber, reference_step_exhaust)
+                     reference_renumber, reference_step_exhaust, title_database)
 
 V = Variable
 C = Constant
@@ -460,6 +462,51 @@ def test_exhaustion_keys_each_distinct_state_once(monkeypatch, micro_db_clauses)
     # states are reached along several application orders, yet each value is keyed once
     assert max(produced.values()) > 1
     assert max(keyed.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# what positive coverage's one-path rejection rests on
+# ---------------------------------------------------------------------------
+
+def _ground_clauses_with_repairs():
+    """The ground bottom clauses of both cfd_micro_dataset variants (CFD and
+    MD repairs) and of title_database(4, seed, family=2) at seeds 0-2 (MD
+    repairs under similarity fan-out)."""
+    grounds = []
+    for by_title in (False, True):
+        db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title)
+        grounds += [saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg) for e in examples]
+    for seed in range(3):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, rng_seed=seed)
+        grounds += Grounding(db, mds, [], examples, cfg).ground.values()
+    return grounds
+
+
+def test_expansions_of_a_ground_clause_use_only_its_terms():
+    grounds = _ground_clauses_with_repairs()
+    assert sum(_has_repairs(g, "cfd") for g in grounds) >= 8
+    assert sum(_has_repairs(g, "md") for g in grounds) >= 12
+    for g in grounds:
+        terms = set(g.match_index.terms)
+        for expansion in partial_repairs(g, "cfd") + repaired_clauses(g):
+            assert set(expansion.match_index.terms) <= terms, print_clause(expansion)
+
+
+def test_first_partial_repair_is_one_of_the_partial_repairs(micro_db_clauses):
+    clauses = [c for c in micro_db_clauses if _has_repairs(c, "cfd")]
+    for by_title in (False, True):
+        db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title)
+        rng = random.Random(0)
+        for e in examples:
+            bottom = saturation.bottom_clause(e, db, mds, cfds, idx, cfg)
+            clauses += [bottom] + [random_drop_variant(bottom, rng, 6) for _ in range(4)]
+    assert sum(_has_repairs(c, "cfd") for c in clauses) >= 25
+    for c in clauses:
+        path = logic.first_partial_repair(c, "cfd")
+        assert not _has_repairs(path, "cfd")
+        keys = {clause_key(r, sort=True) for r in partial_repairs(c, "cfd")}
+        assert clause_key(path, sort=True) in keys, print_clause(c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from dlearn.logic import parse_clause, print_clause
 from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
 from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
-                     count_repair_literals, reference_subsumes)
+                     count_repair_literals, random_drop_variant, reference_covers_positive,
+                     reference_subsumes)
 
 
 def test_theta_subsumes_movie_pair():
@@ -354,6 +355,100 @@ def test_covers_positive_stage_two_failure_is_not_conclusive():
         "t('a') :- m('a','c1'), countries('c1','USA'), countries('c1','US')."), cfds, cfg)
     c = parse_clause("t(V0) :- countries(V1,V2).")
     assert covers_positive(c, g).covered == oracle.brute_force_entails(c, g)
+
+
+# ---------------------------------------------------------------------------
+# stage 3 of positive coverage against the retired stage 3
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stage_three_pairs():
+    """On both cfd_micro_dataset variants at n=4 and n=6: every bottom
+    clause, its ARMG with every ground clause and 8 random generalizations
+    of it (each distinct clause once), against every ground clause."""
+    rng = random.Random(0)
+    pairs = []
+    for by_title in (False, True):
+        for n in (4, 6):
+            db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title, n)
+            grounds = [saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg)
+                       for e in examples]
+            clauses = []
+            for e in examples:
+                bottom = saturation.bottom_clause(e, db, mds, cfds, idx, cfg)
+                clauses += [bottom] + [generalization.armg(bottom, g) for g in grounds]
+                clauses += [random_drop_variant(bottom, rng, 6) for _ in range(8)]
+            pairs += [(c, g) for c in dict.fromkeys(clauses) for g in grounds]
+    return pairs
+
+
+def _fresh(clause):
+    """An equal clause with none of its coverage views built yet."""
+    return logic.Clause(clause.head, clause.body)
+
+
+def _reaches_stage_three(c, g):
+    return (not subsumes_with_repairs(c, g).covered
+            and subsumes_with_repairs(md_part(c), md_part(g)).covered)
+
+
+@pytest.fixture
+def partial_calls(monkeypatch):
+    """The argument tuples of every logic.partial_repairs call."""
+    calls = []
+    real = logic.partial_repairs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(logic, "partial_repairs", counting)
+    return calls
+
+
+def test_covers_positive_equals_the_retired_stage_three(stage_three_pairs, partial_calls):
+    proven = full = 0
+    for c, g in stage_three_pairs:
+        ref = reference_covers_positive(c, g)
+        partial_calls.clear()
+        new = covers_positive(_fresh(c), _fresh(g))
+        expanded = bool(partial_calls)
+        assert new == ref, (print_clause(c), print_clause(g))
+        for limits in ({"repair_cap": 2}, {"budget": 20}):
+            assert (covers_positive(c, g, **limits).covered
+                    == reference_covers_positive(c, g, **limits).covered), limits
+        # sound on every pair; some pairs that stage 2 rejects are entailed
+        # (the stage-2 gap), but stage 3 agrees with the oracle
+        entailed = oracle.brute_force_entails(c, g)
+        assert entailed or not new.covered, (print_clause(c), print_clause(g))
+        if _reaches_stage_three(c, g):
+            assert new.covered == entailed, (print_clause(c), print_clause(g))
+            proven += not expanded
+            full += expanded and new.covered
+    assert len(stage_three_pairs) >= 500
+    # the one-path test decides most pairs that reach stage 3; some pass it
+    # and are accepted by the full stage
+    assert proven >= 15 and full >= 1
+
+
+def test_rejection_proved_by_one_path_expands_nothing_and_is_not_flagged(stage_three_pairs,
+                                                                          partial_calls):
+    flags_dropped, full = 0, []
+    for c, g in stage_three_pairs:
+        if not _reaches_stage_three(c, g):
+            continue
+        ref = reference_covers_positive(_fresh(c), _fresh(g), repair_cap=2)
+        partial_calls.clear()
+        new = covers_positive(_fresh(c), _fresh(g), repair_cap=2)
+        if partial_calls:
+            full.append((new, ref))
+            continue
+        # proved without the cap, so the cap is not reported
+        assert new == subsumption.CoverageVerdict(False)
+        flags_dropped += ref.budget_exhausted
+    assert flags_dropped >= 15
+    # a pair that needs the full stage still meets the cap and says so
+    assert full and all(new == ref and new.budget_exhausted for new, ref in full)
 
 
 # ---------------------------------------------------------------------------

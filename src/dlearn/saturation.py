@@ -310,6 +310,10 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     # one allocator for every round: each id it hands out lands in the body,
     # so it stays the first free id without rescanning the clause
     alloc = _VarAllocator(logic.fresh_var(clause).id)
+    # the body's repair literals and its CFD swap pairs, kept up to date as
+    # literals are appended (splits replace relation literals only)
+    repairs = {l for l in body if isinstance(l, logic.RepairLit)}
+    swaps = {(l.target, l.replacement) for l in repairs if l.origin == "cfd"}
     for _ in range(cfg.cfd_fixpoint_cap):
         closure = logic.EqClosure(body)
         alternatives: dict[logic.Term, list[logic.Term]] = {}
@@ -329,7 +333,7 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             if {violation.first, violation.second} & touched:
                 deferred = True
                 continue
-            if _repair_one_violation(head, body, cfd, violation, alloc):
+            if _repair_one_violation(head, body, cfd, violation, alloc, repairs, swaps):
                 emitted = True
                 touched.update((violation.first, violation.second))
         if not emitted and not deferred:
@@ -356,17 +360,16 @@ def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,
 
 
 def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
-                          alloc: _VarAllocator) -> bool:
+                          alloc: _VarAllocator, repairs: set, swaps: set) -> bool:
+    """Append the repair literals of one violation to body, unless it is
+    already handled. repairs holds the body's repair literals and swaps the
+    (target, replacement) pairs of its CFD ones; both are updated here."""
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
 
     # a swap pair over these right-hand terms (in either orientation) means
     # the violation, or an equivalent alternative-choice view of it, is done
-    def has_swap(a, b):
-        return any(isinstance(l, logic.RepairLit) and l.origin == "cfd"
-                   and l.target == a and l.replacement == b for l in body)
-
-    if has_swap(z, t) and has_swap(t, z):
+    if (z, t) in swaps and (t, z) in swaps:
         return False
 
     # resolve terms per position, splitting shared occurrences of wildcard
@@ -407,7 +410,11 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
             new_lits.append(logic.RepairLit(cond, side, alloc.fresh(), origin="cfd"))
     new_lits += [logic.RepairLit(cond, z, t, origin="cfd"),
                  logic.RepairLit(cond, t, z, origin="cfd")]
-    body.extend(l for l in new_lits if l not in body)
+    for l in new_lits:
+        if l not in repairs:
+            repairs.add(l)
+            body.append(l)
+            swaps.add((l.target, l.replacement))
     return True
 
 

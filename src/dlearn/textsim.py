@@ -6,12 +6,18 @@ average of the alignment score (normalized into [0, 1]) and the length ratio.
 
 The index build never aligns a value pair whose combined_bound plus EPS is
 below the threshold: such a pair cannot be kept (count filtering, Gravano et
-al., VLDB 2001). Every other pair gets exactly the score it would get
-unpruned, so the kept entries do not change.
+al., VLDB 2001). Per left value it then aligns the remaining right values in
+descending bound order and stops at the first whose bound plus EPS is below
+a floor: the k_m-th best score kept so far for that value (kept scores are
+at or above the threshold). Every pair from there on scores strictly below
+k_m kept pairs, so it cannot be among that value's k_m best, ties included.
+Every pair it aligns gets exactly the score it would get unpruned, so the
+kept entries, their scores and their order do not change.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -190,8 +196,12 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
     Identical value pairs are skipped: exact matches are already reachable
     through equality selection and unifying two equal values changes nothing.
     Pairs whose combined_bound plus EPS is below the threshold are skipped
-    unscored; they could not be kept. Truncation to the k_m best matches is
-    applied per left value and then per right value.
+    unscored; they could not be kept. The rest of a left value's pairs are
+    scored in descending bound order until the bound plus EPS falls below
+    the k_m-th best score so far: the pairs after that score strictly below
+    k_m kept ones, so they cannot reach the value's top k_m (with k_m < 1
+    only the threshold bounds the scan). Truncation to the k_m best matches
+    is applied per left value and then per right value.
     """
     pair_keys: list[PairKey] = []
     for md in mds:
@@ -211,13 +221,26 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
         fwd: dict[str, list[tuple[str, float]]] = {}
         for lv in left_values:
             lc = counts[lv]
-            scored = []
+            bounded = []
             for rv, rc in right:
-                if lv == rv or combined_bound(lv, lc, rv, rc) + EPS < threshold:
-                    continue
+                if lv != rv:
+                    b = combined_bound(lv, lc, rv, rc)
+                    if b + EPS >= threshold:
+                        bounded.append((-b, rv))
+            bounded.sort()
+            scored = []
+            best: list[float] = []  # min-heap of the k_m best scores so far
+            for neg_b, rv in bounded:
+                # this pair and every later one score below k_m kept pairs
+                if len(best) == k_m > 0 and -neg_b + EPS < best[0]:
+                    break
                 s = combined_similarity(lv, rv)
                 if s >= threshold:
                     scored.append((rv, s))
+                    if len(best) < k_m:
+                        heapq.heappush(best, s)
+                    elif k_m > 0 and s > best[0]:
+                        heapq.heapreplace(best, s)
             if scored:
                 fwd[lv] = _truncate(scored, k_m)
         # second-side truncation: keep only the k_m best lefts per right value

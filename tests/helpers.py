@@ -790,3 +790,104 @@ def reference_learn_clause(grounding, seed: Example, uncovered, negatives, cfg):
             break
         current, score, stats = cand, cand_score, cand_stats
     return current, stats
+
+
+# Reference CFD repair injection: saturation.inject_cfd_repairs and
+# _repair_one_violation as they were before the body's repair literals and
+# CFD swap pairs were kept in sets. Each pending violation scans the whole
+# body for its two swaps, and each new literal is checked against the whole
+# body. Differential tests compare inject_cfd_repairs against it.
+
+def reference_inject_cfd_repairs(clause: logic.Clause, cfds,
+                                 cfg: saturation.SaturationConfig) -> logic.Clause:
+    if not cfds or not any(isinstance(l, logic.Rel) for l in clause.body):
+        return clause
+    head = clause.head
+    body = list(clause.body)
+    # one allocator for every round: each id it hands out lands in the body,
+    # so it stays the first free id without rescanning the clause
+    alloc = saturation._VarAllocator(logic.fresh_var(clause).id)
+    for _ in range(cfg.cfd_fixpoint_cap):
+        closure = logic.EqClosure(body)
+        alternatives: dict[logic.Term, list[logic.Term]] = {}
+        for lit in body:
+            if isinstance(lit, logic.RepairLit):
+                alternatives.setdefault(lit.target, []).append(lit.replacement)
+        pending = []
+        for cfd in cfds:
+            for v in constraints.find_cfd_violations(body, cfd, closure, alternatives):
+                pending.append((cfd, v))
+        emitted = False
+        deferred = False
+        touched: set[int] = set()
+        for cfd, violation in pending:
+            # splits mutate literals in place, so violations that share a
+            # literal with one already handled this round wait for the rescan
+            if {violation.first, violation.second} & touched:
+                deferred = True
+                continue
+            if _reference_repair_one_violation(head, body, cfd, violation, alloc):
+                emitted = True
+                touched.update((violation.first, violation.second))
+        if not emitted and not deferred:
+            return logic.Clause(head, tuple(body))
+    raise saturation.SaturationError(
+        f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds; the dependency set looks inconsistent"
+    )
+
+
+def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
+                                    violation: constraints.CfdViolation,
+                                    alloc: saturation._VarAllocator) -> bool:
+    i, j = violation.first, violation.second
+    z, t = violation.rhs_terms
+
+    # a swap pair over these right-hand terms (in either orientation) means
+    # the violation, or an equivalent alternative-choice view of it, is done
+    def has_swap(a, b):
+        return any(isinstance(l, logic.RepairLit) and l.origin == "cfd"
+                   and l.target == a and l.replacement == b for l in body)
+
+    if has_swap(z, t) and has_swap(t, z):
+        return False
+
+    # resolve terms per position, splitting shared occurrences of wildcard
+    # cells (constant cells get no replacement repair, so no split either);
+    # alternative terms (replacement variables) are used as they are
+    x_pairs = []
+    for k, p in enumerate(cfd.x_positions):
+        t1, t2 = violation.x_terms[k]
+        if cfd.pattern.cells[k] is None:
+            if t1 == body[i].args[p]:
+                t1 = saturation._split_position(head, body, i, p, alloc)
+            if t2 == body[j].args[p]:
+                t2 = saturation._split_position(head, body, j, p, alloc)
+        x_pairs.append((t1, t2))
+    if z == body[i].args[cfd.rhs_position]:
+        z = saturation._split_position(head, body, i, cfd.rhs_position, alloc, rhs=True)
+    if t == body[j].args[cfd.rhs_position]:
+        t = saturation._split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
+
+    atoms: list[logic.Atom] = []
+    for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
+        if t1 != t2:
+            atoms.append(logic.EqAtom(t1, t2))
+        if cell is not None:
+            const = logic.Constant(cell)
+            for side in (t1, t2):
+                atom = logic.EqAtom(side, const)
+                if side != const and atom not in atoms:
+                    atoms.append(atom)
+    atoms.append(logic.NeqAtom(z, t))
+    cond = tuple(atoms)
+
+    new_lits: list[logic.Literal] = []
+    for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
+        if cell is not None:
+            continue
+        for side in (t1, t2):
+            new_lits.append(logic.RepairLit(cond, side, alloc.fresh(), origin="cfd"))
+    new_lits += [logic.RepairLit(cond, z, t, origin="cfd"),
+                 logic.RepairLit(cond, t, z, origin="cfd")]
+    body.extend(l for l in new_lits if l not in body)
+    return True

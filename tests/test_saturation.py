@@ -10,7 +10,8 @@ from dlearn.saturation import (SaturationConfig, SaturationError, bottom_clause,
                                naive_sample)
 from dlearn.store import Example
 from dlearn.util import derive_rng
-from helpers import AKA_MD, TITLE_MD, TITLE_SCHEMA_TEXT, random_micro_db
+from helpers import (AKA_MD, TITLE_MD, TITLE_SCHEMA_TEXT, cfd_micro_db_clauses, cfd_micro_dataset,
+                     random_micro_db, reference_inject_cfd_repairs)
 
 
 @pytest.fixture
@@ -227,6 +228,49 @@ def test_inject_cfd_fixpoint_cap():
     with pytest.raises(SaturationError):
         inject_cfd_repairs(clause, cfds, SaturationConfig(d=1, sample_size=1, rng_seed=0,
                                                           cfd_fixpoint_cap=1))
+
+
+def _injection_inputs(monkeypatch):
+    """Every (clause, cfds, config) that inject_cfd_repairs receives while the
+    bottom and ground bottom clauses of both cfd_micro_dataset variants and of
+    the cfd_micro_db_clauses databases are built."""
+    calls = []
+
+    def record(clause, cfds, cfg):
+        calls.append((clause, cfds, cfg))
+        return inject_cfd_repairs(clause, cfds, cfg)
+
+    monkeypatch.setattr(saturation, "inject_cfd_repairs", record)
+    for by_title in (False, True):
+        db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title)
+        for ex in examples:
+            bottom_clause(ex, db, mds, cfds, idx, cfg)
+            ground_bottom_clause(ex, db, mds, cfds, idx, cfg)
+    cfd_micro_db_clauses()
+    monkeypatch.undo()
+    return calls
+
+
+def _same_clause(got: logic.Clause, want: logic.Clause) -> bool:
+    # Clause equality ignores a repair literal's origin and group
+    return got == want and [getattr(l, "origin", None) for l in got.body] == [
+        getattr(l, "origin", None) for l in want.body]
+
+
+def test_inject_cfd_repairs_equals_reference(monkeypatch):
+    calls = _injection_inputs(monkeypatch)
+    grown = 0
+    for clause, cfds, cfg in calls:
+        got = inject_cfd_repairs(clause, cfds, cfg)
+        assert _same_clause(got, reference_inject_cfd_repairs(clause, cfds, cfg)), \
+            logic.print_clause(clause)
+        # again on the repaired clause, whose CFD swaps are all in place
+        assert _same_clause(inject_cfd_repairs(got, cfds, cfg),
+                            reference_inject_cfd_repairs(got, cfds, cfg))
+        grown += len(got.body) > len(clause.body)
+    # every clause of the two cfd_micro_dataset variants gets CFD repairs,
+    # and 12 of the 230 of the micro databases do
+    assert len(calls) == 16 + 230 and grown == 16 + 12
 
 
 def test_left_side_split_keeps_its_value_through_an_anchoring_equality():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlearn import textsim
+from dlearn import constraints, store, textsim
 from dlearn.textsim import (EPS, GAP_EXTEND, GAP_OPEN, MATCH_SCORE, MISMATCH_SCORE,
                             build_similarity_index, combined_bound, combined_similarity,
                             length_similarity, swg_similarity)
-from helpers import brute_force_index, title_database
+from dlearn.store import Example
+from helpers import AKA_MD, TITLE_MD, TITLE_SCHEMA_TEXT, brute_force_index, title_database
 
 
 def swg_reference(a: str, b: str) -> float:
@@ -157,14 +158,90 @@ def test_combined_bound_never_below_score(a, b):
     assert combined_bound(a, Counter(a), b, Counter(b)) + EPS >= combined_similarity(a, b)
 
 
+def _assert_same_entries(got, expect):
+    # equal tables, scores compared as floats with ==, and every table and
+    # match list in the same order
+    assert got == expect
+    assert [(pair, list(table.items())) for pair, table in got.items()] == \
+        [(pair, list(table.items())) for pair, table in expect.items()]
+
+
 @pytest.mark.parametrize("family", [0, 3])
-@pytest.mark.parametrize("k_m", [1, 5])
+@pytest.mark.parametrize("k_m", [1, 2, 3, 5])
 def test_pruned_index_equals_brute_force(family, k_m):
     db, mds, examples = title_database(40, seed=4 + family, family=family)
-    idx = build_similarity_index(db, examples, mds, k_m=k_m, threshold=0.65)
-    expect = brute_force_index(db, examples, mds, k_m, 0.65)
-    assert expect
-    assert idx.entries == expect
+    for threshold in (0.5, 0.65, 0.8):
+        idx = build_similarity_index(db, examples, mds, k_m=k_m, threshold=threshold)
+        expect = brute_force_index(db, examples, mds, k_m, threshold)
+        assert expect
+        _assert_same_entries(idx.entries, expect)
+
+
+def _small_title_db(examples, movies, akas):
+    """A title database over the given strings: examples are highGrossing
+    titles, and movies and aka titles are matched by a stored pair too."""
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    db = store.from_tuples(schema, {
+        "movies": [(f"m{i}", t, "2000") for i, t in enumerate(movies)],
+        "aka": [(f"a{i}", t) for i, t in enumerate(akas)]})
+    mds, _ = constraints.parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
+    return db, mds, [Example("highGrossing", (t,)) for t in examples]
+
+
+# short strings over two letters: many pairs tie, also at a value's k_m-th
+# best score, so the tie rule (by right value) decides what is kept
+_tie_titles = st.lists(st.text(alphabet="ab", min_size=1, max_size=5), max_size=8, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_titles, _tie_titles, _tie_titles)
+@example(["ab"], ["bab", "abb", "aba", "ba"], ["abab", "aab"])
+def test_pruned_index_equals_brute_force_with_ties(examples, movies, akas):
+    db, mds, exs = _small_title_db(examples, movies, akas)
+    for k_m in (1, 2, 3):
+        for threshold in (0.5, 0.65, 0.8):
+            idx = build_similarity_index(db, exs, mds, k_m=k_m, threshold=threshold)
+            _assert_same_entries(idx.entries, brute_force_index(db, exs, mds, k_m, threshold))
+
+
+def test_index_tie_at_the_floor_goes_to_the_smaller_right_value():
+    db, mds, exs = _small_title_db(["ab"], ["bab", "abb", "aba", "ba"], [])
+    pair = (("highGrossing", "title"), ("movies", "title"))
+    # "ab" aligns whole inside each three-letter title: three equal scores
+    tie = (1.0 + 2 / 3) / 2
+    assert [combined_similarity("ab", t) for t in ("bab", "abb", "aba")] == [tie] * 3
+    for k_m, kept in ((1, ["aba"]), (2, ["aba", "abb"]), (3, ["aba", "abb", "bab"])):
+        idx = build_similarity_index(db, exs, mds, k_m=k_m, threshold=0.8)
+        assert idx.entries[pair]["ab"] == tuple((t, tie) for t in kept)
+
+
+def test_index_build_stops_at_the_top_k_floor(monkeypatch):
+    db, mds, examples = title_database(24, seed=0, family=0)
+    lefts = [e.values[0] for e in examples]
+    rights = db.values_at("movies", "title")
+    # the pairs count filtering alone would score
+    count_filtered = sum(
+        1 for lv in lefts for rv in rights
+        if lv != rv and combined_bound(lv, Counter(lv), rv, Counter(rv)) + EPS >= 0.65)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return combined_similarity(a, b)
+
+    monkeypatch.setattr(textsim, "combined_similarity", counted)
+    idx = build_similarity_index(db, examples, mds, k_m=1, threshold=0.65)
+    monkeypatch.undo()
+    assert idx.entries == brute_force_index(db, examples, mds, 1, 0.65)
+    # measured: 26 of the 112 pairs count filtering keeps are scored
+    assert count_filtered == 112
+    assert len(calls) <= 26
+
+
+def test_index_keeps_nothing_at_k_m_zero():
+    db, mds, examples = title_database(24, seed=0, family=0)
+    idx = build_similarity_index(db, examples, mds, k_m=0, threshold=0.65)
+    assert idx.entries == {}
 
 
 def test_pruned_index_stored_pair_reverse_lookup():

@@ -209,18 +209,19 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=4, help="saturation iterations")
-    p.add_argument("--km", type=int, default=5, help="similar matches kept per value")
-    p.add_argument("--sample-size", type=int, default=10)
-    p.add_argument("--sim-threshold", type=float, default=0.65)
-    p.add_argument("--K", type=int, default=10, help="positives sampled per generalization round")
-    p.add_argument("--min-pos", type=int, default=2)
-    p.add_argument("--min-precision", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=subsumption.DEFAULT_BUDGET)
-    p.add_argument("--repair-cap", type=int, default=subsumption.DEFAULT_REPAIR_CAP)
-    p.add_argument("--cfd-cap", type=int, default=16)
+    cfg = LearnerConfig
+    p.add_argument("--d", type=int, default=cfg.d, help="saturation iterations")
+    p.add_argument("--km", type=int, default=cfg.k_m, help="similar matches kept per value")
+    p.add_argument("--sample-size", type=int, default=cfg.sample_size)
+    p.add_argument("--sim-threshold", type=float, default=cfg.sim_threshold)
+    p.add_argument("--K", type=int, default=cfg.K, help="positives sampled per generalization round")
+    p.add_argument("--min-pos", type=int, default=cfg.min_pos)
+    p.add_argument("--min-precision", type=float, default=cfg.min_precision)
+    p.add_argument("--seed", type=int, default=cfg.rng_seed)
+    p.add_argument("--threads", type=int, default=cfg.threads)
+    p.add_argument("--budget", type=int, default=cfg.subsumption_budget)
+    p.add_argument("--repair-cap", type=int, default=cfg.repair_cap)
+    p.add_argument("--cfd-cap", type=int, default=cfg.cfd_fixpoint_cap)
 
 
 def _config(args) -> LearnerConfig:
@@ -247,40 +248,32 @@ def _load(args):
     return db, mds, cfds, pos, neg, arity
 
 
+def _report(rows: list[tuple[str, Metrics]], args) -> int:
+    print(metrics_table(rows))
+    if args.metrics_csv:
+        write_metrics_csv(rows, args.metrics_csv)
+    return 0
+
+
 def _cmd_learn(args) -> int:
     db, mds, cfds, pos, neg, _ = _load(args)
     cfg = _config(args)
     definition = learner.learn(db, mds, cfds, pos, neg, cfg)
     write_definition(definition, args.out)
-    metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
-    rows = [("train", metrics)]
-    print(metrics_table(rows))
-    if args.metrics_csv:
-        write_metrics_csv(rows, args.metrics_csv)
-    return 0
+    return _report([("train", evaluate(definition, pos, neg, db, mds, cfds, cfg))], args)
 
 
 def _cmd_eval(args) -> int:
     db, mds, cfds, pos, neg, arity = _load(args)
     cfg = _config(args)
     definition = read_definition(args.definition, args.target, arity)
-    metrics = evaluate(definition, pos, neg, db, mds, cfds, cfg)
-    rows = [("test", metrics)]
-    print(metrics_table(rows))
-    if args.metrics_csv:
-        write_metrics_csv(rows, args.metrics_csv)
-    return 0
+    return _report([("test", evaluate(definition, pos, neg, db, mds, cfds, cfg))], args)
 
 
 def _cmd_cv(args) -> int:
     db, mds, cfds, pos, neg, _ = _load(args)
-    cfg = _config(args)
-    results, mean = cross_validate(db, mds, cfds, pos, neg, args.folds, cfg)
-    rows = [(f"fold{i}", m) for i, m in enumerate(results)] + [("mean", mean)]
-    print(metrics_table(rows))
-    if args.metrics_csv:
-        write_metrics_csv(rows, args.metrics_csv)
-    return 0
+    results, mean = cross_validate(db, mds, cfds, pos, neg, args.folds, _config(args))
+    return _report([(f"fold{i}", m) for i, m in enumerate(results)] + [("mean", mean)], args)
 
 
 def _cmd_saturate(args) -> int:

@@ -128,7 +128,7 @@ def learn_clause(grounding: Grounding, seed: Example, uncovered, negatives,
         seen: dict[str, logic.Clause] = {}
         for e in picked:
             cand = generalization.armg(current, grounding.ground[e.key()], *limits)
-            seen.setdefault(logic.clause_key(cand, sort=True), cand)
+            seen.setdefault(logic.clause_key(cand), cand)
         # a candidate equal to the current clause scores the same and cannot
         # replace it; dropped after deduplication, so each key keeps its clause
         candidates = [seen[k2] for k2 in sorted(seen) if seen[k2] != current]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 from .util import DisjointSet
 
@@ -271,11 +270,11 @@ class EqClosure:
 
     The classes are fixed at construction; there is no way to merge two
     later. A clause's MatchIndex shares one closure with every search
-    against the clause, and a repair expansion shares one with every child
-    of a state, so nothing may change it after it is built. It keeps a flat
-    map from each term of an equality literal to its class's root, so `find`
-    and `same` are dict lookups that add nothing; any other term is alone
-    in its class and is its own root.
+    against the clause, and apply_repair_literal shares a clause's with
+    each child that keeps its equality literals, so nothing may change it
+    after it is built. It keeps a flat map from each term of an equality
+    literal to its class's root, so `find` and `same` are dict lookups that
+    add nothing; any other term is alone in its class and is its own root.
     """
 
     def __init__(self, body=()):
@@ -401,95 +400,6 @@ def condition_holds(cond: Condition, clause: Clause, closure: EqClosure | None =
 # repair application
 # ---------------------------------------------------------------------------
 
-class _State(NamedTuple):
-    """A state of a repair expansion: the head and the body literals still
-    present, each an entry (original body index, literal, its terms in
-    order), the head with index -1. Entries are interned by index and terms
-    for the whole expansion, so a literal with the same terms is the same
-    object in every state. Every child of the state shares the rest: its
-    equality closure, its similarity pairs (_sim_pairs) and the original
-    indices of its repair literals whose condition fails."""
-
-    head: tuple
-    body: tuple
-    closure: EqClosure
-    sims: frozenset
-    failing: frozenset
-
-    def clause(self) -> Clause:
-        return Clause(self.head[1], tuple([lit for _, lit, _ in self.body]))
-
-
-def _root_state(clause: Clause, closure: EqClosure | None, interned: dict) -> _State:
-    """The state of the clause itself, its literal objects interned as they
-    are."""
-    entries = [(-1, clause.head, tuple(clause.head.args))]
-    entries += [(k, lit, tuple(literal_terms(lit))) for k, lit in enumerate(clause.body)]
-    for entry in entries:
-        interned[entry[0], entry[2]] = entry
-    closure = closure or eq_closure(clause)
-    sims = _sim_pairs(clause.body, closure)
-    failing = frozenset(k for k, lit in enumerate(clause.body)
-                        if isinstance(lit, RepairLit) and not _holds(lit.cond, closure, sims))
-    return _State(entries[0], tuple(entries[1:]), closure, sims, failing)
-
-
-def _repair_step(state: _State, p: int, interned: dict) -> _State:
-    """The state after applying or discarding the repair literal at body
-    position p of `state` (see apply_repair_literal)."""
-    body = state.body
-    k, lit, _ = body[p]
-    if k in state.failing:
-        return _State(state.head, body[:p] + body[p + 1:], state.closure, state.sims,
-                      state.failing - {k})
-    group = {q for q, (_, l, _) in enumerate(body) if isinstance(l, RepairLit) and same_group(l, lit)}
-    mapping = {body[q][1].target: body[q][1].replacement for q in group}
-    targets = mapping.keys()
-
-    def rewrite(entry: tuple) -> tuple:
-        j, l, terms = entry
-        new = tuple([mapping.get(t, t) for t in terms])
-        out = interned.get((j, new))
-        if out is None:
-            out = interned[j, new] = (j, _substitute_literal(l, mapping), new)
-        return out
-
-    # the child before its conditions are judged; a literal that mentions
-    # no target (never one of the group) stays the same entry
-    child = []
-    rejudge = set()  # positions in child of rewritten repair literals
-    dropped_eq = dropped_sim = False
-    for q, entry in enumerate(body):
-        l = entry[1]
-        if targets.isdisjoint(entry[2]):
-            child.append(entry)
-        elif q in group:
-            continue
-        elif isinstance(l, Eq):
-            dropped_eq = True
-        elif isinstance(l, Sim):
-            dropped_sim = True
-        else:
-            rejudge.add(len(child))
-            child.append(rewrite(entry))
-    head = state.head if targets.isdisjoint(state.head[2]) else rewrite(state.head)
-
-    # Eq and Sim literals are never rewritten, only dropped: unless one was,
-    # the state's closure and similarity pairs are the child's, and only a
-    # rewritten condition can have changed its truth
-    closure, sims, failing = state.closure, state.sims, state.failing
-    if dropped_eq:
-        closure = EqClosure([l for _, l, _ in child])
-    if dropped_eq or dropped_sim:
-        sims = _sim_pairs([l for _, l, _ in child], closure)
-        rejudge = range(len(child))
-    kept = tuple(entry for i, entry in enumerate(child)
-                 if not isinstance(entry[1], RepairLit)
-                 or (_holds(entry[1].cond, closure, sims) if i in rejudge
-                     else entry[0] not in failing))
-    return _State(head, kept, closure, sims, frozenset())
-
-
 def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None = None) -> Clause:
     """Apply (or discard) the repair literal at a body index.
 
@@ -499,21 +409,39 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     conditions of the remaining repair literals. Equality and similarity
     literals that mention a replaced term are removed rather than rewritten:
     the repair breaks the term's old relationships, and a fresh replacement
-    value matches nothing. Finally, any repair literal whose condition became
-    false is dropped. A literal that mentions no replaced term stays the same
-    object. `closure` is the clause's equality closure, when the caller
-    already has it.
-
-    This is the one-step case of the expansion step (_repair_step) from the
-    clause's own state: conditions are judged once against the clause, and
-    after a firing only the rewritten ones are judged again, unless an
-    equality or similarity literal was dropped, which rebuilds the closure
-    or the similarity pairs and judges them all.
+    value matches nothing. Finally, the repair literals whose condition is
+    false in the child are dropped. A literal that mentions no replaced term
+    stays the same object. `closure` is the clause's equality closure, when
+    the caller has it.
     """
-    if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], RepairLit):
+    body = clause.body
+    if not (0 <= index < len(body)) or not isinstance(body[index], RepairLit):
         raise ClauseError(f"body index {index} is not a repair literal")
-    interned: dict = {}
-    return _repair_step(_root_state(clause, closure, interned), index, interned).clause()
+    lit = body[index]
+    closure = closure or eq_closure(clause)
+    if not _holds(lit.cond, closure, _sim_pairs(body, closure)):
+        return Clause(clause.head, body[:index] + body[index + 1:])
+    group = {q for q, l in enumerate(body) if isinstance(l, RepairLit) and same_group(l, lit)}
+    mapping = {body[q].target: body[q].replacement for q in group}
+    targets = mapping.keys()
+
+    child = []
+    dropped_eq = False
+    for q, l in enumerate(body):
+        if q in group:
+            continue
+        if targets.isdisjoint(literal_terms(l)):
+            child.append(l)
+        elif isinstance(l, Eq):
+            dropped_eq = True
+        elif not isinstance(l, Sim):
+            child.append(_substitute_literal(l, mapping))
+    head = clause.head if targets.isdisjoint(clause.head.args) else _substitute_literal(clause.head, mapping)
+    if dropped_eq:  # Eq literals are only ever dropped: else the closure stays
+        closure = EqClosure(child)
+    sims = _sim_pairs(child, closure)
+    return Clause(head, tuple([l for l in child
+                               if not isinstance(l, RepairLit) or _holds(l.cond, closure, sims)]))
 
 
 def drop_dangling_restrictions(clause: Clause) -> Clause:
@@ -535,53 +463,47 @@ def drop_dangling_restrictions(clause: Clause) -> Clause:
 def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Clause]:
     """Depth-first over every application order of the repair literals of
     one origin (of every origin when None), with memoization on canonical
-    clause form (clause_key with sort=True). Results are deduplicated up to a
-    renaming of variables and returned in a deterministic order; a full
-    expansion also drops the restrictions left dangling. A clause without a
-    repair literal to apply is returned as it is. Raises RepairCapExceeded
-    when more than `cap` distinct results appear.
+    clause form (clause_key). Results are deduplicated up to a renaming of
+    variables and returned in a deterministic order; a full expansion also
+    drops the restrictions left dangling. A clause without a repair literal
+    to apply is returned as it is. Raises RepairCapExceeded when more than
+    `cap` distinct results appear.
 
-    A state is the literals still present, each an original body index with
-    its current terms, after the replacements fired on the way (_State). A
-    child is computed from its parent's state by the step of
-    apply_repair_literal, sharing the parent's equality closure, similarity
-    pairs and condition truths. A state popped again is skipped before its
-    clause is built; any other state's clause is built and canonicalized
-    once. Literals are interned, so the keys' shared cache of printed
-    literal forms hits across application orders. All of it lives for this
-    call only."""
-    def applicable(lit: Literal) -> bool:
-        return isinstance(lit, RepairLit) and (origin is None or lit.origin == origin)
+    Each distinct clause value is keyed once, however many application
+    orders reach it, and the first clause reached with a form is kept. A
+    clause's children share its equality closure, and all keys share one
+    cache of printed literal forms, which lives for this call only."""
+    def applicable(c: Clause) -> list[int]:
+        return [i for i, l in enumerate(c.body)
+                if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
 
-    if not any(applicable(l) for l in clause.body):
+    if not applicable(clause):
         return [clause]
-    interned: dict = {}
     forms: dict = {}
+    keys: dict[Clause, str] = {}
+
+    def key_of(c: Clause) -> str:
+        if c not in keys:
+            keys[c] = clause_key(c, cache=forms)
+        return keys[c]
+
     results: dict[str, Clause] = {}
     seen: set[str] = set()
-    seen_states: set[tuple] = set()
-    stack = [_root_state(clause, None, interned)]
+    stack = [clause]
     while stack:
-        state = stack.pop()
-        # interned entries identify their index and terms for the whole call
-        ids = (id(state.head), *map(id, state.body))
-        if ids in seen_states:
-            continue
-        seen_states.add(ids)
-        c = state.clause()
-        key = clause_key(c, sort=True, cache=forms)
+        c = stack.pop()
+        key = key_of(c)
         if key in seen:
             continue
         seen.add(key)
-        positions = [p for p, (_, l, _) in enumerate(state.body) if applicable(l)]
+        positions = applicable(c)
         if positions:
-            stack.extend(_repair_step(state, p, interned) for p in positions)
+            closure = eq_closure(c)
+            stack.extend(apply_repair_literal(c, i, closure) for i in positions)
             continue
         if origin is None:
-            full = drop_dangling_restrictions(c)
-            if len(full.body) < len(c.body):
-                key = clause_key(full, sort=True, cache=forms)
-            c = full
+            c = drop_dangling_restrictions(c)
+            key = key_of(c)
         results[key] = c
         if len(results) > cap:
             raise RepairCapExceeded(f"more than {cap} repaired clauses")
@@ -606,14 +528,12 @@ def first_partial_repair(clause: Clause, origin: str) -> Clause:
     of the application path that always takes the last applicable repair
     literal of the origin. That is the first path _exhaust_repairs walks, as
     its stack pops the last child first."""
-    interned: dict = {}
-    state = _root_state(clause, None, interned)
     while True:
-        positions = [p for p, (_, l, _) in enumerate(state.body)
+        positions = [i for i, l in enumerate(clause.body)
                      if isinstance(l, RepairLit) and l.origin == origin]
         if not positions:
-            return state.clause()
-        state = _repair_step(state, positions[-1], interned)
+            return clause
+        clause = apply_repair_literal(clause, positions[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -864,33 +784,30 @@ def _render(forms) -> list[str]:
     return texts
 
 
-def _canonical_order(clause: Clause, sort: bool, cache: dict) -> tuple[list[Literal], list[str]]:
+def _canonical_order(clause: Clause, cache: dict) -> tuple[list[Literal], list[str]]:
     """The body literals in canonical order, and the printed literals (head
-    first) of the clause renumbered in that order. Without sort the order is
-    the clause's own; with sort=True the body is first ordered by shape key
-    and then by printed literal, renumbering after each ordering, until the
-    renumbered clause no longer changes (at most twice)."""
+    first) of the clause renumbered in that order. The body is first ordered
+    by shape key and then by printed literal, renumbering after each
+    ordering, until the renumbered clause no longer changes (at most
+    twice)."""
     head = _literal_form(clause.head, cache)
-    body = [_literal_form(l, cache) for l in clause.body]
-    if sort:
-        body.sort(key=itemgetter(0))
+    body = sorted((_literal_form(l, cache) for l in clause.body), key=itemgetter(0))
     texts = _render([head, *body])
-    if sort:
-        for _ in range(2):
-            body2 = [f for _, f in sorted(zip(texts[1:], body), key=itemgetter(0))]
-            texts2 = _render([head, *body2])
-            if texts2 == texts:
-                break
-            body, texts = body2, texts2
+    for _ in range(2):
+        body2 = [f for _, f in sorted(zip(texts[1:], body), key=itemgetter(0))]
+        texts2 = _render([head, *body2])
+        if texts2 == texts:
+            break
+        body, texts = body2, texts2
     return [f[3] for f in body], texts
 
 
-def canonical(clause: Clause, sort: bool = False) -> Clause:
-    """Renumber variables by first occurrence; with sort=True the body is
-    first ordered by a name-independent shape key and re-sorted afterwards,
-    which makes the form stable under both renaming and reordering for all
-    but pathologically symmetric clauses."""
-    body, _ = _canonical_order(clause, sort, {})
+def canonical(clause: Clause) -> Clause:
+    """Renumber variables by first occurrence after ordering the body by a
+    name-independent shape key and re-sorting it afterwards, which makes the
+    form stable under both renaming and reordering for all but
+    pathologically symmetric clauses."""
+    body, _ = _canonical_order(clause, {})
     mapping: dict[Variable, Variable] = {}
     for lit in (clause.head, *body):
         for v in literal_vars(lit):
@@ -898,9 +815,9 @@ def canonical(clause: Clause, sort: bool = False) -> Clause:
     return apply_substitution(Clause(clause.head, tuple(body)), mapping)
 
 
-def clause_key(clause: Clause, sort: bool = False, cache: dict | None = None) -> str:
-    """print_clause(canonical(clause, sort)), computed from printed literal
-    forms. `cache` holds those forms by literal object; calls that pass the
-    same dict print each literal object they share once (it only grows)."""
-    _, texts = _canonical_order(clause, sort, {} if cache is None else cache)
+def clause_key(clause: Clause, cache: dict | None = None) -> str:
+    """print_clause(canonical(clause)), computed from printed literal forms.
+    `cache` holds those forms by literal object; calls that pass the same
+    dict print each literal object they share once (it only grows)."""
+    _, texts = _canonical_order(clause, {} if cache is None else cache)
     return _clause_text(texts[0], texts[1:])

@@ -463,7 +463,7 @@ def normalize_clause(clause: Clause) -> Clause:
             continue
         body.append(lit)
     pruned = logic.head_connected(Clause(merged.head, tuple(body)))
-    return logic.canonical(pruned, sort=True)
+    return logic.canonical(pruned)
 
 
 def clause_set_key(clauses) -> tuple:

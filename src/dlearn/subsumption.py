@@ -23,6 +23,9 @@ clause (md_part, logic.first_partial_repair, logic.partial_repairs,
 logic.repaired_clauses) are built once per Clause object, kept in
 Clause.views and shared by all callers.
 
+Stage 2 of covers_positive, on the clauses' matching-dependency parts, runs
+only when c or g has a CFD repair literal; otherwise it would repeat stage 1.
+
 Stage 3 of covers_positive, the expansion of both clauses' CFD repairs,
 starts with one expansion of c, the end of a single repair path. If that
 expansion needs a constant that g does not have, the stage rejects without
@@ -390,7 +393,8 @@ def subsumes_with_repairs(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) ->
 
 def md_part(clause: Clause) -> Clause:
     """The sub-clause of literals whose connected repair literals all come
-    from matching dependencies, keeping those repair literals."""
+    from matching dependencies, keeping those repair literals: all of a
+    clause without a CFD repair literal, which is returned as it is."""
     reps = [(i, l) for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
     body = []
     for lit in clause.body:
@@ -400,7 +404,7 @@ def md_part(clause: Clause) -> Clause:
         elif all(clause.body[ri].origin == "md"
                  for ri in _connected_repairs(reps, logic.literal_terms(lit))):
             body.append(lit)
-    return Clause(clause.head, tuple(body))
+    return clause if len(body) == len(clause.body) else Clause(clause.head, tuple(body))
 
 
 def _view(view: str, fn, clause: Clause, *args):
@@ -438,9 +442,11 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     """Three-stage positive coverage of a ground bottom clause.
 
     1. direct subsumption (sound);
-    2. subsumption of the matching-dependency parts; its failure ends the
-       test, though it is not conclusive: md_part(g) drops the literals that
-       CFD repairs touch. Under `cfd: countries : id -> name : (_ || _)`,
+    2. subsumption of the matching-dependency parts, when c or g has a CFD
+       repair literal (else both parts are the clauses themselves, md_part,
+       and stage 1's rejection stands); its failure ends the test, though it
+       is not conclusive: md_part(g) drops the literals that CFD repairs
+       touch. Under `cfd: countries : id -> name : (_ || _)`,
        `t(V0) :- countries(V1,V2).` fails here against the CFD-repaired
        ground clause of `t('a') :- m('a','c1'), countries('c1','USA'),
        countries('c1','US').`, which entails it;
@@ -459,7 +465,10 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     v1 = subsumes_with_repairs(c, g, budget)
     if v1.covered:
         return v1
-    v2 = subsumes_with_repairs(_view("md", md_part, c), _view("md", md_part, g), budget)
+    md_c, md_g = _view("md", md_part, c), _view("md", md_part, g)
+    if md_c is c and md_g is g:
+        return v1
+    v2 = subsumes_with_repairs(md_c, md_g, budget)
     if not v2.covered:
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
     path = _view("cfd path", logic.first_partial_repair, c, "cfd")

@@ -397,7 +397,7 @@ def reference_step_exhaust(clause: logic.Clause, origin: str | None, cap: int) -
 
     def key_of(c):
         if c not in keys:
-            keys[c] = logic.clause_key(c, sort=True)
+            keys[c] = logic.clause_key(c)
         return keys[c]
 
     results: dict = {}
@@ -780,7 +780,7 @@ def reference_learn_clause(grounding, seed: Example, uncovered, negatives, cfg):
         seen: dict[str, logic.Clause] = {}
         for e in picked:
             cand = generalization.armg(current, grounding.ground[e.key()], *limits)
-            seen.setdefault(logic.clause_key(cand, sort=True), cand)
+            seen.setdefault(logic.clause_key(cand), cand)
         if not seen:
             break
         candidates = [seen[k2] for k2 in sorted(seen)]

@@ -406,6 +406,13 @@ def test_cli_oracle_past_its_cap_is_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_learn_option_defaults_are_the_learner_config_defaults():
+    args = evalcli.build_parser().parse_args(
+        ["learn", "--schema", "s", "--data", "d", "--target", "t", "--examples", "e",
+         "--out", "o"])
+    assert evalcli._config(args) == learner.LearnerConfig()
+
+
 def test_read_definition_checks_each_head_against_the_target(tmp_path):
     path = _written(tmp_path / "def.txt", "highGrossing(V0).\nhighGrossing(V1) :- movies(V1,V0,V2).\n")
     assert len(evalcli.read_definition(path, "highGrossing", 1).clauses) == 2

@@ -18,7 +18,7 @@ from dlearn.learner import Grounding, LearnerConfig
 from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, random_drop_variant,
                      random_eq_repair_clause, reference_apply_repair_literal,
                      reference_clause_key, reference_condition_holds, reference_exhaust_repairs,
-                     reference_renumber, reference_step_exhaust, title_database)
+                     reference_step_exhaust, title_database)
 
 V = Variable
 C = Constant
@@ -294,13 +294,12 @@ def test_canonical_ignores_renaming():
     a = parse_clause("t(V3) :- r(V3,V7), s(V7).")
     b = parse_clause("t(V0) :- r(V0,V5), s(V5).")
     assert clause_key(a) == clause_key(b)
-    assert clause_key(a, sort=True) == clause_key(b, sort=True)
 
 
 def test_canonical_sorted_ignores_order():
     a = parse_clause("t(V0) :- r(V0,V1), s(V1).")
     b = parse_clause("t(V0) :- s(V2), r(V0,V2).")
-    assert clause_key(a, sort=True) == clause_key(b, sort=True)
+    assert clause_key(a) == clause_key(b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,10 +307,9 @@ def test_canonical_sorted_ignores_order():
 def test_clause_key_equals_reference_key(clause, text):
     # constants with % and braces stress the printed literal templates
     clause = apply_substitution(clause, {V(0): C(text)})
-    key = clause_key(clause, sort=True)
+    key = clause_key(clause)
     assert key == reference_clause_key(clause)
-    assert print_clause(logic.canonical(clause, sort=True)) == key
-    assert clause_key(clause) == print_clause(reference_renumber(clause))
+    assert print_clause(logic.canonical(clause)) == key
     assert print_clause(logic.canonical(clause)) == clause_key(clause)
 
 
@@ -505,8 +503,8 @@ def test_first_partial_repair_is_one_of_the_partial_repairs(micro_db_clauses):
     for c in clauses:
         path = logic.first_partial_repair(c, "cfd")
         assert not _has_repairs(path, "cfd")
-        keys = {clause_key(r, sort=True) for r in partial_repairs(c, "cfd")}
-        assert clause_key(path, sort=True) in keys, print_clause(c)
+        keys = {clause_key(r) for r in partial_repairs(c, "cfd")}
+        assert clause_key(path) in keys, print_clause(c)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +592,15 @@ def test_dropped_equality_rechecks_the_conditions_it_decides():
 
 
 def test_step_keeps_equalities_and_untouched_literals_as_parent_objects(micro_db_clauses):
-    # the expansion shares a state's closure with its children because Eq and
-    # Sim literals are never rewritten, only dropped; and literal objects are
-    # shared across application orders because an untouched literal is kept
-    # as it is. Checked on every state reachable from the clauses.
+    # a clause's children reuse its closure because Eq and Sim literals are
+    # never rewritten, only dropped; and the keys of an expansion share
+    # printed literal forms across application orders because an untouched
+    # literal is kept as it is. Checked on every clause reachable from the
+    # clauses.
     seen, stack, steps = set(), list(micro_db_clauses), 0
     while stack:
         parent = stack.pop()
-        key = clause_key(parent, sort=True)
+        key = clause_key(parent)
         if key in seen:
             continue
         seen.add(key)

@@ -6,9 +6,10 @@ from dlearn import generalization, logic, oracle, saturation, subsumption
 from dlearn.logic import parse_clause, print_clause
 from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
+from dlearn.learner import Grounding, LearnerConfig
 from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
                      count_repair_literals, random_drop_variant, reference_covers_positive,
-                     reference_subsumes)
+                     reference_subsumes, title_database)
 
 
 def test_theta_subsumes_movie_pair():
@@ -449,6 +450,76 @@ def test_rejection_proved_by_one_path_expands_nothing_and_is_not_flagged(stage_t
     assert flags_dropped >= 15
     # a pair that needs the full stage still meets the cap and says so
     assert full and all(new == ref and new.budget_exhausted for new, ref in full)
+
+
+# ---------------------------------------------------------------------------
+# stage 2 of positive coverage only where it can differ from stage 1
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def subsume_calls(monkeypatch):
+    """The argument tuples of every subsumes_with_repairs call that
+    covers_positive makes."""
+    calls = []
+    real = subsumption.subsumes_with_repairs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subsumption, "subsumes_with_repairs", counting)
+    return calls
+
+
+def test_md_only_rejection_runs_one_search(subsume_calls):
+    c = parse_clause("t(V0) :- r(V0,V1), s(V1,'k').")
+    g = parse_clause("t('a') :- r('a',V1), r('a','b'), sim('b','c'), "
+                     "rep{sim('b','c')}('b',V1), rep{sim('b','c')}('c',V1), s('c','k').")
+    assert md_part(c) is c and md_part(g) is g
+    verdict = covers_positive(c, g)
+    assert verdict == subsumption.CoverageVerdict(False)
+    assert len(subsume_calls) == 1
+    # a CFD repair literal on either side still runs stage 2
+    _, g2 = _locale_pair()
+    c2 = parse_clause("hg(V0) :- mov2locale(V0,'French',V1).")
+    subsume_calls.clear()
+    assert not covers_positive(c2, g2).covered
+    assert [args[:2] for args in subsume_calls] == [(c2, g2), (c2, md_part(g2))]
+
+
+def _title_pairs():
+    """On title_database(4, seed, family=2) at seeds 0-2 (MD repairs under
+    similarity fan-out, no CFD): every bottom clause and its ARMG with every
+    ground clause (each distinct clause once), against every ground clause."""
+    pairs = []
+    for seed in range(3):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, rng_seed=seed)
+        grounding = Grounding(db, mds, [], examples, cfg)
+        grounds = list(grounding.ground.values())
+        clauses = []
+        for e in examples:
+            bottom = saturation.bottom_clause(e, db, mds, [], grounding.idx, cfg)
+            clauses += [bottom] + [generalization.armg(bottom, g) for g in grounds]
+        pairs += [(c, g) for c in dict.fromkeys(clauses) for g in grounds]
+    return pairs
+
+
+def test_covers_positive_equals_the_reference_on_md_only_pairs():
+    pairs = _title_pairs()
+    assert len(pairs) >= 50
+    assert not any(_has_cfd_repairs(c) or _has_cfd_repairs(g) for c, g in pairs)
+    rejected = exhausted = 0
+    for c, g in pairs:
+        for budget in (subsumption.DEFAULT_BUDGET, 1, 2, 5, 20):
+            new = covers_positive(_fresh(c), _fresh(g), budget)
+            ref = reference_covers_positive(_fresh(c), _fresh(g), budget)
+            assert (new.covered, new.budget_exhausted) == (ref.covered, ref.budget_exhausted), (
+                budget, print_clause(c), print_clause(g))
+            rejected += not new.covered
+            exhausted += new.budget_exhausted
+    # rejections both within the budget and out of it, and some acceptances
+    assert exhausted >= 100 and rejected - exhausted >= 50 and rejected <= 5 * len(pairs) - 20
 
 
 # ---------------------------------------------------------------------------

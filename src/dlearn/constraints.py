@@ -185,10 +185,6 @@ def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD]
                 raise ConstraintError(f"line {lineno}: CFD pattern needs one '||' before the right-hand cell")
             x_cells_text, rhs_cell_text = halves
             cells = _parse_cells(x_cells_text, lineno) + _parse_cells(rhs_cell_text, lineno)
-            if len(cells) != len(xs) + 1:
-                raise ConstraintError(
-                    f"line {lineno}: pattern has {len(cells)} cells for {len(xs)} + 1 attributes"
-                )
             if schema is None:
                 raise ConstraintError(f"line {lineno}: CFDs need a schema to resolve attribute positions")
             _check_attr(schema, rel, rhs_attr, lineno)
@@ -251,8 +247,10 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[C
     variables linked by induced equality literals still count as equal. When
     `alternatives` maps a term to candidate replacement terms, states
     reachable by choosing a replacement are searched as well; that is how
-    violations induced by earlier repair literals are found. Results are
-    ordered by literal index pair.
+    violations induced by earlier repair literals are found. At each X
+    position the first term pair in option order (the term itself, then its
+    alternatives) that agrees and matches the pattern stands for the pair.
+    Results are ordered by literal index pair.
     """
     alternatives = alternatives or {}
     rel_lits = [(i, lit) for i, lit in enumerate(body)
@@ -268,33 +266,28 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[C
         for bi in range(ai + 1, len(rel_lits)):
             i, l1 = rel_lits[ai]
             j, l2 = rel_lits[bi]
-            x_choices = []
-            ok = True
+            chosen_x = []
             for p, cell in zip(cfd.x_positions, cfd.pattern.cells):
-                cands = [
-                    (t1, t2)
-                    for t1 in options(l1.args[p])
-                    for t2 in options(l2.args[p])
-                    if eq_closure.same(t1, t2)
-                    and _term_matches_cell(t1, cell, eq_closure)
-                    and _term_matches_cell(t2, cell, eq_closure)
-                ]
-                if not cands:
-                    ok = False
+                pair = next(((t1, t2)
+                             for t1 in options(l1.args[p])
+                             for t2 in options(l2.args[p])
+                             if eq_closure.same(t1, t2)
+                             and _term_matches_cell(t1, cell, eq_closure)
+                             and _term_matches_cell(t2, cell, eq_closure)), None)
+                if pair is None:
                     break
-                x_choices.append(cands)
-            if not ok:
-                continue
-            rhs_cands = [
-                (z, t)
-                for z in options(l1.args[cfd.rhs_position])
-                for t in options(l2.args[cfd.rhs_position])
-                if not eq_closure.same(z, t)
-            ]
-            for z, t in rhs_cands:
-                chosen_x = tuple(c[0] for c in x_choices)
-                key = (i, j, chosen_x, (z, t))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(CfdViolation(i, j, chosen_x, (z, t)))
+                chosen_x.append(pair)
+            else:
+                chosen_x = tuple(chosen_x)
+                rhs_cands = [
+                    (z, t)
+                    for z in options(l1.args[cfd.rhs_position])
+                    for t in options(l2.args[cfd.rhs_position])
+                    if not eq_closure.same(z, t)
+                ]
+                for z, t in rhs_cands:
+                    key = (i, j, chosen_x, (z, t))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(CfdViolation(i, j, chosen_x, (z, t)))
     return out

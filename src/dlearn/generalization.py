@@ -195,8 +195,9 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
         removed.update(i for i in keep if i not in connected)
         if removed == before:
             break
-    pruned = Clause(head, tuple(body[i] for i in range(len(body)) if i not in removed))
-    return order_clause(pruned)
+    # what is left of an ordered body is in order: positions only break ties
+    # within one sort key, and removal keeps the relative order of the rest
+    return OrderedClause(Clause(head, tuple(body[i] for i in range(len(body)) if i not in removed)))
 
 
 def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,

@@ -126,8 +126,9 @@ def learn_clause(grounding: Grounding, seed: Example, uncovered, negatives,
         k = min(cfg.K, len(uncovered))
         picked = [uncovered[i] for i in sorted(rng.sample(range(len(uncovered)), k))]
         seen: dict[str, logic.Clause] = {}
-        for e in picked:
-            cand = generalization.armg(current, grounding.ground[e.key()], *limits)
+        # equal candidates are keyed once; the first of them is kept
+        for cand in dict.fromkeys(generalization.armg(current, grounding.ground[e.key()], *limits)
+                                  for e in picked):
             seen.setdefault(logic.clause_key(cand), cand)
         # a candidate equal to the current clause scores the same and cannot
         # replace it; dropped after deduplication, so each key keeps its clause

@@ -29,6 +29,10 @@ from operator import itemgetter
 
 from .util import DisjointSet
 
+# the default number of distinct clauses one repair expansion may reach
+# before it raises RepairCapExceeded
+DEFAULT_REPAIR_CAP = 256
+
 
 class ClauseError(Exception):
     pass
@@ -374,9 +378,9 @@ def _sim_pairs(body, closure: EqClosure) -> frozenset:
 
 
 def _holds(cond: Condition, closure: EqClosure, sims: frozenset) -> bool:
-    """condition_holds over a clause's equality closure and similarity pairs
-    (_sim_pairs): sim(a, b) holds when a and b are equal or their classes
-    are a pair."""
+    """Whether a repair condition holds in a clause, given the clause's
+    equality closure and similarity pairs (_sim_pairs): sim(a, b) holds when
+    a and b are equal or their classes are a pair."""
     same = closure.same
     for atom in cond:
         if isinstance(atom, EqAtom):
@@ -388,12 +392,6 @@ def _holds(cond: Condition, closure: EqClosure, sims: frozenset) -> bool:
         elif not (same(atom.a, atom.b) or (closure.find(atom.a), closure.find(atom.b)) in sims):
             return False
     return True
-
-
-def condition_holds(cond: Condition, clause: Clause, closure: EqClosure | None = None) -> bool:
-    """Evaluate a repair condition against the clause's own literals."""
-    closure = closure or eq_closure(clause)
-    return _holds(cond, closure, _sim_pairs(clause.body, closure))
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +508,13 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
     return [results[k] for k in sorted(results)]
 
 
-def repaired_clauses(clause: Clause, cap: int = 256) -> list[Clause]:
+def repaired_clauses(clause: Clause, cap: int = DEFAULT_REPAIR_CAP) -> list[Clause]:
     """All repair-free clauses reachable by exhausting the repair literals
     (see _exhaust_repairs)."""
     return _exhaust_repairs(clause, None, cap)
 
 
-def partial_repairs(clause: Clause, origin: str, cap: int = 256) -> list[Clause]:
+def partial_repairs(clause: Clause, origin: str, cap: int = DEFAULT_REPAIR_CAP) -> list[Clause]:
     """Exhaust only the repair literals of one origin, leaving the others in
     place as ordinary literals."""
     return _exhaust_repairs(clause, origin, cap)

@@ -296,7 +296,8 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10,
     return assign(0, {})
 
 
-def brute_force_entails(c: Clause, d: Clause, repair_cap: int = 256, var_cap: int = 10) -> bool:
+def brute_force_entails(c: Clause, d: Clause, repair_cap: int = logic.DEFAULT_REPAIR_CAP,
+                        var_cap: int = 10) -> bool:
     """Entailment over repair-free expansions: every expansion of c must
     subsume some expansion of d, so the assignment relation is defined on the
     whole expansion set of c. An expansion with no image anywhere falsifies

@@ -55,24 +55,14 @@ class SaturationConfig:
                 raise SaturationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class SimProvenance:
-    """One value-level similarity match that pulled a tuple in."""
-
-    probe_value: str
-    matched_value: str
-    attribute: str
-    score: float
-    pair: tuple = ()
-
-    def value_pair(self):
-        return (self.pair, frozenset((self.probe_value, self.matched_value)))
-
-
 @dataclass
 class RelevantTuple:
+    """A gathered tuple and the similarity matches that reached it
+    (store.SimSelection, as select_sim returned them), each match once,
+    sorted by attribute, probe value and matched value."""
+
     tuple: store.Tuple
-    sims: list[SimProvenance] = field(default_factory=list)
+    sims: list[store.SimSelection] = field(default_factory=list)
 
 
 @dataclass
@@ -120,13 +110,11 @@ def collect_relevant(example: Example, db: Database, mds, idx: SimilarityIndex,
         for relation, attribute, use_sim in plan:
             exact = store.select_eq(db, relation, attribute, frontier)
             sims = store.select_sim(db, relation, attribute, frontier, idx) if use_sim else []
-            by_tid: dict[int, tuple[store.Tuple, list[SimProvenance]]] = {}
+            by_tid: dict[int, tuple[store.Tuple, list[store.SimSelection]]] = {}
             for t in exact:
                 by_tid.setdefault(t.tid, (t, []))
             for sel in sims:
-                entry = by_tid.setdefault(sel.tuple.tid, (sel.tuple, []))
-                entry[1].append(SimProvenance(sel.probe_value, sel.matched_value, attribute,
-                                              sel.score, sel.pair))
+                by_tid.setdefault(sel.tuple.tid, (sel.tuple, []))[1].append(sel)
             new_candidates = []
             for tid in sorted(by_tid):
                 t, provs = by_tid[tid]

@@ -183,7 +183,7 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
 
 
 def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Database:
-    """Build a database directly from value rows (tests, canonical instances)."""
+    """Build a database directly from value rows (used by the tests)."""
     db = Database(schema=schema)
     for rel in schema.stored_relations:
         db.tables[rel.name] = [
@@ -207,13 +207,21 @@ def select_eq(db: Database, relation: str, attribute: str, values) -> list[Tuple
 
 @dataclass(frozen=True)
 class SimSelection:
-    """A similarity-selected tuple plus the value pair that matched it."""
+    """A similarity-selected tuple plus the value match that pulled it in:
+    the probed attribute, the probe value, the matched value at that
+    attribute, their score and the index's attribute pair."""
 
     tuple: Tuple
+    attribute: str
     probe_value: str
     matched_value: str
     score: float
     pair: tuple[tuple[str, str], tuple[str, str]]
+
+    def value_pair(self):
+        """The match's identity across both discovery directions: the
+        attribute pair and the unordered value pair."""
+        return (self.pair, frozenset((self.probe_value, self.matched_value)))
 
 
 def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list[SimSelection]:
@@ -233,5 +241,5 @@ def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list
             for tid in index.get(other, ()):
                 key = (tid, probe, other)
                 if key not in out:
-                    out[key] = SimSelection(table[tid], probe, other, score, pair)
+                    out[key] = SimSelection(table[tid], attribute, probe, other, score, pair)
     return [out[k] for k in sorted(out)]

@@ -47,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import logic
-from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
+from .logic import DEFAULT_REPAIR_CAP, Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
 
 DEFAULT_BUDGET = 10 ** 6
-DEFAULT_REPAIR_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -392,19 +391,25 @@ def subsumes_with_repairs(c: Clause, d: Clause, budget: int = DEFAULT_BUDGET) ->
 
 
 def md_part(clause: Clause) -> Clause:
-    """The sub-clause of literals whose connected repair literals all come
-    from matching dependencies, keeping those repair literals: all of a
-    clause without a CFD repair literal, which is returned as it is."""
-    reps = [(i, l) for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
-    body = []
-    for lit in clause.body:
-        if isinstance(lit, RepairLit):
-            if lit.origin == "md":
-                body.append(lit)
-        elif all(clause.body[ri].origin == "md"
-                 for ri in _connected_repairs(reps, logic.literal_terms(lit))):
-            body.append(lit)
-    return clause if len(body) == len(clause.body) else Clause(clause.head, tuple(body))
+    """The clause without its CFD repair literals and the literals they
+    reach, keeping every MD repair literal: all of a clause without a CFD
+    repair literal, which is returned as it is.
+
+    One closure (_connected_repairs), seeded with the terms of the CFD
+    repair literals, finds the repair literals linked to them through
+    variables. A relation, equality or similarity literal is kept only if it
+    shares no variable with their targets and replacements."""
+    reps = clause.match_index.reps
+    seeds = [t for _, r in reps if r.origin == "cfd" for t in (r.target, r.replacement)]
+    if not seeds:
+        return clause
+    body = clause.body
+    tainted = {t for ri in _connected_repairs(reps, seeds)
+               for t in (body[ri].target, body[ri].replacement) if isinstance(t, Variable)}
+    return Clause(clause.head, tuple(
+        lit for lit in body
+        if (lit.origin == "md" if isinstance(lit, RepairLit)
+            else tainted.isdisjoint(logic.literal_terms(lit)))))
 
 
 def _view(view: str, fn, clause: Clause, *args):

@@ -308,6 +308,13 @@ def reference_exhaust_repairs(clause: logic.Clause, origin: str | None, cap: int
     return [results[k] for k in sorted(results)]
 
 
+def condition_holds(cond, clause: logic.Clause, closure=None) -> bool:
+    """Whether a repair condition holds in a clause, by the engine's own
+    test (logic._holds over the clause's closure and similarity pairs)."""
+    closure = closure or logic.eq_closure(clause)
+    return logic._holds(cond, closure, logic._sim_pairs(clause.body, closure))
+
+
 # Reference repair step: logic.apply_repair_literal as it was before
 # expansion states shared their closure and condition truths, a rebuilt
 # Clause per child, with the condition evaluator of that time, which scans
@@ -721,6 +728,24 @@ class _ReferenceMatcher:
 def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
                        budget: int = subsumption.DEFAULT_BUDGET) -> subsumption.CoverageVerdict:
     return _ReferenceMatcher(c, d, with_repairs, budget).solve()
+
+
+# Reference MD part: subsumption.md_part as it was when it ran one repair
+# closure per body literal. A literal is kept when every repair literal
+# connected to it comes from a matching dependency. The differential test of
+# md_part compares against it.
+
+def reference_md_part(clause: logic.Clause) -> logic.Clause:
+    reps = [(i, l) for i, l in enumerate(clause.body) if isinstance(l, logic.RepairLit)]
+    body = []
+    for lit in clause.body:
+        if isinstance(lit, logic.RepairLit):
+            if lit.origin == "md":
+                body.append(lit)
+        elif all(clause.body[ri].origin == "md"
+                 for ri in subsumption._connected_repairs(reps, logic.literal_terms(lit))):
+            body.append(lit)
+    return clause if len(body) == len(clause.body) else logic.Clause(clause.head, tuple(body))
 
 
 # Reference positive coverage: subsumption.covers_positive as it was before

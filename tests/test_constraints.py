@@ -59,6 +59,9 @@ def test_parse_errors(schema):
         parse_constraints("md: movies[] ~ mov2locale[] -> movies[id] <-> mov2locale[title]", schema)
     with pytest.raises(ConstraintError, match="no attribute"):
         parse_constraints("cfd: movies : nope -> title : (_ || _)", schema)
+    with pytest.raises(ConstraintError,
+                       match=re.escape("line 2: pattern has 4 cells for 2 + 1 attributes")):
+        parse_constraints("\ncfd: mov2locale : title, language -> country : (_, _, _ || _)", schema)
 
 
 def test_pattern_cells_quote_separators_and_comment_marks(schema):
@@ -218,6 +221,19 @@ def test_violation_matches_tuple_semantics(schema, locale_cfd):
             if (t1[0] == t2[0] and t1[1] == t2[1] == "English" and t1[2] != t2[2]):
                 expect.add((i, j))
         assert got == expect
+
+
+def test_violation_takes_the_first_agreeing_x_pair_in_option_order(locale_cfd):
+    # both titles can become V7 or V8, so (V8, V8) and (V7, V7) both agree at
+    # the title position; V1's options come first, and they list V8 first
+    body = (
+        Rel("mov2locale", (V(1), C("English"), V(3))),
+        Rel("mov2locale", (V(2), C("English"), V(4))),
+    )
+    alts = {V(1): [V(8), V(7)], V(2): [V(7), V(8)]}
+    out = find_cfd_violations(body, locale_cfd, EqClosure(body), alternatives=alts)
+    assert [(v.first, v.second, v.x_terms, v.rhs_terms) for v in out] == [
+        (0, 1, ((V(8), V(8)), (C("English"), C("English"))), (V(3), V(4)))]
 
 
 def test_violation_via_alternatives(locale_cfd):

@@ -1,14 +1,17 @@
 import itertools
+import operator
 import random
 from collections import Counter
 
 import pytest
 
-from dlearn import constraints, evalcli, learner, logic, saturation, store, subsumption, textsim
+from dlearn import (constraints, evalcli, generalization, learner, logic, saturation, store,
+                    subsumption, textsim)
 from dlearn.generalization import (ClauseStats, armg, best_scored, drop_with_repair,
                                    find_blocking_literal, order_clause, score_clause)
 from dlearn.logic import parse_clause, print_clause
-from helpers import TITLE_MD, cfd_micro_dataset, random_micro_db, seeded_titles
+from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, random_micro_db,
+                     seeded_titles)
 
 
 @pytest.fixture
@@ -106,6 +109,18 @@ def test_drop_repair_literal_drops_group(movie_clauses):
     # literal, the restriction equality, and with them the example's only
     # connection into the database
     assert dropped.body == ()
+
+
+def test_drop_with_repair_leaves_an_ordered_body():
+    # what drop_with_repair leaves of an ordered clause is what ordering it
+    # afresh gives, for every dropped index
+    clauses = dict.fromkeys(c for case in cfd_micro_db_clauses() for triple in case
+                            for c in triple)
+    for c in clauses:
+        ordered = order_clause(c)
+        for i in range(len(c.body)):
+            r = drop_with_repair(ordered, i)
+            assert order_clause(r.clause) == r, (print_clause(c), i)
 
 
 def test_armg_movie_example(movie_clauses):
@@ -398,6 +413,40 @@ def test_learn_clause_skips_a_beaten_bottom_clause_and_the_current_clause(monkey
     # round 2 builds only clauses equal to the winner of round 1, which are
     # not scored again
     assert repaired[clause] == 1 and set(repaired.values()) == {1}
+
+
+@pytest.mark.parametrize("by_title", [False, True])
+def test_learn_clause_keys_each_distinct_candidate_once_per_round(monkeypatch, by_title):
+    db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title)
+    cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
+    grounding = learner.Grounding(db, mds, cfds, examples, cfg)
+    events = []
+    real_armg, real_key = generalization.armg, logic.clause_key
+
+    def recording_armg(*args):
+        cand = real_armg(*args)
+        events.append(("armg", cand))
+        return cand
+
+    def recording_key(clause, cache=None):
+        if cache is None:  # repair expansion keys with its own cache
+            events.append(("key", clause))
+        return real_key(clause, cache)
+
+    monkeypatch.setattr(generalization, "armg", recording_armg)
+    monkeypatch.setattr(logic, "clause_key", recording_key)
+    learner.learn_clause(grounding, examples[0], examples[:2], examples[2:], cfg)
+    # a round builds its candidates, then keys them
+    rounds = []
+    for kind, clause in events:
+        if kind == "armg" and (not rounds or rounds[-1][1]):
+            rounds.append(([], []))
+        rounds[-1][kind == "key"].append(clause)
+    assert rounds
+    for built, keyed in rounds:
+        distinct = list(dict.fromkeys(built))
+        assert len(keyed) == len(distinct) and all(map(operator.is_, keyed, distinct))
+    assert sum(len(built) for built, _ in rounds) > sum(len(keyed) for _, keyed in rounds)
 
 
 def _fresh(clause):

@@ -11,12 +11,11 @@ from dlearn import logic, saturation
 from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
                           SimAtom, Variable, apply_repair_literal,
-                          apply_substitution, clause_key,
-                          condition_holds, parse_clause, partial_repairs,
-                          print_clause, repaired_clauses)
+                          apply_substitution, clause_key, parse_clause,
+                          partial_repairs, print_clause, repaired_clauses)
 from dlearn.learner import Grounding, LearnerConfig
-from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, random_drop_variant,
-                     random_eq_repair_clause, reference_apply_repair_literal,
+from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, condition_holds,
+                     random_drop_variant, random_eq_repair_clause, reference_apply_repair_literal,
                      reference_clause_key, reference_condition_holds, reference_exhaust_repairs,
                      reference_step_exhaust, title_database)
 

@@ -8,8 +8,9 @@ from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
 from dlearn.learner import Grounding, LearnerConfig
 from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
-                     count_repair_literals, random_drop_variant, reference_covers_positive,
-                     reference_subsumes, title_database)
+                     count_repair_literals, random_drop_variant, random_eq_repair_clause,
+                     reference_covers_positive, reference_md_part, reference_subsumes,
+                     title_database)
 
 
 def test_theta_subsumes_movie_pair():
@@ -105,6 +106,24 @@ def test_md_part_follows_cfd_chain_through_replacement_variable():
         "sim(V9,V10), rep{sim(V9,V10)}(V9,V11), rep{sim(V9,V10)}(V10,V12), eq(V11,V12), "
         "u(V10), k(V13,V14)."
     )
+
+
+def test_md_part_equals_the_per_literal_reference():
+    # one closure from the CFD repair literals drops what one closure per
+    # body literal dropped, and returns the clause itself in the same cases
+    def relation_and_constraint_literals(clause):
+        return sum(not isinstance(lit, logic.RepairLit) for lit in clause.body)
+
+    micro = [c for case in cfd_micro_db_clauses() for triple in case for c in triple]
+    rng = random.Random(11)
+    drawn = [random_eq_repair_clause(rng) for _ in range(3000)]
+    for clauses, floor in ((micro, 10), (drawn, 2500)):
+        dropped = 0
+        for c in clauses:
+            part, ref = md_part(c), reference_md_part(c)
+            assert part == ref and (part is c) == (ref is c), print_clause(c)
+            dropped += relation_and_constraint_literals(part) < relation_and_constraint_literals(c)
+        assert dropped >= floor
 
 
 def test_covers_positive_worked_example(movie_db, movie_mds, movie_idx, movie_examples):

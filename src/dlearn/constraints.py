@@ -257,10 +257,9 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[C
                 if isinstance(lit, logic.Rel) and lit.relation == cfd.relation
                 and len(lit.args) > max(cfd.rhs_position, *cfd.x_positions)]
     out: list[CfdViolation] = []
-    seen = set()
 
     def options(term):
-        return [term] + [t for t in alternatives.get(term, ()) if t != term]
+        return dict.fromkeys([term, *alternatives.get(term, ())])
 
     for ai in range(len(rel_lits)):
         for bi in range(ai + 1, len(rel_lits)):
@@ -279,15 +278,8 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[C
                 chosen_x.append(pair)
             else:
                 chosen_x = tuple(chosen_x)
-                rhs_cands = [
-                    (z, t)
-                    for z in options(l1.args[cfd.rhs_position])
-                    for t in options(l2.args[cfd.rhs_position])
-                    if not eq_closure.same(z, t)
-                ]
-                for z, t in rhs_cands:
-                    key = (i, j, chosen_x, (z, t))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(CfdViolation(i, j, chosen_x, (z, t)))
+                out += [CfdViolation(i, j, chosen_x, (z, t))
+                        for z in options(l1.args[cfd.rhs_position])
+                        for t in options(l2.args[cfd.rhs_position])
+                        if not eq_closure.same(z, t)]
     return out

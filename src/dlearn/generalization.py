@@ -102,30 +102,21 @@ def _component_anchors(clause: Clause):
     return {i: anchor[dsu.find(i)] for i in nonrel}
 
 
-def _prefix(clause: Clause, anchors, i: int) -> Clause:
-    body = []
-    for j, lit in enumerate(clause.body):
-        if isinstance(lit, Rel):
-            if j <= i:
-                body.append(lit)
-        elif anchors[j] <= i:
-            body.append(lit)
-    return Clause(clause.head, tuple(body))
-
-
 def find_blocking_literal(ordered: OrderedClause, g: Clause,
                           budget: int = DEFAULT_BUDGET,
                           repair_cap: int = DEFAULT_REPAIR_CAP):
     """(index, budget_exhausted) of the first literal whose prefix fails to
-    cover g; index None when the whole clause covers."""
+    cover g; index None when the whole clause covers.
+
+    The prefix at index i holds the literals that join it by then: a
+    relation literal at its own position, any other at its anchor. Only the
+    indices where a literal joins start a new prefix, so each distinct
+    prefix is tested once."""
     clause = ordered.clause
     anchors = _component_anchors(clause)
-    previous: Clause | None = None
-    for i in range(len(clause.body)):
-        prefix = _prefix(clause, anchors, i)
-        if previous is not None and prefix.body == previous.body:
-            continue
-        previous = prefix
+    joins = [j if isinstance(lit, Rel) else anchors[j] for j, lit in enumerate(clause.body)]
+    for i in sorted({0, *(j for j in joins if j > 0)}) if joins else ():
+        prefix = Clause(clause.head, tuple(lit for lit, j in zip(clause.body, joins) if j <= i))
         verdict = subsumption.covers_positive(prefix, g, budget, repair_cap)
         if not verdict.covered:
             return i, verdict.budget_exhausted

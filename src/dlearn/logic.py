@@ -14,6 +14,10 @@ Clause grammar (round-trips through parse_clause / print_clause):
 A repair literal rep{c}(x, v) means: when condition c holds in the clause,
 replace x everywhere with v. A clause with repair literals compactly stands
 for the set of repair-free clauses reachable by applying or discarding them.
+A repair literal is what it prints: one whose atoms are all sim comes from a
+matching dependency (MD), any other from a CFD, and MD repair literals with
+the same condition form one group, which fires as a unit. So a clause's text
+describes it completely.
 
 Terms are native values: a Variable is an int subclass and a Constant a str
 subclass, so hashing them runs in C. Equality stays type-strict: a term
@@ -144,18 +148,19 @@ class Eq:
 class RepairLit:
     """Conditional replacement of `target` by `replacement`.
 
-    origin is "md" or "cfd"; group ties together the repair literals emitted
-    for one similarity match, which are applied as a unit (enforcing a match
-    identifies both sides at once). Neither field takes part in equality:
-    origin is recoverable from the condition shape and group from origin plus
-    condition identity.
+    The literal is its three fields, as it prints. `origin` ("md" or "cfd")
+    is condition_origin(cond), set once when the literal is built; it takes
+    no part in construction, equality or repr. Which literals fire together
+    is decided from the condition too (same_group).
     """
 
     cond: Condition
     target: Term
     replacement: Term
-    origin: str = field(default="md", compare=False)
-    group: int = field(default=-1, compare=False)
+    origin: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", condition_origin(self.cond))
 
 
 Literal = Rel | Sim | Eq | RepairLit
@@ -190,15 +195,12 @@ def condition_origin(cond: Condition) -> str:
 
 
 def same_group(a: RepairLit, b: RepairLit) -> bool:
-    """Matching-dependency repair literals of one similarity match form a
-    group and fire together; CFD repair literals always apply alone."""
+    """Matching-dependency repair literals whose conditions are equal as sets
+    of atoms form a group and fire together (enforcing a similarity match
+    identifies both sides at once); CFD repair literals always apply alone."""
     if a is b:
         return True
-    if a.origin != b.origin or a.origin == "cfd":
-        return False
-    if a.group >= 0 and b.group >= 0:
-        return a.group == b.group
-    return set(a.cond) == set(b.cond)
+    return a.origin == "md" and set(a.cond) == set(b.cond)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,7 @@ def _substitute_literal(lit: Literal, mapping: dict) -> Literal:
     if isinstance(lit, Eq):
         return Eq(get(lit.a, lit.a), get(lit.b, lit.b))
     cond = tuple(type(a)(get(a.a, a.a), get(a.b, a.b)) for a in lit.cond)
-    return RepairLit(cond, get(lit.target, lit.target), get(lit.replacement, lit.replacement),
-                     origin=lit.origin, group=lit.group)
+    return RepairLit(cond, get(lit.target, lit.target), get(lit.replacement, lit.replacement))
 
 
 def apply_substitution(clause: Clause, subst: Substitution) -> Clause:
@@ -691,8 +692,7 @@ def _parse_literal(tk: _Tokens) -> Literal:
         tk.expect(",")
         replacement = tk.term()
         tk.expect(")")
-        cond = tuple(atoms)
-        return RepairLit(cond, target, replacement, origin=condition_origin(cond))
+        return RepairLit(tuple(atoms), target, replacement)
     tk.expect("(")
     args = [tk.term()]
     while tk.try_take(","):
@@ -723,23 +723,7 @@ def parse_clause(text: str) -> Clause:
     tk.skip_ws()
     if tk.pos != len(tk.text):
         tk.error("trailing input after clause")
-    clause = Clause(head, tuple(body))
-    return _assign_groups(clause)
-
-
-def _assign_groups(clause: Clause) -> Clause:
-    """Rebuild group ids for parsed repair literals: matching-dependency
-    literals sharing one condition form one group."""
-    keys: dict[tuple, int] = {}
-    body = []
-    for lit in clause.body:
-        if isinstance(lit, RepairLit) and lit.origin == "md":
-            key = tuple(sorted((type(a).__name__, print_term(a.a), print_term(a.b)) for a in lit.cond))
-            gid = keys.setdefault(key, len(keys))
-            body.append(RepairLit(lit.cond, lit.target, lit.replacement, origin=lit.origin, group=gid))
-        else:
-            body.append(lit)
-    return Clause(clause.head, tuple(body))
+    return Clause(head, tuple(body))
 
 
 # ---------------------------------------------------------------------------

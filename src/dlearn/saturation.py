@@ -247,7 +247,6 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     for _, _, left in emissions:
         left_fanout[left] = left_fanout.get(left, 0) + 1
 
-    group_id = 0
     for li, pos, left_term in emissions:
         right_term = rels[li].args[pos]
         # the matched occurrence gets its own term. When the original term
@@ -265,11 +264,10 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
         v_left, v_right = alloc.fresh(), alloc.fresh()
         segments[li] += [
             logic.Sim(left_term, right_term),
-            logic.RepairLit(cond, left_term, v_left, origin="md", group=group_id),
-            logic.RepairLit(cond, right_term, v_right, origin="md", group=group_id),
+            logic.RepairLit(cond, left_term, v_left),
+            logic.RepairLit(cond, right_term, v_right),
             logic.Eq(v_left, v_right),
         ]
-        group_id += 1
 
     body: list[logic.Literal] = []
     for li, rel_lit in enumerate(rels):
@@ -395,9 +393,8 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         if cell is not None:
             continue
         for side in (t1, t2):
-            new_lits.append(logic.RepairLit(cond, side, alloc.fresh(), origin="cfd"))
-    new_lits += [logic.RepairLit(cond, z, t, origin="cfd"),
-                 logic.RepairLit(cond, t, z, origin="cfd")]
+            new_lits.append(logic.RepairLit(cond, side, alloc.fresh()))
+    new_lits += [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
     for l in new_lits:
         if l not in repairs:
             repairs.add(l)

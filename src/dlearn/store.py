@@ -209,13 +209,12 @@ def select_eq(db: Database, relation: str, attribute: str, values) -> list[Tuple
 class SimSelection:
     """A similarity-selected tuple plus the value match that pulled it in:
     the probed attribute, the probe value, the matched value at that
-    attribute, their score and the index's attribute pair."""
+    attribute and the index's attribute pair."""
 
     tuple: Tuple
     attribute: str
     probe_value: str
     matched_value: str
-    score: float
     pair: tuple[tuple[str, str], tuple[str, str]]
 
     def value_pair(self):
@@ -227,8 +226,8 @@ class SimSelection:
 def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list[SimSelection]:
     """Tuples whose value at `attribute` is index-similar to a probe value.
 
-    Each result carries the (probe, matched, score) annotation that later
-    turns into a similarity literal. Probe values are visited in sorted order
+    Each result carries the (probe, matched) annotation that later turns
+    into a similarity literal. Probe values are visited in sorted order
     and results are ordered by (tuple id, probe, matched).
     """
     rel = db.schema.relation(relation)
@@ -237,9 +236,9 @@ def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list
     table = db.tables.get(relation, [])
     out = {}
     for probe in sorted(values):
-        for other, score, pair in idx.matches(relation, attribute, probe):
+        for other, _, pair in idx.matches(relation, attribute, probe):
             for tid in index.get(other, ()):
                 key = (tid, probe, other)
                 if key not in out:
-                    out[key] = SimSelection(table[tid], attribute, probe, other, score, pair)
+                    out[key] = SimSelection(table[tid], attribute, probe, other, pair)
     return [out[k] for k in sorted(out)]

@@ -438,7 +438,8 @@ def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
     over chain variables (with an occasional similarity atom over a
     similarity literal), so firing one repair drops equalities that decide
     the conditions of others. Repair literals are CFD ones, each alone, or
-    matching-dependency pairs that share a similarity condition."""
+    matching-dependency pairs over the clause's one similarity literal. Those
+    pairs all share its condition, so together they form one group."""
     V, Eq, Sim = logic.Variable, logic.Eq, logic.Sim
     n = rng.randint(5, 8)
     chain = [V(i) for i in range(1, n + 1)]
@@ -456,20 +457,18 @@ def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
         a, b = rng.sample(chain, 2)
         sims.append((a, b))
         body.append(Sim(a, b))
-    group = 0
     for _ in range(rng.randint(3, 6)):
         if sims and rng.random() < 0.3:
             a, b = sims[0]
             cond = (logic.SimAtom(a, b),)
-            body += [logic.RepairLit(cond, a, next(fresh), origin="md", group=group),
-                     logic.RepairLit(cond, b, next(fresh), origin="md", group=group)]
-            group += 1
+            body += [logic.RepairLit(cond, a, next(fresh)),
+                     logic.RepairLit(cond, b, next(fresh))]
             continue
         atoms = []
         for _ in range(rng.randint(1, 2)):
             kind = rng.choice((logic.EqAtom, logic.EqAtom, logic.NeqAtom))
             atoms.append(kind(*rng.sample(chain, 2)))
-        body.append(logic.RepairLit(tuple(atoms), rng.choice(chain), next(fresh), origin="cfd"))
+        body.append(logic.RepairLit(tuple(atoms), rng.choice(chain), next(fresh)))
     rng.shuffle(body)
     return logic.Clause(logic.Rel("t", (V(0),)), tuple(body))
 
@@ -748,6 +747,39 @@ def reference_md_part(clause: logic.Clause) -> logic.Clause:
     return clause if len(body) == len(clause.body) else logic.Clause(clause.head, tuple(body))
 
 
+# Reference blocking-literal scan: generalization.find_blocking_literal as it
+# was when it built the prefix at every body index and skipped a prefix
+# equal to the one before it. Its differential test compares the index, the
+# flag and the covers_positive calls.
+
+def reference_find_blocking_literal(ordered, g: logic.Clause,
+                                    budget: int = subsumption.DEFAULT_BUDGET,
+                                    repair_cap: int = subsumption.DEFAULT_REPAIR_CAP):
+    clause = ordered.clause
+    anchors = generalization._component_anchors(clause)
+
+    def prefix_at(i: int) -> logic.Clause:
+        body = []
+        for j, lit in enumerate(clause.body):
+            if isinstance(lit, logic.Rel):
+                if j <= i:
+                    body.append(lit)
+            elif anchors[j] <= i:
+                body.append(lit)
+        return logic.Clause(clause.head, tuple(body))
+
+    previous = None
+    for i in range(len(clause.body)):
+        prefix = prefix_at(i)
+        if previous is not None and prefix.body == previous.body:
+            continue
+        previous = prefix
+        verdict = subsumption.covers_positive(prefix, g, budget, repair_cap)
+        if not verdict.covered:
+            return i, verdict.budget_exhausted
+    return None, False
+
+
 # Reference positive coverage: subsumption.covers_positive as it was before
 # stage 3 tried one expansion of c first. Its stage 3 always expands the CFD
 # repair literals of both clauses (flagging a repair-cap overrun) and tests
@@ -911,8 +943,7 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
         if cell is not None:
             continue
         for side in (t1, t2):
-            new_lits.append(logic.RepairLit(cond, side, alloc.fresh(), origin="cfd"))
-    new_lits += [logic.RepairLit(cond, z, t, origin="cfd"),
-                 logic.RepairLit(cond, t, z, origin="cfd")]
+            new_lits.append(logic.RepairLit(cond, side, alloc.fresh()))
+    new_lits += [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
     body.extend(l for l in new_lits if l not in body)
     return True

@@ -7,11 +7,12 @@ import pytest
 
 from dlearn import (constraints, evalcli, generalization, learner, logic, saturation, store,
                     subsumption, textsim)
-from dlearn.generalization import (ClauseStats, armg, best_scored, drop_with_repair,
-                                   find_blocking_literal, order_clause, score_clause)
+from dlearn.generalization import (ClauseStats, OrderedClause, armg, best_scored,
+                                   drop_with_repair, find_blocking_literal, order_clause,
+                                   score_clause)
 from dlearn.logic import parse_clause, print_clause
 from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, random_micro_db,
-                     seeded_titles)
+                     reference_find_blocking_literal, seeded_titles, title_database)
 
 
 @pytest.fixture
@@ -55,6 +56,49 @@ def test_find_blocking_literal_movie_example(movie_clauses):
     assert not exhausted
     lit = ordered.clause.body[index]
     assert isinstance(lit, logic.Rel) and lit.relation == "mov2releasedate"
+
+
+def test_find_blocking_literal_tests_the_prefixes_of_the_reference(monkeypatch):
+    """find_blocking_literal against the scan that built the prefix at every
+    body index: the same index, the same flag and the same covers_positive
+    calls, in order. The clauses are the bottom clauses and generalizations
+    of 20 CFD micro databases and the bottom clauses of
+    title_database(4, seed, family=2) at seeds 0-2, each in its canonical
+    literal order and in a random one, against the ground clauses of their
+    database."""
+    pairs = []
+    for case in cfd_micro_db_clauses(20):
+        pairs += [(c, g) for bottom, variant, _ in case for c in (bottom, variant)
+                  for _, _, g in case]
+    for seed in range(3):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = learner.LearnerConfig(d=2, rng_seed=seed)
+        grounding = learner.Grounding(db, mds, [], examples, cfg)
+        pairs += [(saturation.bottom_clause(e, db, mds, [], grounding.idx, cfg), g)
+                  for e in examples for g in grounding.ground.values()]
+    calls = []
+    covers_positive = subsumption.covers_positive
+
+    def recording(c, g, *limits):
+        calls.append((c, g, limits))
+        return covers_positive(c, g, *limits)
+
+    monkeypatch.setattr(subsumption, "covers_positive", recording)
+    rng = random.Random(3)
+    outcomes = Counter()
+    for c, g in pairs:
+        shuffled = list(c.body)
+        rng.shuffle(shuffled)
+        for ordered in (order_clause(c), OrderedClause(logic.Clause(c.head, tuple(shuffled)))):
+            for budget in (subsumption.DEFAULT_BUDGET, 2):
+                got = find_blocking_literal(ordered, g, budget)
+                got_calls, calls[:] = calls[:], []
+                want = reference_find_blocking_literal(ordered, g, budget)
+                assert (got, got_calls) == (want, calls), print_clause(ordered.clause)
+                calls.clear()
+                outcomes[got[0] is None, got[1]] += 1
+    # covering clauses, blocked ones within the budget, and exhausted ones
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
 
 
 def test_find_blocking_literal_none_when_covering(movie_clauses):

@@ -159,8 +159,8 @@ def test_repaired_clauses_cap():
         vid += 2
         body.append(Rel(f"r{k}", (V(k),)))
         body.append(Sim(V(0), V(k)))
-        body.append(RepairLit((SimAtom(V(0), V(k)),), V(0), a, origin="md", group=k))
-        body.append(RepairLit((SimAtom(V(0), V(k)),), V(k), b, origin="md", group=k))
+        body.append(RepairLit((SimAtom(V(0), V(k)),), V(0), a))
+        body.append(RepairLit((SimAtom(V(0), V(k)),), V(k), b))
         body.append(Eq(a, b))
     c = Clause(Rel("t", (V(0),)), tuple(body))
     assert len(repaired_clauses(c, cap=64)) == 6
@@ -212,8 +212,7 @@ def _clauses(draw):
                 draw(st.sampled_from([EqAtom, NeqAtom, SimAtom]))(draw(_term), draw(_term))
                 for _ in range(draw(st.integers(1, 2)))
             )
-            body.append(RepairLit(atoms, draw(_term), Variable(draw(st.integers(0, 5))),
-                                  origin=logic.condition_origin(atoms)))
+            body.append(RepairLit(atoms, draw(_term), Variable(draw(st.integers(0, 5)))))
     return Clause(head, tuple(body))
 
 
@@ -232,6 +231,67 @@ def test_parse_print_round_trip_random(clause):
     assert again == clause
     kinds = [type(t) for l in (clause.head, *clause.body) for t in logic.literal_terms(l)]
     assert kinds == [type(t) for l in (again.head, *again.body) for t in logic.literal_terms(l)]
+
+
+def test_same_group_is_decided_by_the_condition():
+    # MD repair literals built apart with one condition form one group,
+    # whatever the order of the condition's atoms
+    s01, s23 = SimAtom(V(0), V(1)), SimAtom(V(2), V(3))
+    a = RepairLit((s01, s23), V(0), V(8))
+    b = RepairLit((s23, s01), V(2), V(9))
+    assert a.origin == b.origin == "md"
+    assert logic.same_group(a, b) and logic.same_group(b, a)
+    assert logic.same_group(a, RepairLit((s01, s23), V(1), V(7)))
+    assert not logic.same_group(a, RepairLit((s01,), V(0), V(8)))
+    # a CFD repair literal applies alone, even beside an equal literal
+    cond = (EqAtom(V(0), V(1)), NeqAtom(V(2), V(3)))
+    c, d = RepairLit(cond, V(2), V(3)), RepairLit(cond, V(2), V(3))
+    assert c.origin == "cfd" and c == d
+    assert logic.same_group(c, c) and not logic.same_group(c, d)
+    assert not logic.same_group(c, RepairLit(cond, V(3), V(2)))
+    assert not logic.same_group(a, RepairLit((s01, s23, NeqAtom(V(2), V(3))), V(0), V(8)))
+
+
+def _groups(clause):
+    """The partition of a clause's repair literals into groups, as sets of
+    body indices."""
+    reps = [i for i, l in enumerate(clause.body) if isinstance(l, RepairLit)]
+    return {frozenset(j for j in reps if logic.same_group(clause.body[i], clause.body[j]))
+            for i in reps}
+
+
+def test_printed_clauses_parse_back_with_their_origins_and_groups(
+        movie_db, movie_mds, movie_idx, movie_examples):
+    """Every ground and bottom clause of the movie example, of
+    title_database(4, seed, family=2) at seeds 0-2 and of both
+    cfd_micro_dataset variants, and every partial and full repair expansion
+    of them, parses back from its text with the same body, each repair
+    literal with its origin and the repair literals in the same groups."""
+    sources = [(movie_db, movie_mds, [], movie_idx, list(movie_examples.values()),
+                saturation.SaturationConfig(d=3, sample_size=1000, rng_seed=1))]
+    for seed in range(3):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, rng_seed=seed)
+        sources.append((db, mds, [], Grounding(db, mds, [], examples, cfg).idx, examples, cfg))
+    sources += [cfd_micro_dataset(by_title) for by_title in (False, True)]
+    clauses = []
+    for db, mds, cfds, idx, examples, cfg in sources:
+        for e in examples:
+            for build in (saturation.bottom_clause, saturation.ground_bottom_clause):
+                c = build(e, db, mds, cfds, idx, cfg)
+                clauses += [c, *partial_repairs(c, "md"), *partial_repairs(c, "cfd"),
+                            *repaired_clauses(c)]
+    clauses = list(dict.fromkeys(clauses))
+    grouped = 0
+    for c in clauses:
+        again = parse_clause(print_clause(c))
+        assert again.body == c.body, print_clause(c)
+        assert [getattr(l, "origin", None) for l in again.body] == \
+            [getattr(l, "origin", None) for l in c.body]
+        assert _groups(again) == _groups(c), print_clause(c)
+        grouped += any(len(g) > 1 for g in _groups(c))
+    assert len(clauses) >= 150 and grouped >= 50
+    assert sum(_has_repairs(c, "cfd") for c in clauses) >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +466,7 @@ def _rewrite_repair(lit, mapping):
     def rw(t):
         return mapping.get(t, t)
     return RepairLit(tuple(type(a)(rw(a.a), rw(a.b)) for a in lit.cond), rw(lit.target),
-                     rw(lit.replacement), origin=lit.origin, group=lit.group)
+                     rw(lit.replacement))
 
 
 def test_applied_repairs_keep_exactly_the_literals_whose_condition_holds(micro_db_clauses):

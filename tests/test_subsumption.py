@@ -175,9 +175,9 @@ def test_covers_negative_cap_flags():
         body.append(logic.Rel(f"r{k}", (logic.Variable(k),)))
         body.append(logic.Sim(logic.Variable(0), logic.Variable(k)))
         body.append(logic.RepairLit((logic.SimAtom(logic.Variable(0), logic.Variable(k)),),
-                                    logic.Variable(0), a, origin="md", group=k))
+                                    logic.Variable(0), a))
         body.append(logic.RepairLit((logic.SimAtom(logic.Variable(0), logic.Variable(k)),),
-                                    logic.Variable(k), b, origin="md", group=k))
+                                    logic.Variable(k), b))
         body.append(logic.Eq(a, b))
     c = logic.Clause(logic.Rel("t", (logic.Variable(0),)), tuple(body))
     v = covers_negative(c, parse_clause("t('a') :- r1('a')."), repair_cap=2)

@@ -101,7 +101,9 @@ def stratified_folds(pos, neg, folds: int, rng) -> list[tuple[list, list, list, 
 
 
 def cross_validate(db, mds, cfds, pos, neg, folds: int, cfg: LearnerConfig):
-    """Per-fold metrics plus their mean."""
+    """Per-fold metrics plus one row over all folds, which the CLI labels
+    `mean`: it pools the folds' tp, fp and fn counts and sums their wall
+    times, so its precision, recall and F1 are those of the pooled counts."""
     rng = derive_rng(cfg.rng_seed, "folds")
     results = []
     for train_p, train_n, test_p, test_n in stratified_folds(pos, neg, folds, rng):
@@ -143,6 +145,16 @@ def parse_examples(text: str, target: str,
     return pos, neg
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; one that does not decode raises a
+    StoreError that names it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def write_definition(definition: LearnedDefinition, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(definition.pretty())
@@ -153,25 +165,23 @@ def read_definition(path: str, target: str, arity: int) -> LearnedDefinition:
     comments). Every clause head must be the target relation with `arity`
     arguments; errors name the line."""
     definition = LearnedDefinition(target=target)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                clause = logic.parse_clause(line)
-            except ClauseError as exc:
-                raise ClauseError(f"definition line {lineno}: {exc}") from None
-            head = clause.head
-            if head.relation != target:
-                raise ClauseError(f"definition line {lineno}: clause head is {head.relation}, "
-                                  f"not the target {target}")
-            if len(head.args) != arity:
-                raise ClauseError(f"definition line {lineno}: clause head has {len(head.args)} "
-                                  f"arguments for a target of arity {arity}")
-            definition.clauses.append(
-                LearnedClause(clause, learner.ClauseStats(pos=0, neg=0))
-            )
+    # reading translates every line ending to "\n"
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            clause = logic.parse_clause(line)
+        except ClauseError as exc:
+            raise ClauseError(f"definition line {lineno}: {exc}") from None
+        head = clause.head
+        if head.relation != target:
+            raise ClauseError(f"definition line {lineno}: clause head is {head.relation}, "
+                              f"not the target {target}")
+        if len(head.args) != arity:
+            raise ClauseError(f"definition line {lineno}: clause head has {len(head.args)} "
+                              f"arguments for a target of arity {arity}")
+        definition.clauses.append(LearnedClause(clause, learner.ClauseStats(pos=0, neg=0)))
     return definition
 
 
@@ -234,17 +244,14 @@ def _config(args) -> LearnerConfig:
 
 
 def _load(args):
-    with open(args.schema, encoding="utf-8") as fh:
-        schema = store.parse_schema(fh.read(), target=args.target)
+    schema = store.parse_schema(read_text(args.schema), target=args.target)
     db = store.load_csv(schema, args.data)
     mds, cfds = [], []
     if args.constraints:
-        with open(args.constraints, encoding="utf-8") as fh:
-            mds, cfds = parse_constraints(fh.read(), schema)
+        mds, cfds = parse_constraints(read_text(args.constraints), schema)
     mds, cfds = apply_mode(mds, cfds, args.mode)
     arity = schema.relation(args.target).arity
-    with open(args.examples, encoding="utf-8") as fh:
-        pos, neg = parse_examples(fh.read(), args.target, arity)
+    pos, neg = parse_examples(read_text(args.examples), args.target, arity)
     return db, mds, cfds, pos, neg, arity
 
 
@@ -292,10 +299,8 @@ def _cmd_saturate(args) -> int:
 def _cmd_subsume(args) -> int:
     if args.budget < 1:
         raise SaturationError(f"--budget must be positive, got {args.budget}")
-    with open(args.clause_c, encoding="utf-8") as fh:
-        c = logic.parse_clause(fh.read().strip())
-    with open(args.clause_d, encoding="utf-8") as fh:
-        d = logic.parse_clause(fh.read().strip())
+    c = logic.parse_clause(read_text(args.clause_c).strip())
+    d = logic.parse_clause(read_text(args.clause_d).strip())
     verdict = subsumption.subsumes_with_repairs(c, d, budget=args.budget)
     if verdict.covered:
         witness = ",".join(
@@ -384,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Malformed or unreadable schema, data, constraint,
-    example or definition files, option values the config or `subsume`
-    rejects, a CFD repair without a fixpoint and an oracle search past its
-    cap end the run with a one-line message on stderr and exit code 2."""
+    """Run one subcommand. Malformed, unreadable or non-UTF-8 input files,
+    option values the config or `subsume` rejects, a CFD repair without a
+    fixpoint and an oracle search past its cap end the run with a one-line
+    message on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -131,11 +131,9 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
     finally any literal no longer connected to the head."""
     body = list(ordered.clause.body)
     head = ordered.clause.head
-    removed = {index}
-    seed = body[index]
-    if isinstance(seed, RepairLit):
-        removed.update(i for i, l in enumerate(body)
-                       if isinstance(l, RepairLit) and logic.same_group(l, seed))
+    groups = ordered.clause.match_index.groups
+    # a dropped repair literal takes its whole group with it
+    removed = set(groups.get(index, (index,)))
     while True:
         before = set(removed)
         remaining = [i for i in range(len(body)) if i not in removed]
@@ -162,10 +160,7 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
                     for a in lit.cond
                 )
                 if dead:
-                    removed.add(i)
-                    removed.update(j for j in remaining
-                                   if isinstance(body[j], RepairLit)
-                                   and logic.same_group(body[j], lit))
+                    removed.update(groups[i].intersection(remaining))
             elif isinstance(lit, (Sim, Eq)):
                 if any(isinstance(t, Variable) and t not in allowed for t in (lit.a, lit.b)):
                     removed.add(i)

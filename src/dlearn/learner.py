@@ -107,13 +107,14 @@ def learn_clause(grounding: Grounding, seed: Example, uncovered, negatives,
     """One bottom clause, generalized greedily while the score improves.
 
     Each round generalizes the current clause against sampled positives
-    (one candidate per distinct clause, none equal to the current one) and
-    moves to the best candidate when it scores strictly higher. The bottom
-    clause is scored only as far as round 1 needs: its testing stops once
-    it is known to score below that round's best candidate (score_clause's
-    `beat`), often before any negative is tested. It is scored in full only
-    when it is kept. Clause and stats are the same as when the bottom
-    clause is scored in full first.
+    (one candidate per distinct clause, none equal to the current one put
+    in ARMG literal order, generalization.order_clause) and moves to the
+    best candidate when it scores strictly higher. The bottom clause is
+    scored only as far as round 1 needs: its testing stops once it is known
+    to score below that round's best candidate (score_clause's `beat`),
+    often before any negative is tested. It is scored in full only when it
+    is kept. Clause and stats are the same as when the bottom clause is
+    scored in full first.
     """
     limits = (cfg.subsumption_budget, cfg.repair_cap)
     positives = [(e.key(), grounding.ground[e.key()]) for e in uncovered]
@@ -130,9 +131,11 @@ def learn_clause(grounding: Grounding, seed: Example, uncovered, negatives,
         for cand in dict.fromkeys(generalization.armg(current, grounding.ground[e.key()], *limits)
                                   for e in picked):
             seen.setdefault(logic.clause_key(cand), cand)
-        # a candidate equal to the current clause scores the same and cannot
-        # replace it; dropped after deduplication, so each key keeps its clause
-        candidates = [seen[k2] for k2 in sorted(seen) if seen[k2] != current]
+        # a candidate equal to the current clause in ARMG literal order (in round 1,
+        # the bottom clause's own armg) scores the same and cannot replace it;
+        # dropped after deduplication, so each key keeps its clause
+        ordered = generalization.order_clause(current).clause
+        candidates = [seen[k2] for k2 in sorted(seen) if seen[k2] != ordered]
         if not candidates:
             break
         cand, cand_score, cand_stats = generalization.best_scored(candidates, positives,

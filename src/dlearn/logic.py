@@ -151,7 +151,7 @@ class RepairLit:
     The literal is its three fields, as it prints. `origin` ("md" or "cfd")
     is condition_origin(cond), set once when the literal is built; it takes
     no part in construction, equality or repr. Which literals fire together
-    is decided from the condition too (same_group).
+    is decided from the condition too (group_key).
     """
 
     cond: Condition
@@ -194,13 +194,18 @@ def condition_origin(cond: Condition) -> str:
     return "md" if all(isinstance(a, SimAtom) for a in cond) else "cfd"
 
 
+def group_key(lit: RepairLit) -> frozenset | None:
+    """The set of condition atoms of an MD literal; None for a CFD literal,
+    which applies alone. An MD condition may be empty: test with `is None`."""
+    return frozenset(lit.cond) if lit.origin == "md" else None
+
+
 def same_group(a: RepairLit, b: RepairLit) -> bool:
     """Matching-dependency repair literals whose conditions are equal as sets
     of atoms form a group and fire together (enforcing a similarity match
     identifies both sides at once); CFD repair literals always apply alone."""
-    if a is b:
-        return True
-    return a.origin == "md" and set(a.cond) == set(b.cond)
+    key = group_key(a)
+    return a is b or (key is not None and key == group_key(b))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +319,8 @@ class MatchIndex:
     - rels: its relation literals as (body index, literal) pairs, bucketed
       by (relation, arity);
     - reps: its repair literals as (body index, literal) pairs;
+    - groups: each repair literal's body index, mapped to the indices of
+      its group (group_key) as one frozenset that the members share;
     - sim_pairs: the term pairs of its similarity literals, both ways round;
     - terms: its distinct terms, head first, in order of appearance.
 
@@ -344,6 +351,15 @@ class MatchIndex:
     @cached_property
     def reps(self) -> tuple[tuple[int, RepairLit], ...]:
         return tuple((i, lit) for i, lit in enumerate(self._body) if isinstance(lit, RepairLit))
+
+    @cached_property
+    def groups(self) -> dict[int, frozenset[int]]:
+        # a CFD literal is keyed by its own index, which no MD key equals
+        members: dict = {}
+        for i, lit in self.reps:
+            key = group_key(lit)
+            members.setdefault(i if key is None else key, []).append(i)
+        return {i: group for group in map(frozenset, members.values()) for i in group}
 
     @cached_property
     def sim_pairs(self) -> frozenset:
@@ -420,7 +436,7 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     closure = closure or eq_closure(clause)
     if not _holds(lit.cond, closure, _sim_pairs(body, closure)):
         return Clause(clause.head, body[:index] + body[index + 1:])
-    group = {q for q, l in enumerate(body) if isinstance(l, RepairLit) and same_group(l, lit)}
+    group = clause.match_index.groups[index]
     mapping = {body[q].target: body[q].replacement for q in group}
     targets = mapping.keys()
 

@@ -206,8 +206,8 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     def left_term_for(probe: str, pair) -> logic.Term:
         if variabilize and probe in head_values | key_values:
             return alloc.shared(probe)
-        left_rel, left_attr = pair[0] if pair else (None, None)
-        if left_rel is not None and left_rel != example.relation:
+        left_rel, left_attr = pair[0]
+        if left_rel != example.relation:
             # the probe value sits in a stored relation: give its occurrence
             # at the pair's left attribute its own anchored variable, so the
             # repair targets the occurrence (exact for a single occurrence,
@@ -230,7 +230,7 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     for li, rt in enumerate(relevant.tuples):
         for prov in rt.sims:
             side = (rt.tuple.relation, prov.attribute)
-            forward = prov.pair and prov.pair[1] == side
+            forward = prov.pair[1] == side
             ordered_provs.append((0 if forward else 1, li, rt, prov))
     # matches discovered on the right side of their attribute pair come
     # first; a mirror discovery of the same value pair from the left side

@@ -177,6 +177,8 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
                     rows.append(Tuple(rel.name, tuple(row), tid=len(rows)))
             except csv.Error as exc:
                 raise StoreError(f"{path}: malformed CSV: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise StoreError(f"{path}: not UTF-8: {exc}") from exc
         db.tables[rel.name] = rows
     build_indexes(db)
     return db

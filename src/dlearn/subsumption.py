@@ -11,28 +11,13 @@ mapping, every repair literal of D that is connected to a mapped literal must
 itself be mapped; this is what makes the test sound as a proxy for entailment
 between the repair-free expansions of the two clauses.
 
-The search (_Matcher) checks each equality and similarity literal as soon as
-its terms are bound, reuses a literal's candidate list within one search
-while the bindings it depends on stay the same, and reads both clauses
-through Clause.match_index, which is built once per Clause object and lives
-as long as the clause. None of this changes a verdict or a witness. The
-search budget counts the candidate unifications tried; because pruned
-branches cost nothing, a search may now finish within a budget that it used
-to exhaust. Like match_index, the views the coverage tests derive from a
-clause (md_part, logic.first_partial_repair, logic.partial_repairs,
+The search (_Matcher) prunes and reuses work without changing a verdict or
+a witness of the unpruned search; its docstring states how, and what its
+budget counts. Like Clause.match_index, the views the coverage tests derive
+from a clause (md_part, logic.first_partial_repair, logic.partial_repairs,
 logic.repaired_clauses) are built once per Clause object, kept in
-Clause.views and shared by all callers.
-
-Stage 2 of covers_positive, on the clauses' matching-dependency parts, runs
-only when c or g has a CFD repair literal; otherwise it would repeat stage 1.
-
-Stage 3 of covers_positive, the expansion of both clauses' CFD repairs,
-starts with one expansion of c, the end of a single repair path. If that
-expansion needs a constant that g does not have, the stage rejects without
-expanding anything. The shortcut is exact: every expansion of g has only
-terms of g, a constant of c maps only onto itself, so that one expansion of
-c subsumes no expansion of g, and the stage demands that every expansion of
-c subsume one.
+Clause.views and shared by all callers. covers_positive's docstring states
+when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
 that c covers g, c entails g (oracle.brute_force_entails), and when
@@ -45,6 +30,7 @@ through its own repairs (see their docstrings).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import logic
 from .logic import DEFAULT_REPAIR_CAP, Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
@@ -99,24 +85,29 @@ class _Matcher:
       soon as both of its terms are bound: after the head unification and
       after each candidate binding. A failed check cuts the branch. Only the
       still-unbound constraints go down the search, and the leaf enumerates
-      their free variables over d's terms, as before.
+      their free variables over d's terms.
     - Candidate reuse. A literal's candidates are binding deltas, the new
       bindings only; theta is copied only for the chosen literal's
       candidates. Within one solve the candidates of a literal are memoized
       under the projection of theta onto that literal's variables, which is
       all they depend on.
     - Per-clause index. d's equality closure, relation buckets, repair and
-      similarity lists and term list, and c's per-literal variable tuples,
-      come from Clause.match_index: built once per Clause object, kept as
-      long as it lives, and shared by every search against it.
+      similarity lists, repair groups and term list, and c's per-literal
+      variable tuples and repair groups, come from Clause.match_index: built
+      once per Clause object, kept as long as it lives, and shared by every
+      search against it.
+    - Leaf checks. A leaf checks only what the mapping decides: the
+      connected-repair side condition and the group condition. The
+      pinned-constant rule depends on c and d alone and is decided once.
 
     The budget counts candidate unifications tried (one per d literal
     examined as an image, one per condition-atom pairing, one per leaf
     assignment of a free constraint variable). A memoized candidate list is
     charged its full recorded count each time it is consulted, so a search
-    spends exactly what the unpruned search spent on the nodes it still
-    visits and never more in total; pruning can only let it finish within a
-    budget that used to run out.
+    spends exactly what the unpruned search (tests/helpers._ReferenceMatcher)
+    spends on the nodes it still visits, and never more in total: pruning
+    can only let it finish within a budget that the unpruned search
+    exhausts.
     """
 
     def __init__(self, c: Clause, d: Clause, budget: int):
@@ -267,59 +258,46 @@ class _Matcher:
 
     # -- side condition ----------------------------------------------------
 
-    def _side_condition(self, mapped, lit_map):
+    def _side_condition(self, lit_map):
         # every repair literal of d reachable from the mapped body region must
         # be mapped too. The head does not seed the region; candidate heads
         # are always variables, and a variable head argument tracks whatever
         # value a repair gives it.
+        mapped = set(lit_map.values())
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], RepairLit)}
-        region = (t for di in mapped if di not in mapped_rep
-                  for t in logic.literal_terms(self.d.body[di]))
-        if not _connected_repairs(self.d_index.reps, region) <= mapped_rep:
-            return False
-        # a constant the pattern pins cannot survive a repair of d that
-        # targets it: every expansion of d rewrites all its occurrences while
-        # the pattern keeps demanding the constant, unless the pattern repairs
-        # the very same constant and the two rewrites run in lockstep
+        region = (t for di in mapped - mapped_rep for t in logic.literal_terms(self.d.body[di]))
+        return _connected_repairs(self.d_index.reps, region) <= mapped_rep
+
+    @cached_property
+    def _pins_survive(self) -> bool:
+        """A constant the pattern pins cannot survive a repair of d that
+        targets it: every expansion of d rewrites all its occurrences while
+        the pattern keeps demanding the constant, unless the pattern repairs
+        the very same constant and the two rewrites run in lockstep. Only a
+        leaf reads it, where every relation and repair literal of c is
+        mapped, so it depends on c and d alone."""
         demands = {t for t in self.c.head.args if isinstance(t, Constant)}
-        c_rep_targets = set()
-        for ci in lit_map:
-            clit = self.c.body[ci]
-            if isinstance(clit, Rel):
-                demands.update(t for t in clit.args if isinstance(t, Constant))
-            else:
-                c_rep_targets.add(clit.target)
-        for _, dlit in self.d_index.reps:
-            if (isinstance(dlit.target, Constant) and dlit.target in demands
-                    and dlit.target not in c_rep_targets):
-                return False
-        return True
+        demands.update(t for lit in self.c.body if isinstance(lit, Rel)
+                       for t in lit.args if isinstance(t, Constant))
+        c_rep_targets = {lit.target for _, lit in self.c_index.reps}
+        return not any(dlit.target in demands and dlit.target not in c_rep_targets
+                       for _, dlit in self.d_index.reps if isinstance(dlit.target, Constant))
 
-    def _d_group(self, di):
-        dlit = self.d.body[di]
-        return frozenset(dj for dj, dl in self.d_index.reps if logic.same_group(dl, dlit))
-
-    def _group_condition(self, rep_map):
+    def _group_condition(self, lit_map):
         """Repair groups of c must land inside single groups of d, and two
         c-groups sharing a target must land in distinct d-groups: collapsing
         diverging repair alternatives onto one would claim more than the
         pattern's own expansions deliver."""
-        c_reps = [(ci, self.c.body[ci]) for ci in rep_map]
-        groups: list[tuple[list, frozenset]] = []
-        used = set()
-        for ci, lit in c_reps:
-            if ci in used:
-                continue
-            members = [cj for cj, lj in c_reps if logic.same_group(lj, lit)]
-            used.update(members)
-            d_groups = {self._d_group(rep_map[cj]) for cj in members}
-            if len(d_groups) > 1:
+        d_groups = self.d_index.groups
+        landed: dict[frozenset, frozenset] = {}
+        for ci, c_group in self.c_index.groups.items():
+            d_group = d_groups[lit_map[ci]]
+            if landed.setdefault(c_group, d_group) != d_group:
                 return False
-            targets = frozenset(self.c.body[cj].target for cj in members)
-            groups.append((targets, next(iter(d_groups))))
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if groups[i][0] & groups[j][0] and groups[i][1] == groups[j][1]:
+        claimed: dict[tuple, frozenset] = {}
+        for c_group, d_group in landed.items():
+            for cj in c_group:
+                if claimed.setdefault((d_group, self.c.body[cj].target), c_group) != c_group:
                     return False
         return True
 
@@ -338,25 +316,24 @@ class _Matcher:
         if not all(self._holds(lit, theta) for lit in check):
             return CoverageVerdict(False)
         try:
-            found = self._search(self.c_index.binders, pending, theta, set(), {})
+            found = self._search(self.c_index.binders, pending, theta, {})
         except _OutOfBudget:
             return CoverageVerdict(False, budget_exhausted=True)
         if found is None:
             return CoverageVerdict(False)
         return CoverageVerdict(True, witness=found)
 
-    def _search(self, remaining, pending, theta, mapped, lit_map):
+    def _search(self, remaining, pending, theta, lit_map):
         """`remaining`: body indices of c's unbound relation and repair
         literals; `pending`: body indices of its constraints with an
-        unbound variable."""
+        unbound variable; `lit_map`: the d body index each bound literal of
+        c maps onto."""
         if not remaining:
             final = self._check_constraints([self.c.body[k] for k in pending], theta)
             if final is None:
                 return None
-            rep_map = {ci: di for ci, di in lit_map.items()
-                       if isinstance(self.c.body[ci], RepairLit)}
-            if not (self._side_condition(mapped, lit_map)
-                    and self._group_condition(rep_map)):
+            if not (self._side_condition(lit_map) and self._pins_survive
+                    and self._group_condition(lit_map)):
                 return None
             return final
         # most constrained literal first
@@ -377,7 +354,7 @@ class _Matcher:
                 continue
             lit_map2 = dict(lit_map)
             lit_map2[ci] = di
-            out = self._search(rest, pending, theta2, mapped | {di}, lit_map2)
+            out = self._search(rest, pending, theta2, lit_map2)
             if out is not None:
                 return out
         return None

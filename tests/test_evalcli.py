@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 
@@ -357,6 +358,36 @@ def test_cli_bad_option_or_input_is_one_line_error(tmp_path, capsys, make_argv, 
         argv += ["--out", str(tmp_path / "d.txt")]
     assert message in _one_line_error(argv, capsys)
     assert not (tmp_path / "d.txt").exists()
+
+
+def _latin1(path, text) -> str:
+    """Write `text` to `path` in Latin-1, where any non-ASCII character
+    makes the file invalid UTF-8."""
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["schema", "data", "constraints", "examples", "definition"])
+def test_cli_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, kind):
+    """A schema, data CSV, constraint, example or definition file that is
+    not UTF-8 ends the run with one line that names the file."""
+    argv = movie_args([])
+    if kind == "data":
+        data = shutil.copytree(os.path.join(DATA_DIR, "data"), tmp_path / "data")
+        movies = data / "movies.csv"
+        bad = _latin1(movies, movies.read_text(encoding="utf-8") + "m9,Café (1999),1999\n")
+        argv = ["sim-index"] + _replaced(argv, "--data", str(data))
+    elif kind == "definition":
+        bad = _latin1(tmp_path / "definition.txt", "# café\n")
+        argv = ["eval"] + argv + ["--definition", bad]
+    else:
+        with open(argv[argv.index(f"--{kind}") + 1], encoding="utf-8") as fh:
+            text = fh.read() + ("-,Café\n" if kind == "examples" else "# café\n")
+        bad = _latin1(tmp_path / f"{kind}.txt", text)
+        argv = ["sim-index"] + _replaced(argv, f"--{kind}", bad)
+    err = _one_line_error(argv, capsys)
+    assert err.startswith(f"dlearn: error: {bad}: not UTF-8: ")
+    assert "can't decode byte 0xe9" in err
 
 
 @pytest.mark.parametrize("option, value, message", [

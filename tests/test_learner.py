@@ -304,3 +304,35 @@ def test_learn_equals_reference_covering_step(mini, monkeypatch):
         assert [lc.stats for lc in lazy.clauses] == [lc.stats for lc in eager.clauses]
     assert len(cases) == 18
     assert kept >= 1 and by_negative >= 1
+
+
+def test_no_round_scores_the_current_clause_in_armg_order(monkeypatch):
+    """A candidate equal to the current clause put in ARMG literal order
+    (generalization.order_clause) scores as the current clause and cannot
+    replace it, so no round scores it. On title_database(4, seed, family=2)
+    a bottom clause covers its own ground clause, so round 1's armg against
+    the seed's ground clause returns exactly that candidate."""
+    real_armg, real_best_scored = generalization.armg, generalization.best_scored
+    calls = []  # (clause generalized, armg result), in call order
+    rounds = 0
+
+    def armg(clause, g, *limits):
+        calls.append((clause, real_armg(clause, g, *limits)))
+        return calls[-1][1]
+
+    def best_scored(candidates, *args):
+        nonlocal rounds
+        rounds += 1
+        assert generalization.order_clause(calls[-1][0]).clause not in candidates
+        return real_best_scored(candidates, *args)
+
+    monkeypatch.setattr(generalization, "armg", armg)
+    monkeypatch.setattr(generalization, "best_scored", best_scored)
+    for seed in (0, 1, 2):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, rng_seed=seed, min_pos=1)
+        for pos, neg in ((examples[:2], examples[2:]), (examples[::2], examples[1::2])):
+            learn(db, mds, [], pos, neg, cfg)
+    skipped = sum(out == generalization.order_clause(clause).clause for clause, out in calls)
+    # every run skips at least one candidate; three of them score others
+    assert rounds >= 3 and skipped >= 6

@@ -252,6 +252,22 @@ def test_same_group_is_decided_by_the_condition():
     assert not logic.same_group(a, RepairLit((s01, s23, NeqAtom(V(2), V(3))), V(0), V(8)))
 
 
+def test_match_index_groups_key_md_literals_by_condition_and_cfd_literals_alone():
+    """MatchIndex.groups maps each repair literal's body index to its
+    group's indices (group_key): MD literals with one set of condition
+    atoms share a group, the empty set included, and a CFD literal is its
+    own group even beside an equal one."""
+    s01 = SimAtom(V(0), V(1))
+    cfd = (EqAtom(V(0), V(1)), NeqAtom(V(2), V(3)))
+    body = (Rel("r", (V(0), V(1))), RepairLit((s01,), V(0), V(4)), RepairLit((), V(0), V(5)),
+            RepairLit(cfd, V(2), V(3)), RepairLit((s01,), V(1), V(6)), RepairLit(cfd, V(2), V(3)),
+            RepairLit((), V(1), V(7)))
+    assert logic.group_key(body[2]) == frozenset() and logic.group_key(body[3]) is None
+    groups = Clause(Rel("t", (V(0),)), body).match_index.groups
+    assert groups == {1: {1, 4}, 4: {1, 4}, 2: {2, 6}, 6: {2, 6}, 3: {3}, 5: {5}}
+    assert groups[1] is groups[4]
+
+
 def _groups(clause):
     """The partition of a clause's repair literals into groups, as sets of
     body indices."""
@@ -266,7 +282,8 @@ def test_printed_clauses_parse_back_with_their_origins_and_groups(
     title_database(4, seed, family=2) at seeds 0-2 and of both
     cfd_micro_dataset variants, and every partial and full repair expansion
     of them, parses back from its text with the same body, each repair
-    literal with its origin and the repair literals in the same groups."""
+    literal with its origin and the repair literals in the same groups. The
+    groups of each clause's MatchIndex are those groups."""
     sources = [(movie_db, movie_mds, [], movie_idx, list(movie_examples.values()),
                 saturation.SaturationConfig(d=3, sample_size=1000, rng_seed=1))]
     for seed in range(3):
@@ -289,6 +306,7 @@ def test_printed_clauses_parse_back_with_their_origins_and_groups(
         assert [getattr(l, "origin", None) for l in again.body] == \
             [getattr(l, "origin", None) for l in c.body]
         assert _groups(again) == _groups(c), print_clause(c)
+        assert set(c.match_index.groups.values()) == _groups(c), print_clause(c)
         grouped += any(len(g) > 1 for g in _groups(c))
     assert len(clauses) >= 150 and grouped >= 50
     assert sum(_has_repairs(c, "cfd") for c in clauses) >= 20

@@ -146,9 +146,9 @@ def parse_examples(text: str, target: str,
 
 
 def read_text(path: str) -> str:
-    """The text of a UTF-8 file; one that does not decode raises a
-    StoreError that names it."""
-    with open(path, encoding="utf-8") as fh:
+    """The text of a UTF-8 file, without a leading byte-order mark; one that
+    does not decode raises a StoreError that names it."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -124,66 +124,58 @@ def find_blocking_literal(ordered: OrderedClause, g: Clause,
 
 
 def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
-    """Remove the literal at `index` and everything that loses its footing:
-    partner literals of the same repair group, repair literals whose target or
-    condition variables vanished from the head and relation literals,
-    restriction and induced equality literals over vanished variables, and
-    finally any literal no longer connected to the head."""
-    body = list(ordered.clause.body)
-    head = ordered.clause.head
+    """Remove the literal at `index`, with its repair group, and everything
+    that loses its footing. Each round applies these rules to the literals
+    still kept, and the rounds stop when one drops nothing:
+    - a term is allowed while it occurs in the head, in a kept relation
+      literal or as a kept replacement; a repair literal dies with its whole
+      group when a variable of its condition is no longer allowed, when its
+      target is not (a constant target only counts the head and relation
+      literals), or when a similarity atom of its condition lost its
+      similarity literal;
+    - an equality or similarity literal over a variable that is no longer
+      allowed is dropped;
+    - a similarity literal that guards no repair literal left after this
+      round's repair deaths is dropped;
+    - a literal no longer connected to the head is dropped.
+    Each rule drops at least as much from fewer literals, so the order of
+    the rules does not matter: the rounds end at the one greatest kept set
+    that no rule shrinks."""
+    head, body = ordered.clause.head, ordered.clause.body
     groups = ordered.clause.match_index.groups
-    # a dropped repair literal takes its whole group with it
-    removed = set(groups.get(index, (index,)))
+    kept = set(range(len(body))) - groups.get(index, {index})
     while True:
-        before = set(removed)
-        remaining = [i for i in range(len(body)) if i not in removed]
-        visible: set = set(head.args)
-        for i in remaining:
-            if isinstance(body[i], Rel):
-                visible.update(body[i].args)
-        replacements = {body[i].replacement for i in remaining if isinstance(body[i], RepairLit)}
-        allowed = visible | replacements
-        sims = {frozenset((l.a, l.b)) for l in (body[i] for i in remaining) if isinstance(l, Sim)}
-        for i in remaining:
+        visible = set(head.args).union(*(body[i].args for i in kept if isinstance(body[i], Rel)))
+        allowed = visible | {body[i].replacement for i in kept if isinstance(body[i], RepairLit)}
+        sims = {frozenset((body[i].a, body[i].b)) for i in kept if isinstance(body[i], Sim)}
+        dead: set = set()
+        for i in kept:
             lit = body[i]
             if isinstance(lit, RepairLit):
-                cond_vars = [t for a in lit.cond for t in (a.a, a.b)]
                 pool = visible if isinstance(lit.target, Constant) else allowed
-                dead = lit.target not in pool or any(
-                    isinstance(t, Variable) and t not in allowed for t in cond_vars
-                )
-                # a similarity condition whose witnessing literal is gone can
-                # never hold again, so the repair group it guards is dead
-                dead = dead or any(
-                    isinstance(a, logic.SimAtom) and a.a != a.b
-                    and frozenset((a.a, a.b)) not in sims
-                    for a in lit.cond
-                )
-                if dead:
-                    removed.update(groups[i].intersection(remaining))
+                if (lit.target not in pool
+                        or any(isinstance(t, Variable) and t not in allowed
+                               for a in lit.cond for t in (a.a, a.b))
+                        # a similarity condition whose witnessing literal is
+                        # gone can never hold again
+                        or any(isinstance(a, logic.SimAtom) and a.a != a.b
+                               and frozenset((a.a, a.b)) not in sims for a in lit.cond)):
+                    dead |= groups[i]
             elif isinstance(lit, (Sim, Eq)):
                 if any(isinstance(t, Variable) and t not in allowed for t in (lit.a, lit.b)):
-                    removed.add(i)
-        # similarity literals travel with their repair group: one without a
-        # guarded group left is dropped too
-        guarded = {
-            frozenset((a.a, a.b))
-            for j in remaining if j not in removed and isinstance(body[j], RepairLit)
-            for a in body[j].cond if isinstance(a, logic.SimAtom)
-        }
-        for i in remaining:
-            lit = body[i]
-            if i not in removed and isinstance(lit, Sim) and frozenset((lit.a, lit.b)) not in guarded:
-                removed.add(i)
-        # connectivity pass over what is left
-        keep = [i for i in range(len(body)) if i not in removed]
-        connected = logic.head_reachable(head, ((i, body[i]) for i in keep))
-        removed.update(i for i in keep if i not in connected)
-        if removed == before:
+                    dead.add(i)
+        guarded = {frozenset((a.a, a.b)) for i in kept - dead if isinstance(body[i], RepairLit)
+                   for a in body[i].cond if isinstance(a, logic.SimAtom)}
+        dead.update(i for i in kept if isinstance(body[i], Sim)
+                    and frozenset((body[i].a, body[i].b)) not in guarded)
+        alive = logic.head_reachable(head, ((i, l) for i, l in enumerate(body)
+                                            if i in kept and i not in dead))
+        if alive == kept:
             break
+        kept = alive
     # what is left of an ordered body is in order: positions only break ties
     # within one sort key, and removal keeps the relative order of the rest
-    return OrderedClause(Clause(head, tuple(body[i] for i in range(len(body)) if i not in removed)))
+    return OrderedClause(Clause(head, tuple(l for i, l in enumerate(body) if i in kept)))
 
 
 def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,

@@ -699,8 +699,9 @@ def _parse_literal(tk: _Tokens) -> Literal:
     name = tk.ident()
     if name == "rep":
         tk.expect("{")
-        atoms = [_parse_atom(tk)]
-        while tk.try_take(";"):
+        # an MD literal's condition may be empty: `rep{}` prints it
+        atoms = [] if tk.peek() == "}" else [_parse_atom(tk)]
+        while atoms and tk.try_take(";"):
             atoms.append(_parse_atom(tk))
         tk.expect("}")
         tk.expect("(")
@@ -782,40 +783,35 @@ def _render(forms) -> list[str]:
     return texts
 
 
-def _canonical_order(clause: Clause, cache: dict) -> tuple[list[Literal], list[str]]:
-    """The body literals in canonical order, and the printed literals (head
-    first) of the clause renumbered in that order. The body is first ordered
-    by shape key and then by printed literal, renumbering after each
-    ordering, until the renumbered clause no longer changes (at most
-    twice)."""
+def _canonical_texts(clause: Clause, cache: dict) -> list[str]:
+    """The printed literals (head first) of the clause renumbered in
+    canonical order. The body is first ordered by shape key and then by
+    printed literal, renumbering after each ordering, until the renumbered
+    clause no longer changes (at most twice)."""
     head = _literal_form(clause.head, cache)
     body = sorted((_literal_form(l, cache) for l in clause.body), key=itemgetter(0))
     texts = _render([head, *body])
     for _ in range(2):
-        body2 = [f for _, f in sorted(zip(texts[1:], body), key=itemgetter(0))]
-        texts2 = _render([head, *body2])
+        body = [f for _, f in sorted(zip(texts[1:], body), key=itemgetter(0))]
+        texts2 = _render([head, *body])
         if texts2 == texts:
             break
-        body, texts = body2, texts2
-    return [f[3] for f in body], texts
+        texts = texts2
+    return texts
 
 
 def canonical(clause: Clause) -> Clause:
-    """Renumber variables by first occurrence after ordering the body by a
-    name-independent shape key and re-sorting it afterwards, which makes the
-    form stable under both renaming and reordering for all but
-    pathologically symmetric clauses."""
-    body, _ = _canonical_order(clause, {})
-    mapping: dict[Variable, Variable] = {}
-    for lit in (clause.head, *body):
-        for v in literal_vars(lit):
-            mapping.setdefault(v, Variable(len(mapping)))
-    return apply_substitution(Clause(clause.head, tuple(body)), mapping)
+    """The clause with its variables renumbered by first occurrence after
+    ordering the body by a name-independent shape key and re-sorting it
+    afterwards, which makes the form stable under both renaming and
+    reordering for all but pathologically symmetric clauses: the clause
+    clause_key prints."""
+    return parse_clause(clause_key(clause))
 
 
 def clause_key(clause: Clause, cache: dict | None = None) -> str:
     """print_clause(canonical(clause)), computed from printed literal forms.
     `cache` holds those forms by literal object; calls that pass the same
     dict print each literal object they share once (it only grows)."""
-    _, texts = _canonical_order(clause, {} if cache is None else cache)
+    texts = _canonical_texts(clause, {} if cache is None else cache)
     return _clause_text(texts[0], texts[1:])

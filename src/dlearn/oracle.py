@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from . import logic, store
 from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable

@@ -287,7 +287,9 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     direction. Violations that only arise after some repair fired are found
     by treating every repair literal's replacement as an alternative value of
     its target, and their repairs reference those replacement variables
-    directly. Scanning repeats until no unhandled violation remains.
+    directly. Scanning repeats until a round repairs nothing: a violation
+    is skipped only when it is handled or shares a literal with one
+    repaired in the same round, so such a round leaves none unhandled.
     """
     if not cfds or not any(isinstance(l, logic.Rel) for l in clause.body):
         return clause
@@ -296,33 +298,36 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     # one allocator for every round: each id it hands out lands in the body,
     # so it stays the first free id without rescanning the clause
     alloc = _VarAllocator(logic.fresh_var(clause).id)
-    # the body's repair literals and its CFD swap pairs, kept up to date as
-    # literals are appended (splits replace relation literals only)
+    # the body's repair literals, its CFD swap pairs and each repaired term's
+    # alternatives, kept up to date as literals are appended (splits replace
+    # relation literals only)
     repairs = {l for l in body if isinstance(l, logic.RepairLit)}
     swaps = {(l.target, l.replacement) for l in repairs if l.origin == "cfd"}
+    alternatives: dict[logic.Term, list[logic.Term]] = {}
+    for lit in body:
+        if isinstance(lit, logic.RepairLit):
+            alternatives.setdefault(lit.target, []).append(lit.replacement)
     for _ in range(cfg.cfd_fixpoint_cap):
         closure = logic.EqClosure(body)
-        alternatives: dict[logic.Term, list[logic.Term]] = {}
-        for lit in body:
-            if isinstance(lit, logic.RepairLit):
-                alternatives.setdefault(lit.target, []).append(lit.replacement)
-        pending = []
-        for cfd in cfds:
-            for v in cn.find_cfd_violations(body, cfd, closure, alternatives):
-                pending.append((cfd, v))
-        emitted = False
-        deferred = False
+        pending = [(cfd, v) for cfd in cfds
+                   for v in cn.find_cfd_violations(body, cfd, closure, alternatives)]
         touched: set[int] = set()
         for cfd, violation in pending:
-            # splits mutate literals in place, so violations that share a
-            # literal with one already handled this round wait for the rescan
-            if {violation.first, violation.second} & touched:
-                deferred = True
+            # a swap pair over the right-hand terms in both orientations means
+            # the violation, or an equivalent alternative-choice view of it,
+            # is done; splits mutate literals in place, so one that shares a
+            # literal with a violation repaired this round waits for the rescan
+            z, t = violation.rhs_terms
+            if ((z, t) in swaps and (t, z) in swaps) or {violation.first, violation.second} & touched:
                 continue
-            if _repair_one_violation(head, body, cfd, violation, alloc, repairs, swaps):
-                emitted = True
-                touched.update((violation.first, violation.second))
-        if not emitted and not deferred:
+            for lit in _repair_one_violation(head, body, cfd, violation, alloc):
+                if lit not in repairs:
+                    repairs.add(lit)
+                    swaps.add((lit.target, lit.replacement))
+                    alternatives.setdefault(lit.target, []).append(lit.replacement)
+                    body.append(lit)
+            touched.update((violation.first, violation.second))
+        if not touched:
             return logic.Clause(head, tuple(body))
     raise SaturationError(
         f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds; the dependency set looks inconsistent"
@@ -346,17 +351,11 @@ def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,
 
 
 def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
-                          alloc: _VarAllocator, repairs: set, swaps: set) -> bool:
-    """Append the repair literals of one violation to body, unless it is
-    already handled. repairs holds the body's repair literals and swaps the
-    (target, replacement) pairs of its CFD ones; both are updated here."""
+                          alloc: _VarAllocator) -> list[logic.RepairLit]:
+    """The repair literals of one violation, after splitting the shared
+    occurrences of its terms in body."""
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
-
-    # a swap pair over these right-hand terms (in either orientation) means
-    # the violation, or an equivalent alternative-choice view of it, is done
-    if (z, t) in swaps and (t, z) in swaps:
-        return False
 
     # resolve terms per position, splitting shared occurrences of wildcard
     # cells (constant cells get no replacement repair, so no split either);
@@ -388,19 +387,13 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
     atoms.append(logic.NeqAtom(z, t))
     cond = tuple(atoms)
 
-    new_lits: list[logic.Literal] = []
+    new_lits: list[logic.RepairLit] = []
     for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
         if cell is not None:
             continue
         for side in (t1, t2):
             new_lits.append(logic.RepairLit(cond, side, alloc.fresh()))
-    new_lits += [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
-    for l in new_lits:
-        if l not in repairs:
-            repairs.add(l)
-            body.append(l)
-            swaps.add((l.target, l.replacement))
-    return True
+    return new_lits + [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
 
 
 def bottom_clause(example: Example, db: Database, mds, cfds, idx: SimilarityIndex,

@@ -151,9 +151,9 @@ def build_indexes(db: Database) -> None:
 def load_csv(schema: Schema, data_dir: str) -> Database:
     """Load ``<relation>.csv`` for every stored relation under data_dir.
 
-    Files are UTF-8, comma separated, RFC 4180 quoting, no header row. Tuple
-    ids follow file order, which makes every downstream result order
-    reproducible.
+    Files are UTF-8 (a leading byte-order mark is skipped), comma separated,
+    RFC 4180 quoting, no header row. Tuple ids follow file order, which
+    makes every downstream result order reproducible.
     """
     db = Database(schema=schema)
     for rel in schema.stored_relations:
@@ -161,7 +161,7 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
         if not os.path.exists(path):
             raise StoreError(f"missing CSV file for relation {rel.name!r}: {path}")
         rows: list[Tuple] = []
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
             try:
                 for lineno, row in enumerate(reader, start=1):

@@ -22,9 +22,11 @@ when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
 that c covers g, c entails g (oracle.brute_force_entails), and when
 covers_negative does, some repair-free expansion of c entails g. It is not
-complete, and two gaps are known: stage 2 of covers_positive can reject a
-clause that g entails, and covers_negative misses a negative covered only
-through its own repairs (see their docstrings).
+complete, and three gaps are known: stage 2 of covers_positive can reject a
+clause that g entails, covers_negative misses a negative covered only
+through its own repairs (see their docstrings), and covers_positive demands
+an image in g for every repair literal of c, also for one whose condition
+no expansion of c can meet (README, "What coverage guarantees").
 """
 
 from __future__ import annotations

@@ -947,3 +947,69 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
     new_lits += [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
     body.extend(l for l in new_lits if l not in body)
     return True
+
+
+# Reference drop cascade: generalization.drop_with_repair as it was when it
+# kept the removed, before-round and remaining index sets apart. Its
+# differential test compares the clause left and the rounds run.
+
+def reference_drop_with_repair(ordered, index: int):
+    body = list(ordered.clause.body)
+    head = ordered.clause.head
+    groups = ordered.clause.match_index.groups
+    # a dropped repair literal takes its whole group with it
+    removed = set(groups.get(index, (index,)))
+    while True:
+        before = set(removed)
+        remaining = [i for i in range(len(body)) if i not in removed]
+        visible: set = set(head.args)
+        for i in remaining:
+            if isinstance(body[i], logic.Rel):
+                visible.update(body[i].args)
+        replacements = {body[i].replacement for i in remaining
+                        if isinstance(body[i], logic.RepairLit)}
+        allowed = visible | replacements
+        sims = {frozenset((l.a, l.b)) for l in (body[i] for i in remaining)
+                if isinstance(l, logic.Sim)}
+        for i in remaining:
+            lit = body[i]
+            if isinstance(lit, logic.RepairLit):
+                cond_vars = [t for a in lit.cond for t in (a.a, a.b)]
+                pool = visible if isinstance(lit.target, logic.Constant) else allowed
+                dead = lit.target not in pool or any(
+                    isinstance(t, logic.Variable) and t not in allowed for t in cond_vars
+                )
+                # a similarity condition whose witnessing literal is gone can
+                # never hold again, so the repair group it guards is dead
+                dead = dead or any(
+                    isinstance(a, logic.SimAtom) and a.a != a.b
+                    and frozenset((a.a, a.b)) not in sims
+                    for a in lit.cond
+                )
+                if dead:
+                    removed.update(groups[i].intersection(remaining))
+            elif isinstance(lit, (logic.Sim, logic.Eq)):
+                if any(isinstance(t, logic.Variable) and t not in allowed for t in (lit.a, lit.b)):
+                    removed.add(i)
+        # similarity literals travel with their repair group: one without a
+        # guarded group left is dropped too
+        guarded = {
+            frozenset((a.a, a.b))
+            for j in remaining if j not in removed and isinstance(body[j], logic.RepairLit)
+            for a in body[j].cond if isinstance(a, logic.SimAtom)
+        }
+        for i in remaining:
+            lit = body[i]
+            if (i not in removed and isinstance(lit, logic.Sim)
+                    and frozenset((lit.a, lit.b)) not in guarded):
+                removed.add(i)
+        # connectivity pass over what is left
+        keep = [i for i in range(len(body)) if i not in removed]
+        connected = logic.head_reachable(head, ((i, body[i]) for i in keep))
+        removed.update(i for i in keep if i not in connected)
+        if removed == before:
+            break
+    # what is left of an ordered body is in order: positions only break ties
+    # within one sort key, and removal keeps the relative order of the rest
+    return generalization.OrderedClause(logic.Clause(
+        head, tuple(body[i] for i in range(len(body)) if i not in removed)))

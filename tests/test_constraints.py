@@ -64,6 +64,19 @@ def test_parse_errors(schema):
         parse_constraints("\ncfd: mov2locale : title, language -> country : (_, _, _ || _)", schema)
 
 
+@pytest.mark.parametrize("text", ["cfd: countries : id, id -> name : (_,_ || _)",
+                                  "cfd: countries : id -> id : (_ || _)"])
+def test_cfd_attributes_must_be_distinct(movie_schema, text):
+    with pytest.raises(ConstraintError, match=re.escape("line 1: CFD attributes must be distinct")):
+        parse_constraints(text, movie_schema)
+
+
+def test_cfd_without_a_schema_is_rejected():
+    with pytest.raises(ConstraintError, match=re.escape(
+            "line 1: CFDs need a schema to resolve attribute positions")):
+        parse_constraints("cfd: countries : id -> name : (_ || _)", None)
+
+
 def test_pattern_cells_quote_separators_and_comment_marks(schema):
     text = ("cfd: mov2locale : title, language -> country : "
             "('Korea, Republic of', 'a#b' || 'x||y''s')  # 'quoted' comment, too")

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import os
@@ -388,6 +389,48 @@ def test_cli_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, kind):
     err = _one_line_error(argv, capsys)
     assert err.startswith(f"dlearn: error: {bad}: not UTF-8: ")
     assert "can't decode byte 0xe9" in err
+
+
+def _with_bom(path, into) -> str:
+    """Copy `path` into the directory `into` behind a UTF-8 byte-order mark."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    copy = into / os.path.basename(path)
+    copy.write_bytes(codecs.BOM_UTF8 + text)
+    return str(copy)
+
+
+@pytest.mark.parametrize("kind", ["schema", "data", "constraints", "examples", "definition"])
+def test_cli_reads_a_file_behind_a_byte_order_mark_as_without_it(tmp_path, kind):
+    """A schema, data CSV, constraint, example or definition file that
+    starts with a UTF-8 byte-order mark learns the same definition, and
+    evaluates to the same counts, as the file without it."""
+    argv = movie_args(["--min-pos", "1", "--seed", "3"])
+    (tmp_path / "bom").mkdir()
+    if kind == "data":
+        data = shutil.copytree(os.path.join(DATA_DIR, "data"), tmp_path / "data")
+        _with_bom(os.path.join(DATA_DIR, "data", "movies.csv"), data)
+        bom_argv = _replaced(argv, "--data", str(data))
+    elif kind != "definition":
+        bom_argv = _replaced(argv, f"--{kind}",
+                             _with_bom(argv[argv.index(f"--{kind}") + 1], tmp_path / "bom"))
+
+    def run(command, argv, name):
+        out = tmp_path / name
+        flag = "--out" if command == "learn" else "--metrics-csv"
+        assert main([command] + argv + [flag, str(out)]) == 0
+        if command == "learn":
+            return out.read_text(encoding="utf-8")
+        # the counts, without the wall time
+        return [row[:-1] for row in csv.reader(out.read_text(encoding="utf-8").splitlines())]
+
+    plain = run("learn", argv, "plain.txt")
+    if kind == "definition":
+        definition = _with_bom(tmp_path / "plain.txt", tmp_path / "bom")
+        assert (run("eval", argv + ["--definition", definition], "bom.csv")
+                == run("eval", argv + ["--definition", str(tmp_path / "plain.txt")], "plain.csv"))
+    else:
+        assert run("learn", bom_argv, "bom.txt") == plain
 
 
 @pytest.mark.parametrize("option, value, message", [

@@ -390,6 +390,16 @@ def test_clause_key_equals_reference_key(clause, text):
     assert print_clause(logic.canonical(clause)) == clause_key(clause)
 
 
+def test_a_repair_literal_with_an_empty_condition_parses_back():
+    # an MD literal's condition may be empty (group_key), so `rep{}` parses
+    # and canonical, which parses what clause_key prints, keeps the literal
+    c = Clause(Rel("t", (V(3),)), (RepairLit((), V(3), V(1)),))
+    assert parse_clause(print_clause(c)) == c
+    assert print_clause(logic.canonical(c)) == clause_key(c) == "t(V0) :- rep{}(V0,V1)."
+    with pytest.raises(ClauseError):
+        parse_clause("t(V0) :- rep{sim(V0,V1);}(V0,V1).")
+
+
 def test_head_connected_filter():
     c = parse_clause("t(V0) :- r(V0,V1), s(V1), q(V5).")
     got = logic.head_connected(c)

@@ -1,8 +1,9 @@
+import os
 import random
 
 import pytest
 
-from dlearn import generalization, logic, oracle, saturation, subsumption
+from dlearn import generalization, logic, oracle, saturation, store, subsumption, textsim
 from dlearn.logic import parse_clause, print_clause
 from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
@@ -375,6 +376,28 @@ def test_covers_positive_stage_two_failure_is_not_conclusive():
         "t('a') :- m('a','c1'), countries('c1','USA'), countries('c1','US')."), cfds, cfg)
     c = parse_clause("t(V0) :- countries(V1,V2).")
     assert covers_positive(c, g).covered == oracle.brute_force_entails(c, g)
+
+
+@pytest.mark.xfail(strict=True, reason="covers_positive demands an image for a repair literal "
+                   "that the clause's only expansion drops")
+def test_covers_positive_of_a_repair_literal_without_image_is_not_conclusive():
+    # on the movie example without constraints no ground clause has a
+    # similarity or repair literal, so the clause's only expansion is its
+    # bare head: the oracle and covers_negative count it as covering every
+    # example, and covers_positive as covering none
+    data = os.path.join(os.path.dirname(__file__), "data", "movieexample")
+    with open(os.path.join(data, "schema.txt"), encoding="utf-8") as fh:
+        schema = store.parse_schema(fh.read(), target="highGrossing")
+    db = store.load_csv(schema, os.path.join(data, "data"))
+    idx = textsim.SimilarityIndex(k_m=5, threshold=0.65, entries={})
+    cfg = saturation.SaturationConfig(d=3)
+    c = parse_clause("highGrossing(V0) :- rep{sim(V0,V1)}(V0,V2).")
+    assert [print_clause(r) for r in logic.repaired_clauses(c)] == ["highGrossing(V0)."]
+    for title in ("Superbad", "Zoolander", "Orphanage"):
+        g = saturation.ground_bottom_clause(store.Example("highGrossing", (title,)), db, [], [],
+                                            idx, cfg)
+        assert oracle.brute_force_entails(c, g) and covers_negative(c, g).covered
+        assert covers_positive(c, g).covered
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,9 @@ class MatchIndex:
     - rels: its relation literals as (body index, literal) pairs, bucketed
       by (relation, arity);
     - reps: its repair literals as (body index, literal) pairs;
+    - repair_links: per repair literal, its body index and the variables
+      among its target and replacement, the links that reachable() follows
+      from a region of the clause to the repair literals it touches;
     - groups: each repair literal's body index, mapped to the indices of
       its group (group_key) as one frozenset that the members share;
     - sim_pairs: the term pairs of its similarity literals, both ways round;
@@ -351,6 +354,14 @@ class MatchIndex:
     @cached_property
     def reps(self) -> tuple[tuple[int, RepairLit], ...]:
         return tuple((i, lit) for i, lit in enumerate(self._body) if isinstance(lit, RepairLit))
+
+    @cached_property
+    def repair_links(self) -> tuple[tuple[int, frozenset[Variable]], ...]:
+        # links run through variables only: a repair on a constant constrains
+        # other literals only through its replacement variable
+        return tuple((i, frozenset(t for t in (lit.target, lit.replacement)
+                                   if isinstance(t, Variable)))
+                     for i, lit in self.reps)
 
     @cached_property
     def groups(self) -> dict[int, frozenset[int]]:
@@ -555,24 +566,27 @@ def first_partial_repair(clause: Clause, origin: str) -> Clause:
 # connectivity
 # ---------------------------------------------------------------------------
 
-def head_reachable(head: Rel, indexed) -> set[int]:
-    """The indices of the (index, literal) pairs in `indexed` whose literal
-    is reachable from the head through shared terms."""
-    indexed = list(indexed)
-    connected_terms = set(head.args)
-    kept: set[int] = set()
+def reachable(terms, linked) -> set:
+    """The keys of the (key, term set) pairs in the sequence `linked` that
+    are reachable from `terms` through shared terms: a pair is reached when
+    its terms meet `terms` or the terms of a pair already reached."""
+    pool = set(terms)
+    kept: set = set()
     changed = True
     while changed:
         changed = False
-        for i, lit in indexed:
-            if i in kept:
-                continue
-            terms = set(literal_terms(lit))
-            if terms & connected_terms:
-                kept.add(i)
-                connected_terms |= terms
+        for key, linked_terms in linked:
+            if key not in kept and not pool.isdisjoint(linked_terms):
+                kept.add(key)
+                pool |= linked_terms
                 changed = True
     return kept
+
+
+def head_reachable(head: Rel, indexed) -> set[int]:
+    """The indices of the (index, literal) pairs in `indexed` whose literal
+    is reachable from the head through shared terms."""
+    return reachable(head.args, [(i, set(literal_terms(lit))) for i, lit in indexed])
 
 
 def head_connected(clause: Clause) -> Clause:

@@ -227,8 +227,7 @@ def _clause_terms(clause: Clause):
     return list(dict.fromkeys(terms))
 
 
-def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10,
-                        sim_pairs: frozenset | None = None) -> bool:
+def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
     """Plain subsumption by enumerating substitutions of c's variables over
     d's terms, variable by variable in id order, rejecting a partial
     assignment as soon as a fully bound literal fails. No search heuristics
@@ -257,8 +256,6 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10,
         for s in d_sims:
             if (s.a, s.b) == (a, b) or (s.a, s.b) == (b, a):
                 return True
-        if sim_pairs is not None and isinstance(a, Constant) and isinstance(b, Constant):
-            return frozenset((a.value, b.value)) in sim_pairs
         return False
 
     lits = [("head", c.head)] + [(None, lit) for lit in c.body]
@@ -508,7 +505,7 @@ def clauses_isomorphic(c1: Clause, c2: Clause) -> bool:
         out[t1] = t2
         return out
 
-    def match_literal(l1, l2, mapping, used):
+    def match_literal(l1, l2, mapping):
         if type(l1) is not type(l2):
             return None
         pairs = []
@@ -537,12 +534,12 @@ def clauses_isomorphic(c1: Clause, c2: Clause) -> bool:
             return not remaining
         lit = c1.body[i]
         for j in list(remaining):
-            m2 = match_literal(lit, c2.body[j], mapping, set(mapping.values()))
+            m2 = match_literal(lit, c2.body[j], mapping)
             if m2 is not None and search(i + 1, remaining - {j}, m2):
                 return True
         return False
 
-    m0 = match_literal(c1.head, c2.head, {}, set())
+    m0 = match_literal(c1.head, c2.head, {})
     if m0 is None:
         return False
     return search(0, frozenset(range(len(c2.body))), m0)

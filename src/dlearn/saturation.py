@@ -96,7 +96,7 @@ def _probe_plan(db: Database, idx: SimilarityIndex):
     return plan
 
 
-def collect_relevant(example: Example, db: Database, mds, idx: SimilarityIndex,
+def collect_relevant(example: Example, db: Database, idx: SimilarityIndex,
                      cfg: SaturationConfig) -> RelevantSet:
     """Gather the tuples reachable from the example in at most d hops."""
     rng = derive_rng(cfg.rng_seed, "saturate", example.relation, example.values)
@@ -399,12 +399,12 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
 def bottom_clause(example: Example, db: Database, mds, cfds, idx: SimilarityIndex,
                   cfg: SaturationConfig) -> logic.Clause:
     """Variabilized bottom clause for an example (the generalization seed)."""
-    relevant = collect_relevant(example, db, mds, idx, cfg)
+    relevant = collect_relevant(example, db, idx, cfg)
     return build_bottom_clause(example, relevant, cfds, db.schema, cfg, variabilize=True)
 
 
 def ground_bottom_clause(example: Example, db: Database, mds, cfds, idx: SimilarityIndex,
                          cfg: SaturationConfig) -> logic.Clause:
     """Bottom clause with constants retained; the target of coverage tests."""
-    relevant = collect_relevant(example, db, mds, idx, cfg)
+    relevant = collect_relevant(example, db, idx, cfg)
     return build_bottom_clause(example, relevant, cfds, db.schema, cfg, variabilize=False)

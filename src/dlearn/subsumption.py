@@ -9,7 +9,10 @@ values are trivially similar), and repair literals map onto repair literals
 with the same origin, target, replacement and condition. On top of the plain
 mapping, every repair literal of D that is connected to a mapped literal must
 itself be mapped; this is what makes the test sound as a proxy for entailment
-between the repair-free expansions of the two clauses.
+between the repair-free expansions of the two clauses. Those repair literals
+come from one closure, logic.reachable over D's MatchIndex.repair_links: the
+closure that also keeps a clause connected to its head, and that md_part
+seeds with the CFD repair literals.
 
 The search (_Matcher) prunes and reuses work without changing a verdict or
 a witness of the unpruned search; its docstring states how, and what its
@@ -51,29 +54,6 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _connected_repairs(reps, terms) -> set[int]:
-    """Indices of the repair literals among `reps` ((index, literal) pairs)
-    reachable from the variables in `terms`, directly or through other repair
-    literals. Links run through variables only: a repair on a constant
-    constrains other literals only through its replacement variable."""
-    pool = {t for t in terms if isinstance(t, Variable)}
-    connected: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for ri, rlit in reps:
-            if ri in connected:
-                continue
-            if rlit.target in pool or rlit.replacement in pool:
-                connected.add(ri)
-                if isinstance(rlit.target, Variable):
-                    pool.add(rlit.target)
-                if isinstance(rlit.replacement, Variable):
-                    pool.add(rlit.replacement)
-                changed = True
-    return connected
-
-
 class _Matcher:
     """One search for a substitution theta mapping clause c into clause d.
 
@@ -94,12 +74,13 @@ class _Matcher:
       under the projection of theta onto that literal's variables, which is
       all they depend on.
     - Per-clause index. d's equality closure, relation buckets, repair and
-      similarity lists, repair groups and term list, and c's per-literal
-      variable tuples and repair groups, come from Clause.match_index: built
-      once per Clause object, kept as long as it lives, and shared by every
-      search against it.
+      similarity lists, repair links and groups and term list, and c's
+      per-literal variable tuples and repair groups, come from
+      Clause.match_index: built once per Clause object, kept as long as it
+      lives, and shared by every search against it.
     - Leaf checks. A leaf checks only what the mapping decides: the
-      connected-repair side condition and the group condition. The
+      connected-repair side condition (logic.reachable from the mapped
+      region over d's repair_links) and the group condition. The
       pinned-constant rule depends on c and d alone and is decided once.
 
     The budget counts candidate unifications tried (one per d literal
@@ -109,7 +90,9 @@ class _Matcher:
     spends exactly what the unpruned search (tests/helpers._ReferenceMatcher)
     spends on the nodes it still visits, and never more in total: pruning
     can only let it finish within a budget that the unpruned search
-    exhausts.
+    exhausts. A search that binds more literals than the interpreter's
+    recursion limit allows ends like one that runs out of budget: a
+    non-cover flagged budget_exhausted.
     """
 
     def __init__(self, c: Clause, d: Clause, budget: int):
@@ -268,7 +251,7 @@ class _Matcher:
         mapped = set(lit_map.values())
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], RepairLit)}
         region = (t for di in mapped - mapped_rep for t in logic.literal_terms(self.d.body[di]))
-        return _connected_repairs(self.d_index.reps, region) <= mapped_rep
+        return logic.reachable(region, self.d_index.repair_links) <= mapped_rep
 
     @cached_property
     def _pins_survive(self) -> bool:
@@ -319,7 +302,7 @@ class _Matcher:
             return CoverageVerdict(False)
         try:
             found = self._search(self.c_index.binders, pending, theta, {})
-        except _OutOfBudget:
+        except (_OutOfBudget, RecursionError):
             return CoverageVerdict(False, budget_exhausted=True)
         if found is None:
             return CoverageVerdict(False)
@@ -374,19 +357,18 @@ def md_part(clause: Clause) -> Clause:
     reach, keeping every MD repair literal: all of a clause without a CFD
     repair literal, which is returned as it is.
 
-    One closure (_connected_repairs), seeded with the terms of the CFD
-    repair literals, finds the repair literals linked to them through
-    variables. A relation, equality or similarity literal is kept only if it
-    shares no variable with their targets and replacements."""
-    reps = clause.match_index.reps
-    seeds = [t for _, r in reps if r.origin == "cfd" for t in (r.target, r.replacement)]
+    One closure (logic.reachable over MatchIndex.repair_links), seeded with
+    the terms of the CFD repair literals, finds the repair literals linked
+    to them through variables. A relation, equality or similarity literal is
+    kept only if it shares no variable with their targets and replacements."""
+    index = clause.match_index
+    seeds = [t for _, r in index.reps if r.origin == "cfd" for t in (r.target, r.replacement)]
     if not seeds:
         return clause
-    body = clause.body
-    tainted = {t for ri in _connected_repairs(reps, seeds)
-               for t in (body[ri].target, body[ri].replacement) if isinstance(t, Variable)}
+    reached = logic.reachable(seeds, index.repair_links)
+    tainted = {t for ri, links in index.repair_links if ri in reached for t in links}
     return Clause(clause.head, tuple(
-        lit for lit in body
+        lit for lit in clause.body
         if (lit.origin == "md" if isinstance(lit, RepairLit)
             else tainted.isdisjoint(logic.literal_terms(lit)))))
 

@@ -124,13 +124,12 @@ class SimilarityIndex:
 
     entries maps ((rel1, attr1), (rel2, attr2)) to {left value: ((right value,
     score), ...)} with each sequence sorted by descending score, ties broken
-    by the right value, and truncated to k_m entries on both sides. Lookups
-    work from either side of a pair; the right-to-left table of a pair is
-    built on its first lookup from the right side.
+    by the right value, and truncated to build_similarity_index's k_m
+    entries on both sides. Lookups work from either side of a pair; the
+    right-to-left table of a pair is built on its first lookup from the
+    right side.
     """
 
-    k_m: int
-    threshold: float
     entries: dict[PairKey, dict[str, Sequence[tuple[str, float]]]] = field(default_factory=dict)
     _reverse: dict[PairKey, dict[str, tuple[tuple[str, float], ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -259,4 +258,4 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
                 pruned[lv] = kept
         if pruned:
             entries[pair] = pruned
-    return SimilarityIndex(k_m=k_m, threshold=threshold, entries=entries)
+    return SimilarityIndex(entries=entries)

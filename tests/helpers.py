@@ -74,7 +74,7 @@ def random_micro_db(rng: random.Random, with_cfd: bool = False, n_mds: int | Non
                 table_b[ex.values[0]] = [(y, 0.75) for y in matched]
         if table_b:
             entries[(("t", "v"), ("b", "y"))] = table_b
-    idx = textsim.SimilarityIndex(k_m=5, threshold=0.5, entries=entries)
+    idx = textsim.SimilarityIndex(entries=entries)
     return db, mds, cfds, idx, examples
 
 
@@ -151,7 +151,7 @@ def cfd_micro_dataset(by_title: bool, n: int = 4):
         text += "md: t[v] ~ movies[title] -> t[v] <-> movies[title]\n"
         entries[(("t", "v"), ("movies", "title"))] = {f"e{i}": [(f"T{i}", 0.9)] for i in range(n)}
     mds, cfds = constraints.parse_constraints(text, schema)
-    idx = textsim.SimilarityIndex(k_m=1, threshold=0.5, entries=entries)
+    idx = textsim.SimilarityIndex(entries=entries)
     examples = [store.Example("t", (f"e{i}" if by_title else f"m{i}",)) for i in range(n)]
     cfg = saturation.SaturationConfig(d=3, sample_size=100, rng_seed=3)
     return db, mds, cfds, idx, examples, cfg
@@ -473,6 +473,54 @@ def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
     return logic.Clause(logic.Rel("t", (V(0),)), tuple(body))
 
 
+# Reference closures: subsumption._connected_repairs and logic.head_reachable
+# as they were when each kept its own rescan loop, before both became calls
+# of logic.reachable. _ReferenceMatcher and reference_md_part call the first;
+# the differential tests of logic.reachable compare against both.
+
+def reference_connected_repairs(reps, terms) -> set[int]:
+    """Indices of the repair literals among `reps` ((index, literal) pairs)
+    reachable from the variables in `terms`, directly or through other repair
+    literals. Links run through variables only: a repair on a constant
+    constrains other literals only through its replacement variable."""
+    pool = {t for t in terms if isinstance(t, logic.Variable)}
+    connected: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for ri, rlit in reps:
+            if ri in connected:
+                continue
+            if rlit.target in pool or rlit.replacement in pool:
+                connected.add(ri)
+                if isinstance(rlit.target, logic.Variable):
+                    pool.add(rlit.target)
+                if isinstance(rlit.replacement, logic.Variable):
+                    pool.add(rlit.replacement)
+                changed = True
+    return connected
+
+
+def reference_head_reachable(head: logic.Rel, indexed) -> set[int]:
+    """The indices of the (index, literal) pairs in `indexed` whose literal
+    is reachable from the head through shared terms."""
+    indexed = list(indexed)
+    connected_terms = set(head.args)
+    kept: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, lit in indexed:
+            if i in kept:
+                continue
+            terms = set(logic.literal_terms(lit))
+            if terms & connected_terms:
+                kept.add(i)
+                connected_terms |= terms
+                changed = True
+    return kept
+
+
 # Reference subsumption search: the matcher before forward checking,
 # candidate memoization and the per-clause index. It checks equality and
 # similarity literals only at a leaf, rebuilds every remaining literal's
@@ -625,7 +673,7 @@ class _ReferenceMatcher:
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], logic.RepairLit)}
         region = (t for di in mapped if di not in mapped_rep
                   for t in logic.literal_terms(self.d.body[di]))
-        if not subsumption._connected_repairs(self.d_reps, region) <= mapped_rep:
+        if not reference_connected_repairs(self.d_reps, region) <= mapped_rep:
             return False
         # a constant the pattern pins cannot survive a repair of d that
         # targets it: every expansion of d rewrites all its occurrences while
@@ -742,7 +790,7 @@ def reference_md_part(clause: logic.Clause) -> logic.Clause:
             if lit.origin == "md":
                 body.append(lit)
         elif all(clause.body[ri].origin == "md"
-                 for ri in subsumption._connected_repairs(reps, logic.literal_terms(lit))):
+                 for ri in reference_connected_repairs(reps, logic.literal_terms(lit))):
             body.append(lit)
     return clause if len(body) == len(clause.body) else logic.Clause(clause.head, tuple(body))
 

@@ -472,6 +472,15 @@ def test_cli_subsume_rejects_a_budget_below_one_and_reports_exhaustion(tmp_path,
     assert capsys.readouterr().out.startswith("COVERED V0='a0',V1='a1',")
 
 
+def test_cli_subsume_reports_a_search_past_the_recursion_limit(tmp_path, capsys):
+    # a 1500-literal chain against itself: the search would nest deeper than
+    # the interpreter allows, so it ends flagged, not with a traceback
+    chain = _written(tmp_path / "chain.txt", "t(V0) :- " + ", ".join(
+        f"r{i}(V{i},V{i + 1})" for i in range(1500)) + ".\n")
+    assert main(["subsume", chain, chain, "--budget", str(10 ** 8)]) == 1
+    assert capsys.readouterr() == ("NOT_COVERED budget_exhausted\n", "")
+
+
 def test_cli_oracle_past_its_cap_is_one_line_error(tmp_path, capsys):
     # the CFD a -> b has more than one stable repair of r(x,1), r(x,2)
     argv = ["oracle"] + _cfd_without_fixpoint(tmp_path)[1:] + ["--repair-cap", "1"]

@@ -14,10 +14,11 @@ from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
                           apply_substitution, clause_key, parse_clause,
                           partial_repairs, print_clause, repaired_clauses)
 from dlearn.learner import Grounding, LearnerConfig
-from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, condition_holds,
+from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, clause_pair, condition_holds,
                      random_drop_variant, random_eq_repair_clause, reference_apply_repair_literal,
-                     reference_clause_key, reference_condition_holds, reference_exhaust_repairs,
-                     reference_step_exhaust, title_database)
+                     reference_clause_key, reference_condition_holds,
+                     reference_connected_repairs, reference_exhaust_repairs,
+                     reference_head_reachable, reference_step_exhaust, title_database)
 
 V = Variable
 C = Constant
@@ -404,6 +405,61 @@ def test_head_connected_filter():
     c = parse_clause("t(V0) :- r(V0,V1), s(V1), q(V5).")
     got = logic.head_connected(c)
     assert print_clause(got) == "t(V0) :- r(V0,V1), s(V1)."
+
+
+def test_reachable_equals_the_reference_closures(movie_db, movie_mds, movie_idx,
+                                                  movie_examples):
+    # one closure serves both questions. From each body literal of every
+    # distinct micro-database, movie and clause_pair clause, the repair links
+    # reach the repair literals the retired subsumption loop reached; with
+    # that literal left out, the head reaches what the retired logic loop did
+    cfg = saturation.SaturationConfig(d=3, sample_size=1000, rng_seed=1)
+    movie = [build(ex, movie_db, movie_mds, [], movie_idx, cfg)
+             for ex in movie_examples.values()
+             for build in (saturation.bottom_clause, saturation.ground_bottom_clause)]
+    pairs = [clause_pair(random.Random(seed), with_cfd=seed % 2 == 1) for seed in range(100)]
+    clauses = dict.fromkeys([c for case in cfd_micro_db_clauses() for triple in case
+                             for c in triple] + movie + [c for pair in pairs for c in pair])
+    repairs_reached = cut_off = cases = 0
+    for c in clauses:
+        index = c.match_index
+        for i, lit in enumerate(c.body):
+            got = logic.reachable(logic.literal_terms(lit), index.repair_links)
+            assert got == reference_connected_repairs(index.reps, logic.literal_terms(lit)), (
+                print_clause(c), i)
+            rest = [(j, l) for j, l in enumerate(c.body) if j != i]
+            reached = logic.head_reachable(c.head, rest)
+            assert reached == reference_head_reachable(c.head, rest), (print_clause(c), i)
+            repairs_reached += bool(got)
+            cut_off += len(reached) < len(rest)
+            cases += 1
+    # 6145 literals: from 5210 the links reach some repair literal, and
+    # leaving out 366 of them cuts some other literal off from the head
+    assert cases >= 6000 and repairs_reached >= 5000 and cut_off >= 300
+
+
+def _least_closed_set(terms, linked):
+    """The smallest set of keys of `linked` that takes in every pair whose
+    terms meet `terms` or the terms of a pair in the set, found by trying
+    every set of keys."""
+    keys = [key for key, _ in linked]
+    closed = []
+    for mask in range(2 ** len(keys)):
+        chosen = {key for bit, key in enumerate(keys) if mask >> bit & 1}
+        pool = set(terms).union(*(ts for key, ts in linked if key in chosen))
+        if all(key in chosen for key, ts in linked if pool & ts):
+            closed.append(chosen)
+    least = min(closed, key=len)
+    assert all(least <= other for other in closed)
+    return least
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=3),
+       st.lists(st.frozensets(st.integers(0, 7), max_size=3), max_size=8))
+def test_reachable_is_the_least_closed_set(terms, term_sets):
+    linked = list(enumerate(term_sets))
+    assert logic.reachable(terms, linked) == _least_closed_set(terms, linked)
 
 
 def test_apply_substitution_distributes_over_concatenation():

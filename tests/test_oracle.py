@@ -19,7 +19,7 @@ def test_fresh_value_symmetric_and_distinct():
 
 
 def pair_index(entries):
-    return textsim.SimilarityIndex(k_m=5, threshold=0.0, entries=entries)
+    return textsim.SimilarityIndex(entries=entries)
 
 
 def two_stars_case():
@@ -220,7 +220,7 @@ def commutativity_case(seed: int):
     entries = {}
     if matched:
         entries[(("t", "v"), ("a", "x"))] = {"e": [(x, 0.8) for x in matched]}
-    idx = textsim.SimilarityIndex(k_m=5, threshold=0.5, entries=entries)
+    idx = textsim.SimilarityIndex(entries=entries)
     return db, mds, idx, example
 
 

@@ -51,8 +51,8 @@ def test_naive_sample_uniform_frequency():
         assert abs(c / trials - p) <= 3 * sigma
 
 
-def test_collect_relevant_movie_example(movie_db, movie_mds, movie_idx, movie_examples, cfg):
-    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_mds, movie_idx, cfg)
+def test_collect_relevant_movie_example(movie_db, movie_idx, movie_examples, cfg):
+    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_idx, cfg)
     got = {(rt.tuple.relation, rt.tuple.values) for rt in rel.tuples}
     assert got == {
         ("movies", ("m1", "Superbad (2007)", "2007")),
@@ -68,17 +68,17 @@ def test_collect_relevant_movie_example(movie_db, movie_mds, movie_idx, movie_ex
     ]
 
 
-def test_collect_relevant_d1_one_hop(movie_db, movie_mds, movie_idx, movie_examples):
+def test_collect_relevant_d1_one_hop(movie_db, movie_idx, movie_examples):
     cfg1 = SaturationConfig(d=1, sample_size=1000, rng_seed=1)
-    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_mds, movie_idx, cfg1)
+    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_idx, cfg1)
     relations = {rt.tuple.relation for rt in rel.tuples}
     assert "movies" in relations
     assert "countries" not in relations  # two hops away
 
 
-def test_collect_relevant_nothing_matches(movie_db, movie_mds, movie_idx, cfg):
+def test_collect_relevant_nothing_matches(movie_db, movie_idx, cfg):
     rel = collect_relevant(Example("highGrossing", ("Nothing Like It",)),
-                           movie_db, movie_mds, movie_idx, cfg)
+                           movie_db, movie_idx, cfg)
     assert rel.tuples == []
 
 
@@ -99,9 +99,9 @@ def test_bottom_clause_movie_example(movie_db, movie_mds, movie_idx, movie_examp
     assert len(year_terms) == 2
 
 
-def test_bottom_clause_empty_relevant_set(movie_db, movie_mds, movie_idx, cfg):
+def test_bottom_clause_empty_relevant_set(movie_db, movie_idx, cfg):
     ex = Example("highGrossing", ("Nothing Like It",))
-    rel = collect_relevant(ex, movie_db, movie_mds, movie_idx, cfg)
+    rel = collect_relevant(ex, movie_db, movie_idx, cfg)
     c = build_bottom_clause(ex, rel, [], movie_db.schema, cfg)
     assert c.body == ()
     assert logic.print_clause(c) == "highGrossing(V0)."
@@ -127,10 +127,10 @@ def test_ground_bottom_clause_negative_example(movie_db, movie_mds, movie_idx, m
     assert (logic.Constant("c2"), logic.Constant("Spain")) in values
 
 
-def test_sampling_caps_tuples_per_step(movie_db, movie_mds, movie_idx, movie_examples):
+def test_sampling_caps_tuples_per_step(movie_db, movie_idx, movie_examples):
     cfg1 = SaturationConfig(d=3, sample_size=1, rng_seed=3)
-    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_mds, movie_idx, cfg1)
-    full = collect_relevant(movie_examples["Superbad"], movie_db, movie_mds, movie_idx,
+    rel = collect_relevant(movie_examples["Superbad"], movie_db, movie_idx, cfg1)
+    full = collect_relevant(movie_examples["Superbad"], movie_db, movie_idx,
                             SaturationConfig(d=3, sample_size=1000, rng_seed=3))
     assert len(rel.tuples) <= len(full.tuples)
 
@@ -282,7 +282,7 @@ def test_left_side_split_keeps_its_value_through_an_anchoring_equality():
         "movies": [("m1", "Superbad (2007)", "2007"), ("m2", "Orphanage (2008)", "2008")],
         "aka": [("m1", "Superbad [2007]")]})
     mds, _ = constraints.parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
-    idx = textsim.SimilarityIndex(k_m=5, threshold=0.5, entries={
+    idx = textsim.SimilarityIndex(entries={
         (("highGrossing", "title"), ("movies", "title")): {"Superbad": [("Superbad (2007)", 0.8)]},
         (("movies", "title"), ("aka", "title")): {"Superbad (2007)": [("Superbad [2007]", 0.9)]}})
     ex = Example("highGrossing", ("Superbad",))

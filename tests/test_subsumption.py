@@ -68,6 +68,20 @@ def test_subsumes_with_repairs_matches_repair_literals():
     assert subsumes_with_repairs(c, c).covered
 
 
+def _chain(n):
+    return parse_clause("t(V0) :- " + ", ".join(f"r{i}(V{i},V{i + 1})" for i in range(n)) + ".")
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_a_flagged_non_cover():
+    # the search binds one literal per level; past the interpreter's
+    # recursion limit it stops like one out of budget, never with a crash
+    deep, shallow = _chain(1500), _chain(200)
+    assert subsumes_with_repairs(deep, deep, budget=10 ** 8) == subsumption.CoverageVerdict(
+        False, budget_exhausted=True)
+    verdict = subsumes_with_repairs(shallow, shallow, budget=10 ** 8)
+    assert verdict.covered and not verdict.budget_exhausted
+
+
 def test_side_condition_rejects_missing_repair():
     # d's repair literals touch the mapped region through variables, so a
     # pattern without them cannot claim the region
@@ -389,7 +403,7 @@ def test_covers_positive_of_a_repair_literal_without_image_is_not_conclusive():
     with open(os.path.join(data, "schema.txt"), encoding="utf-8") as fh:
         schema = store.parse_schema(fh.read(), target="highGrossing")
     db = store.load_csv(schema, os.path.join(data, "data"))
-    idx = textsim.SimilarityIndex(k_m=5, threshold=0.65, entries={})
+    idx = textsim.SimilarityIndex(entries={})
     cfg = saturation.SaturationConfig(d=3)
     c = parse_clause("highGrossing(V0) :- rep{sim(V0,V1)}(V0,V2).")
     assert [print_clause(r) for r in logic.repaired_clauses(c)] == ["highGrossing(V0)."]

@@ -132,8 +132,7 @@ def test_index_lists_sorted_and_thresholded(movie_db, movie_mds, movie_examples)
 
 def test_index_symmetric_lookup():
     pair = (("t", "v"), ("a", "x"))
-    idx = textsim.SimilarityIndex(k_m=3, threshold=0.0,
-                                  entries={pair: {"p": [("q", 0.9)]}})
+    idx = textsim.SimilarityIndex(entries={pair: {"p": [("q", 0.9)]}})
     assert [(m, s) for m, s, _ in idx.matches("a", "x", "p")] == [("q", 0.9)]
     assert [(m, s) for m, s, _ in idx.matches("t", "v", "q")] == [("p", 0.9)]
     assert idx.matches("a", "x", "zzz") == []

@@ -2,14 +2,16 @@
 
 Constraint DSL, one constraint per line, `#` comments:
 
-    md: R1[A1,...,An] ~ R2[B1,...,Bn] -> R1[C] <-> R2[D]
-    cfd: R : X1,...,Xk -> A : (p1,...,pk || pA)
+    md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]
+    cfd: R : X1,...,Xk -> A : (p1,...,pk || _)
 
-where each pattern cell p is `_` (wildcard) or a single-quoted constant, in
-which `''` stands for a quote. Cells split at `,` and `||`, and `#` starts a
-comment, only outside constants. A constant cannot hold a line break. A
-matching dependency with several attribute pairs on the right-hand side is
-split into one dependency per pair during parsing.
+An MD says that similar values of R1[A] and R2[B] stand for one value: the
+engine unifies the matched values themselves. A CFD says that tuples of R
+that agree on X and match the pattern agree on A; each X cell p is `_`
+(wildcard) or a single-quoted constant, in which `''` stands for a quote,
+and the right-hand cell is `_`. Cells split at `,` and `||`, and `#` starts
+a comment, only outside constants. A constant cannot hold a line break.
+Every other MD or CFD form is rejected.
 """
 
 from __future__ import annotations
@@ -31,17 +33,13 @@ class ConstraintError(Exception):
 
 @dataclass(frozen=True)
 class MD:
-    """Similar left-hand values force the right-hand values to be identified."""
+    """Similar values of the pair's two attributes are unified."""
 
-    lhs: tuple[AttrPair, ...]
-    rhs: AttrPair
+    pair: AttrPair
 
     def pretty(self) -> str:
-        (r1, _), (r2, _) = self.lhs[0]
-        left = ",".join(a for (_, a), _ in self.lhs)
-        right = ",".join(b for _, (_, b) in self.lhs)
-        (cr1, c), (cr2, d) = self.rhs
-        return f"md: {r1}[{left}] ~ {r2}[{right}] -> {cr1}[{c}] <-> {cr2}[{d}]"
+        (r1, a), (r2, b) = self.pair
+        return f"md: {r1}[{a}] ~ {r2}[{b}] -> {r1}[{a}] <-> {r2}[{b}]"
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,8 @@ class TuplePattern:
 
 @dataclass(frozen=True)
 class CFD:
-    """Functional dependency X -> rhs restricted by a tuple pattern.
+    """Functional dependency X -> rhs restricted by a tuple pattern whose
+    right-hand cell is the wildcard.
 
     x_positions / rhs_position are the argument positions of the attributes
     in literals of `relation`, resolved against the schema at parse time.
@@ -79,6 +78,8 @@ def make_cfd(schema: Schema, relation: str, lhs, rhs: str, cells) -> CFD:
     cells = tuple(cells)
     if len(cells) != len(lhs) + 1:
         raise ConstraintError(f"pattern has {len(cells)} cells for {len(lhs)} + 1 attributes")
+    if cells[-1] is not None:
+        raise ConstraintError(f"the right-hand cell must be '_', as in '{_CFD_FORM}'")
     if rhs in lhs or len(set(lhs)) != len(lhs):
         raise ConstraintError("CFD attributes must be distinct")
     return CFD(
@@ -91,9 +92,11 @@ def make_cfd(schema: Schema, relation: str, lhs, rhs: str, cells) -> CFD:
     )
 
 
-_MD_RE = re.compile(
-    r"^md:\s*(\w+)\[([^\]]*)\]\s*~\s*(\w+)\[([^\]]*)\]\s*->\s*(\w+)\[([^\]]*)\]\s*<->\s*(\w+)\[([^\]]*)\]$"
-)
+_MD_FORM = "md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]"
+_CFD_FORM = "cfd: R : X1,...,Xk -> A : (p1,...,pk || _)"
+# the right-hand side repeats the matched pair
+_MD_RE = re.compile(r"^md:\s*(\w+)\[\s*(\w+)\s*\]\s*~\s*(\w+)\[\s*(\w+)\s*\]"
+                    r"\s*->\s*\1\[\s*\2\s*\]\s*<->\s*\3\[\s*\4\s*\]$")
 _CFD_RE = re.compile(r"^cfd:\s*(\w+)\s*:\s*(.*?)\s*->\s*(\w+)\s*:\s*\((.*)\)$")
 _CONSTANT_RE = re.compile(r"'((?:[^']|'')*)'")
 
@@ -112,10 +115,6 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
         start = pos = i + len(sep)
     parts.append(text[start:])
     return parts
-
-
-def _attr_list(text: str) -> list[str]:
-    return [a.strip() for a in text.split(",") if a.strip()]
 
 
 def _parse_cells(text: str, lineno: int) -> list[str | None]:
@@ -153,38 +152,23 @@ def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD]
         if line.startswith("md:"):
             m = _MD_RE.match(line)
             if not m:
-                raise ConstraintError(f"line {lineno}: cannot parse MD {raw!r}")
-            r1, a_text, r2, b_text, c1, c_text, c2, d_text = m.groups()
-            lhs_a, lhs_b = _attr_list(a_text), _attr_list(b_text)
-            rhs_c, rhs_d = _attr_list(c_text), _attr_list(d_text)
-            if not lhs_a or len(lhs_a) != len(lhs_b):
-                raise ConstraintError(f"line {lineno}: MD left-hand sides must pair up and be non-empty")
-            if not rhs_c or len(rhs_c) != len(rhs_d):
-                raise ConstraintError(f"line {lineno}: MD right-hand sides must pair up and be non-empty")
-            if c1 != r1 or c2 != r2:
-                raise ConstraintError(f"line {lineno}: MD right-hand relations must match the left-hand ones")
-            for a in lhs_a:
-                _check_attr(schema, r1, a, lineno)
-            for b in lhs_b:
-                _check_attr(schema, r2, b, lineno)
-            lhs = tuple(((r1, a), (r2, b)) for a, b in zip(lhs_a, lhs_b))
-            for c, d in zip(rhs_c, rhs_d):
-                _check_attr(schema, r1, c, lineno)
-                _check_attr(schema, r2, d, lineno)
-                mds.append(MD(lhs=lhs, rhs=((r1, c), (r2, d))))
+                raise ConstraintError(f"line {lineno}: expected '{_MD_FORM}', got {raw!r}")
+            r1, a, r2, b = m.groups()
+            _check_attr(schema, r1, a, lineno)
+            _check_attr(schema, r2, b, lineno)
+            mds.append(MD(((r1, a), (r2, b))))
         elif line.startswith("cfd:"):
             m = _CFD_RE.match(line)
             if not m:
-                raise ConstraintError(f"line {lineno}: cannot parse CFD {raw!r}")
+                raise ConstraintError(f"line {lineno}: expected '{_CFD_FORM}', got {raw!r}")
             rel, x_text, rhs_attr, cell_text = m.groups()
-            xs = _attr_list(x_text)
+            xs = [x.strip() for x in x_text.split(",") if x.strip()]
             if not xs:
                 raise ConstraintError(f"line {lineno}: CFD left-hand side is empty")
             halves = _split_unquoted(cell_text, "||")
             if len(halves) != 2:
                 raise ConstraintError(f"line {lineno}: CFD pattern needs one '||' before the right-hand cell")
-            x_cells_text, rhs_cell_text = halves
-            cells = _parse_cells(x_cells_text, lineno) + _parse_cells(rhs_cell_text, lineno)
+            cells = [cell for half in halves for cell in _parse_cells(half, lineno)]
             if schema is None:
                 raise ConstraintError(f"line {lineno}: CFDs need a schema to resolve attribute positions")
             _check_attr(schema, rel, rhs_attr, lineno)
@@ -196,25 +180,7 @@ def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD]
                 raise ConstraintError(f"line {lineno}: {exc}") from None
         else:
             raise ConstraintError(f"line {lineno}: expected 'md:' or 'cfd:', got {raw!r}")
-    _reject_conflicting_cfds(cfds)
     return mds, cfds
-
-
-def _reject_conflicting_cfds(cfds: list[CFD]) -> None:
-    """Cheap sanity check: same relation, X list and X pattern but conflicting
-    constant right-hand cells cannot both be satisfied."""
-    seen: dict[tuple, str] = {}
-    for cfd in cfds:
-        x_cells = cfd.pattern.cells[:-1]
-        rhs_cell = cfd.pattern.cells[-1]
-        if rhs_cell is None:
-            continue
-        key = (cfd.relation, cfd.lhs, x_cells, cfd.rhs)
-        if key in seen and seen[key] != rhs_cell:
-            raise ConstraintError(
-                f"inconsistent CFDs on {cfd.relation}: {seen[key]!r} vs {rhs_cell!r} for the same pattern"
-            )
-        seen[key] = rhs_cell
 
 
 def print_constraints(mds, cfds) -> str:

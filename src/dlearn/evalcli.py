@@ -160,18 +160,35 @@ def write_definition(definition: LearnedDefinition, path: str) -> None:
         fh.write(definition.pretty())
 
 
+def _clause_texts(text: str):
+    """(first line number, text) of each clause of a definition file. A
+    clause continues onto the next line while its text holds an odd number
+    of `'`, that is while one of its constants holds a line break: quotes
+    occur only in constants, and `''` counts two. Blank and `#` lines
+    between clauses are skipped."""
+    first, clause = 0, ""
+    # reading translates every line ending to "\n"
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if clause:
+            clause += "\n" + line
+        elif line.strip() and not line.strip().startswith("#"):
+            first, clause = lineno, line
+        if clause and clause.count("'") % 2 == 0:
+            yield first, clause.strip()
+            clause = ""
+    if clause:
+        yield first, clause.strip()
+
+
 def read_definition(path: str, target: str, arity: int) -> LearnedDefinition:
     """The clauses of a definition file, one per line (`#` lines are
-    comments). Every clause head must be the target relation with `arity`
-    arguments; errors name the line."""
+    comments) unless a constant holds a line break. Every clause head must
+    be the target relation with `arity` arguments; errors name the clause's
+    first line."""
     definition = LearnedDefinition(target=target)
-    # reading translates every line ending to "\n"
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, text in _clause_texts(read_text(path)):
         try:
-            clause = logic.parse_clause(line)
+            clause = logic.parse_clause(text)
         except ClauseError as exc:
             raise ClauseError(f"definition line {lineno}: {exc}") from None
         head = clause.head

@@ -50,21 +50,14 @@ def _similar(idx, pair, left: str, right: str) -> bool:
 def _md_moves(instance: Instance, mds, idx, schema):
     moves = []
     for mi, md in enumerate(mds):
-        (r1, c_attr), (r2, d_attr) = md.rhs
-        rel1, rel2 = schema.relation(r1), schema.relation(r2)
-        c_pos, d_pos = rel1.attr_index(c_attr), rel2.attr_index(d_attr)
-        lhs_pos = [
-            (rel1.attr_index(a1), rel2.attr_index(a2), pair)
-            for pair in md.lhs
-            for (_, a1), (_, a2) in [pair]
-        ]
+        (r1, a), (r2, b) = md.pair
+        p1, p2 = schema.relation(r1).attr_index(a), schema.relation(r2).attr_index(b)
         for i, t1 in enumerate(instance.get(r1, [])):
             for j, t2 in enumerate(instance.get(r2, [])):
                 if r1 == r2 and i == j:
                     continue
-                if all(_similar(idx, pair, t1[p1], t2[p2]) for p1, p2, pair in lhs_pos):
-                    if t1[c_pos] != t2[d_pos]:
-                        moves.append(("md", mi, i, j))
+                if t1[p1] != t2[p2] and _similar(idx, md.pair, t1[p1], t2[p2]):
+                    moves.append(("md", mi, i, j))
     return moves
 
 
@@ -98,16 +91,14 @@ def _apply_move(instance: Instance, move, mds, cfds, schema, escapes):
     out = {rel: list(rows) for rel, rows in instance.items()}
     if move[0] == "md":
         _, mi, i, j = move
-        md = mds[mi]
-        (r1, c_attr), (r2, d_attr) = md.rhs
-        c_pos = schema.relation(r1).attr_index(c_attr)
-        d_pos = schema.relation(r2).attr_index(d_attr)
-        fresh = fresh_value(out[r1][i][c_pos], out[r2][j][d_pos])
+        (r1, a), (r2, b) = mds[mi].pair
+        p1, p2 = schema.relation(r1).attr_index(a), schema.relation(r2).attr_index(b)
+        fresh = fresh_value(out[r1][i][p1], out[r2][j][p2])
         row1 = list(out[r1][i])
-        row1[c_pos] = fresh
+        row1[p1] = fresh
         out[r1][i] = tuple(row1)
         row2 = list(out[r2][j])
-        row2[d_pos] = fresh
+        row2[p2] = fresh
         out[r2][j] = tuple(row2)
     elif move[0] == "cfd_rhs":
         _, ci, i, j, side = move

@@ -67,7 +67,6 @@ class RelevantTuple:
 
 @dataclass
 class RelevantSet:
-    example: Example
     tuples: list[RelevantTuple] = field(default_factory=list)
     constants: set = field(default_factory=set)
 
@@ -100,7 +99,7 @@ def collect_relevant(example: Example, db: Database, idx: SimilarityIndex,
                      cfg: SaturationConfig) -> RelevantSet:
     """Gather the tuples reachable from the example in at most d hops."""
     rng = derive_rng(cfg.rng_seed, "saturate", example.relation, example.values)
-    relevant = RelevantSet(example=example, constants=set(example.values))
+    relevant = RelevantSet(constants=set(example.values))
     gathered: dict[tuple[str, int], RelevantTuple] = {}
     plan = _probe_plan(db, idx)
     for _ in range(cfg.d):

@@ -2,8 +2,7 @@
 
 The engine only ever needs two access paths: exact selection of tuples whose
 attribute value lies in a constant set, and similarity selection through a
-precomputed match index. Everything is immutable after load, so any number of
-workers may read concurrently.
+precomputed match index. Everything is immutable after load.
 """
 
 from __future__ import annotations
@@ -155,12 +154,12 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
     RFC 4180 quoting, no header row. Tuple ids follow file order, which
     makes every downstream result order reproducible.
     """
-    db = Database(schema=schema)
+    rows: dict[str, list[tuple[str, ...]]] = {}
     for rel in schema.stored_relations:
         path = os.path.join(data_dir, rel.name + ".csv")
         if not os.path.exists(path):
             raise StoreError(f"missing CSV file for relation {rel.name!r}: {path}")
-        rows: list[Tuple] = []
+        table = rows[rel.name] = []
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
             try:
@@ -174,18 +173,17 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
                             raise StoreError(
                                 f"{path}:{lineno}: attribute {attr.name!r} expects an integer, got {val!r}"
                             )
-                    rows.append(Tuple(rel.name, tuple(row), tid=len(rows)))
+                    table.append(tuple(row))
             except csv.Error as exc:
                 raise StoreError(f"{path}: malformed CSV: {exc}") from exc
             except UnicodeDecodeError as exc:
                 raise StoreError(f"{path}: not UTF-8: {exc}") from exc
-        db.tables[rel.name] = rows
-    build_indexes(db)
-    return db
+    return from_tuples(schema, rows)
 
 
 def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Database:
-    """Build a database directly from value rows (used by the tests)."""
+    """Build a database from value rows per stored relation; tuple ids
+    follow row order."""
     db = Database(schema=schema)
     for rel in schema.stored_relations:
         db.tables[rel.name] = [

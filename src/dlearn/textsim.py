@@ -202,11 +202,7 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
     only the threshold bounds the scan). Truncation to the k_m best matches
     is applied per left value and then per right value.
     """
-    pair_keys: list[PairKey] = []
-    for md in mds:
-        for pair in md.lhs:
-            if pair not in pair_keys:
-                pair_keys.append(pair)
+    pair_keys = dict.fromkeys(md.pair for md in mds)
     counts: dict[str, Counter] = {}
     entries: dict[PairKey, dict[str, Sequence[tuple[str, float]]]] = {}
     for pair in pair_keys:

@@ -226,7 +226,7 @@ def brute_force_index(db, examples, mds, k_m: int, threshold: float):
         return -match[1], match[0]
 
     entries = {}
-    for pair in dict.fromkeys(p for md in mds for p in md.lhs):
+    for pair in dict.fromkeys(md.pair for md in mds):
         (r1, a1), (r2, a2) = pair
         rights = values(r2, a2)
         fwd = {}

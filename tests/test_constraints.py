@@ -27,17 +27,17 @@ def test_parse_md(schema):
     mds, cfds = parse_constraints(
         "md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[title]", schema)
     assert cfds == []
-    assert mds == [MD(lhs=((("highGrossing", "title"), ("movies", "title")),),
-                      rhs=(("highGrossing", "title"), ("movies", "title")))]
+    assert mds == [MD((("highGrossing", "title"), ("movies", "title")))]
 
 
-def test_parse_md_multi_rhs_splits(schema):
-    text = "md: movies[title] ~ mov2locale[title] -> movies[title,id] <-> mov2locale[title,language]"
-    mds, _ = parse_constraints(text, schema)
-    assert len(mds) == 2
-    assert mds[0].rhs == (("movies", "title"), ("mov2locale", "title"))
-    assert mds[1].rhs == (("movies", "id"), ("mov2locale", "language"))
-    assert mds[0].lhs == mds[1].lhs
+def test_parse_md_rejects_other_forms(schema):
+    # the engine unifies the one matched pair's own values
+    for text in ("md: movies[title] ~ mov2locale[title] -> movies[title,id] <-> mov2locale[title,language]",
+                 "md: movies[title,id] ~ mov2locale[title,language] -> movies[title] <-> mov2locale[title]",
+                 "md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[id]"):
+        with pytest.raises(ConstraintError, match=re.escape(
+                "line 2: expected 'md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]', got")):
+            parse_constraints("# comment\n" + text, schema)
 
 
 def test_parse_cfd(schema):
@@ -79,9 +79,9 @@ def test_cfd_without_a_schema_is_rejected():
 
 def test_pattern_cells_quote_separators_and_comment_marks(schema):
     text = ("cfd: mov2locale : title, language -> country : "
-            "('Korea, Republic of', 'a#b' || 'x||y''s')  # 'quoted' comment, too")
+            "('Korea, Republic of', 'a#b||y''s' || _)  # 'quoted' comment, too")
     _, cfds = parse_constraints(text, schema)
-    assert cfds[0].pattern.cells == ("Korea, Republic of", "a#b", "x||y's")
+    assert cfds[0].pattern.cells == ("Korea, Republic of", "a#b||y's", None)
     with pytest.raises(ConstraintError, match="one '||'"):
         parse_constraints("cfd: mov2locale : title -> country : ('a' || 'b' || 'c')", schema)
     with pytest.raises(ConstraintError):
@@ -100,25 +100,23 @@ _LOCALE = ("title", "language", "country")
 def _cfd(draw):
     order = draw(st.permutations(_LOCALE))
     k = draw(st.integers(1, 2))
-    cells = draw(st.lists(st.none() | _CELL_TEXT, min_size=k + 1, max_size=k + 1))
-    return tuple(order[:k]), order[k], cells
+    cells = draw(st.lists(st.none() | _CELL_TEXT, min_size=k, max_size=k))
+    return tuple(order[:k]), order[k], cells + [None]
 
 
-# distinct (lhs, rhs) pairs: CFDs that could conflict are rejected by design
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_cfd(), max_size=3, unique_by=lambda spec: spec[:2]), st.booleans())
+@given(st.lists(_cfd(), max_size=3), st.booleans())
 def test_print_parse_round_trip_of_arbitrary_pattern_cells(specs, with_md):
     schema = store.parse_schema(SCHEMA_TEXT, target="highGrossing")
     cfds = [make_cfd(schema, "mov2locale", lhs, rhs, cells) for lhs, rhs, cells in specs]
-    mds = [MD(lhs=((("highGrossing", "title"), ("movies", "title")),),
-              rhs=(("highGrossing", "title"), ("movies", "title")))] if with_md else []
+    mds = [MD((("highGrossing", "title"), ("movies", "title")))] if with_md else []
     assert parse_constraints(print_constraints(mds, cfds), schema) == (mds, cfds)
 
 
 _VALID_LINES = (
     "md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[title]",
     "cfd: mov2locale : title, language -> country : (_, 'English' || _)",
-    "cfd: mov2locale : title -> country : ('Korea, Republic of' || 'K''R#1')  # comment",
+    "cfd: mov2locale : title, language -> country : ('Korea, Republic of', 'K''R#1' || _)  # comment",
 )
 _TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\w+|\s+|<->|->|\|\||.")
 _FUZZ_TOKENS = ("'", "''", ",", "#", "||", "|", "_", "(", ")", "[", "]", ":", "~", "->", "<->",
@@ -149,7 +147,11 @@ def test_conflicting_cfds_rejected(schema):
         "cfd: mov2locale : title -> country : ('Bait' || 'USA')",
         "cfd: mov2locale : title -> country : ('Bait' || 'Ireland')",
     ])
-    with pytest.raises(ConstraintError, match="inconsistent"):
+    # a constant right-hand cell is rejected on its own line, before any
+    # second CFD could conflict with it
+    with pytest.raises(ConstraintError, match=re.escape(
+            "line 1: the right-hand cell must be '_', as in "
+            "'cfd: R : X1,...,Xk -> A : (p1,...,pk || _)'")):
         parse_constraints(text, schema)
 
 

@@ -1,6 +1,8 @@
 """The engine is pure standard library: no module of the package imports
 anything outside it, numpy included. Every name a module imports is used in
-that module, and every parameter a function takes is read in its body."""
+that module, every parameter a function takes is read in its body, and every
+function the package defines is referenced in the package or kept for a
+caller outside it."""
 
 import ast
 import pathlib
@@ -88,3 +90,49 @@ def test_every_parameter_is_read():
               if (file, name, param) not in KEPT_PARAMETERS]
     assert unread == []
     assert KEPT_PARAMETERS <= found.keys()
+
+
+# functions that nothing in the package references, each with its caller
+KEPT_UNCALLED = {
+    ("constraints.py", "print_constraints"): "the print/parse round trips in tests",
+    ("learner.py", "LearnerConfig.saturation_config"): "bench/run.py",
+    ("logic.py", "same_group"): "tests",
+    ("oracle.py", "canonical_instance"): "tests (ROADMAP item 7 keeps it)",
+    ("oracle.py", "brute_force_entails"): "tests (ROADMAP item 7 keeps it)",
+    ("oracle.py", "brute_force_covers"): "tests (ROADMAP item 7 keeps it)",
+    ("oracle.py", "clause_set_key"): "tests (ROADMAP item 7 keeps it)",
+    ("oracle.py", "clause_sets_equal"): "tests (ROADMAP item 7 keeps it)",
+}
+
+
+def _defined_functions(node, prefix=""):
+    """(qualified name, name) of every function, method and nested function
+    defined under an ast node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child.name
+            yield from _defined_functions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defined_functions(child, prefix + child.name + ".")
+        else:
+            yield from _defined_functions(child, prefix)
+
+
+def test_every_function_has_a_caller():
+    """A function is referenced when its name is read as a name or as an
+    attribute anywhere in the package. Dunder methods and `main` are
+    exempt."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {(file, qualified) for file, tree in trees.items()
+                for qualified, name in _defined_functions(tree)
+                if name not in referenced and name != "main"
+                and not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(uncalled) == sorted(KEPT_UNCALLED)

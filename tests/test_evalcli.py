@@ -503,6 +503,67 @@ def test_read_definition_checks_each_head_against_the_target(tmp_path):
         evalcli.read_definition(path, "movies", 3)
 
 
+def test_parse_examples_skips_blank_lines_and_counts_them():
+    pos, neg = parse_examples("+,a\n\n-,b\n", "t", 1)
+    assert pos == [Example("t", ("a",))] and neg == [Example("t", ("b",))]
+    with pytest.raises(learner.ExamplesError, match="examples line 3: label must be"):
+        parse_examples("+,a\n\n?,b\n", "t", 1)
+
+
+def test_read_definition_continues_a_clause_while_a_constant_is_open(tmp_path):
+    """A constant that holds a line break spans lines of a definition file;
+    the clause reads back equal to the one written, and an error names the
+    clause's first line."""
+    clauses = [logic.parse_clause(text) for text in (
+        "highGrossing(V0) :- movies(V1,V0,V2), mov2genres(V1,'com\nedy'), "
+        "mov2countries(V1,'''#\n\n''').",
+        "highGrossing(V0) :- movies(V1,V0,V2).")]
+    path = tmp_path / "def.txt"
+    evalcli.write_definition(learner.LearnedDefinition("highGrossing", [
+        learner.LearnedClause(c, learner.ClauseStats(pos=1, neg=0)) for c in clauses]), str(path))
+    # two comments, the first clause on four lines, the second on one
+    assert len(path.read_text().splitlines()) == 7
+    read = evalcli.read_definition(str(path), "highGrossing", 1)
+    assert [lc.clause for lc in read.clauses] == clauses
+    path.write_text("# c\nhighGrossing(V0) :- mov2genres(V0,'com\nedy')\n# pos=1\n")
+    with pytest.raises(logic.ClauseError, match="definition line 2: parse error"):
+        evalcli.read_definition(str(path), "highGrossing", 1)
+    path.write_text("# c\nhighGrossing(V0) :- mov2genres(V0,'com\nedy).\n")
+    with pytest.raises(logic.ClauseError, match="definition line 2: .*unterminated constant"):
+        evalcli.read_definition(str(path), "highGrossing", 1)
+
+
+def test_eval_reads_back_a_definition_with_a_line_break_in_a_constant(tmp_path):
+    data = shutil.copytree(os.path.join(DATA_DIR, "data"), tmp_path / "data")
+    (data / "mov2genres.csv").write_text('m1,"com\nedy"\nm2,"com\nedy"\nm3,drama\n')
+    argv = _replaced(movie_args(["--min-pos", "1"]), "--data", str(data))
+    out = tmp_path / "definition.txt"
+    assert main(["learn"] + argv + ["--out", str(out)]) == 0
+    assert "mov2genres(V1,'com\nedy')" in out.read_text()
+    assert main(["eval"] + argv + ["--definition", str(out),
+                                   "--metrics-csv", str(tmp_path / "m.csv")]) == 0
+    rows = list(csv.reader(open(tmp_path / "m.csv")))
+    assert rows[1][1:4] == ["2", "0", "0"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("md: highGrossing[title] ~ movies[title,id] -> highGrossing[title] <-> movies[title]",
+     "expected 'md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]'"),
+    ("md: highGrossing[title] ~ movies[title] -> highGrossing[title] <-> movies[id]",
+     "expected 'md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]'"),
+    ("cfd: countries : id -> name : (_ || 'USA')", "the right-hand cell must be '_'"),
+], ids=["two-pair-md", "md-other-rhs", "cfd-constant-rhs"])
+@pytest.mark.parametrize("command", ["learn", "eval", "cv", "saturate", "sim-index", "oracle"])
+def test_constraint_forms_the_engine_does_not_run_stop_every_command(
+        tmp_path, capsys, command, line, message):
+    constraints = _written(tmp_path / "constraints.txt", "# one comment line\n" + line + "\n")
+    extra = {"learn": ["--out", str(tmp_path / "d.txt")], "eval": ["--definition", "unread"],
+             "saturate": ["--example", "Superbad"]}.get(command, [])
+    argv = [command] + _replaced(movie_args(extra), "--constraints", constraints)
+    assert _one_line_error(argv, capsys).startswith(f"dlearn: error: line 2: {message}")
+    assert not (tmp_path / "d.txt").exists()
+
+
 _EXAMPLE_VALUE = st.text(
     alphabet=st.one_of(st.sampled_from(",\"'\\ \n"),
                        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),

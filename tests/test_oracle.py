@@ -133,6 +133,14 @@ def test_exhaustive_subsumes_basic():
                                parse_clause("t('a') :- r('a','a')."))
 
 
+
+def test_exhaustive_subsumes_reads_sim_literals_both_ways_and_through_equality():
+    c = parse_clause("t(V0) :- r(V1), sim(V0,V1).")
+    for sim in ("sim('a','b')", "sim('b','a')", "eq('a','b')"):
+        assert exhaustive_subsumes(c, parse_clause(f"t('a') :- r('b'), {sim}."))
+    assert not exhaustive_subsumes(c, parse_clause("t('a') :- r('b')."))
+    assert not exhaustive_subsumes(c, parse_clause("t('a') :- r('b'), sim('a','c')."))
+
 def test_exhaustive_subsumes_var_cap():
     c = parse_clause("t(V0) :- r(V0,V1,V2,V3,V4,V5,V6,V7,V8,V9,V10).")
     with pytest.raises(OracleCapExceeded):

@@ -173,6 +173,43 @@ def test_inject_cfd_repairs_locale_example():
     assert got == expected
 
 
+def test_a_left_side_split_serves_every_match_of_its_value():
+    # movies' title matches two aka titles: both matches take the one
+    # variable split off at movies, anchored by one induced equality
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    db = store.from_tuples(schema, {
+        "movies": [("m1", "Superbad (2007)", "2007")],
+        "aka": [("m1", "Superbad [2007]"), ("m2", "Superbad 2007")]})
+    mds, _ = constraints.parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
+    idx = textsim.SimilarityIndex(entries={
+        (("highGrossing", "title"), ("movies", "title")): {"Superbad": [("Superbad (2007)", 0.8)]},
+        (("movies", "title"), ("aka", "title")): {
+            "Superbad (2007)": [("Superbad [2007]", 0.9), ("Superbad 2007", 0.85)]}})
+    ex = Example("highGrossing", ("Superbad",))
+    cfg = SaturationConfig(d=3, sample_size=10, rng_seed=0)
+    assert logic.print_clause(ground_bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "highGrossing('Superbad') :- movies('m1',V0,'2007'), eq('Superbad (2007)',V0), "
+        "sim('Superbad',V0), rep{sim('Superbad',V0)}('Superbad',V1), "
+        "rep{sim('Superbad',V0)}(V0,V2), eq(V1,V2), "
+        "aka('m1',V3), eq('Superbad [2007]',V3), sim(V0,V3), rep{sim(V0,V3)}(V0,V4), "
+        "rep{sim(V0,V3)}(V3,V5), eq(V4,V5), "
+        "aka('m2',V6), eq('Superbad 2007',V6), sim(V0,V6), rep{sim(V0,V6)}(V0,V7), "
+        "rep{sim(V0,V6)}(V6,V8), eq(V7,V8).")
+
+
+def test_a_pattern_constant_reached_through_equalities_joins_the_repair_condition():
+    # the language terms are variables equal to 'English' only through the
+    # clause's equalities, so the condition states both equalities
+    schema, cfds, _ = locale_case()
+    clause = logic.parse_clause(
+        "hg(V0) :- mov2locale(V1,V5,V3), mov2locale(V2,V6,V4), eq(V1,V2), "
+        "eq(V5,'English'), eq(V6,'English').")
+    got = inject_cfd_repairs(clause, cfds, SaturationConfig(d=1, sample_size=1))
+    cond = "rep{eq(V1,V2);eq(V5,V6);eq(V5,'English');eq(V6,'English');neq(V3,V4)}"
+    assert logic.print_clause(got) == (
+        "hg(V0) :- mov2locale(V1,V5,V3), mov2locale(V2,V6,V4), eq(V1,V2), eq(V5,'English'), "
+        f"eq(V6,'English'), {cond}(V1,V7), {cond}(V2,V8), {cond}(V3,V4), {cond}(V4,V3).")
+
 def test_inject_cfd_repairs_idempotent():
     _, cfds, clause = locale_case()
     cfg = SaturationConfig(d=1, sample_size=1, rng_seed=0)

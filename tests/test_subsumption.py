@@ -263,6 +263,56 @@ def test_covers_negative_agrees_with_exhaustive():
     assert checked >= 60
 
 
+def test_covers_negative_agrees_with_exhaustive_on_cfd_repairs():
+    """On both cfd_micro_dataset variants at n = 4 and 6, each bottom clause
+    and four random drop variants of it cover a negative exactly when one of
+    their expansions plainly subsumes it. The negatives are the first three
+    expansions of every ground clause."""
+    rng = random.Random(0)
+    checked = with_cfd = with_cfd_covered = 0
+    for by_title in (False, True):
+        for n in (4, 6):
+            db, mds, cfds, idx, examples, cfg = cfd_micro_dataset(by_title, n)
+            targets = [r for e in examples
+                       for r in logic.repaired_clauses(
+                           saturation.ground_bottom_clause(e, db, mds, cfds, idx, cfg))[:3]]
+            for e in examples:
+                bottom = saturation.bottom_clause(e, db, mds, cfds, idx, cfg)
+                for c in [bottom] + [random_drop_variant(bottom, rng, 6) for _ in range(4)]:
+                    expansions = logic.repaired_clauses(c)
+                    has_cfd = any(isinstance(lit, logic.RepairLit) and lit.origin == "cfd"
+                                  for lit in c.body)
+                    for g in targets:
+                        engine = covers_negative(c, g).covered
+                        brute = any(oracle.exhaustive_subsumes(r, g) for r in expansions)
+                        assert engine == brute, (print_clause(c), print_clause(g))
+                        checked += 1
+                        with_cfd += has_cfd
+                        with_cfd_covered += has_cfd and engine
+    assert checked == 1560 and with_cfd >= 500 and with_cfd_covered >= 100
+
+
+def test_repair_conditions_match_only_atom_sets_of_one_size():
+    # every atom of c's condition has an image in d's, whose third atom is
+    # left over: the sets are no bijection
+    c = parse_clause("t(V0) :- r(V0,V1), s(V1,V2), rep{eq(V0,V1);neq(V1,V2)}(V1,V3).")
+    d = parse_clause("t('a') :- r('a','k'), s('k','x'), "
+                     "rep{eq('a','k');neq('k','x');neq('a','x')}('k',V0).")
+    assert not subsumes_with_repairs(c, d).covered
+    assert subsumes_with_repairs(c, parse_clause(
+        "t('a') :- r('a','k'), s('k','x'), rep{eq('a','k');neq('k','x')}('k',V0).")).covered
+
+
+def test_a_repair_group_of_c_lands_in_one_group_of_d():
+    # sim('a','b') and sim('b','a') are two conditions, so two groups of d:
+    # c's one group cannot be split across them
+    c = parse_clause("t(V0) :- r(V1), sim(V0,V1), rep{sim(V0,V1)}(V0,V3), "
+                     "rep{sim(V0,V1)}(V1,V4), eq(V3,V4).")
+    d = "t('a') :- r('b'), sim('a','b'), rep{sim('a','b')}('a',V0), rep{%s}('b',V1), eq(V0,V1)."
+    assert not subsumes_with_repairs(c, parse_clause(d % "sim('b','a')")).covered
+    assert subsumes_with_repairs(c, parse_clause(d % "sim('a','b')")).covered
+
+
 def test_plain_subsumes_agrees_with_exhaustive_enumeration():
     rng = random.Random(5)
     checked = 0

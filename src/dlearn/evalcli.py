@@ -146,9 +146,9 @@ def parse_examples(text: str, target: str,
 
 
 def read_text(path: str) -> str:
-    """The text of a UTF-8 file, without a leading byte-order mark; one that
-    does not decode raises a StoreError that names it."""
-    with open(path, encoding="utf-8-sig") as fh:
+    """The text of a UTF-8 file as written, less a leading byte-order mark;
+    one that does not decode raises a StoreError that names it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -167,7 +167,7 @@ def _clause_texts(text: str):
     occur only in constants, and `''` counts two. Blank and `#` lines
     between clauses are skipped."""
     first, clause = 0, ""
-    # reading translates every line ending to "\n"
+    # a "\r\n" ending leaves "\r" on a line; strip() drops it at a clause's end
     for lineno, line in enumerate(text.split("\n"), start=1):
         if clause:
             clause += "\n" + line

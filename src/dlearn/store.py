@@ -162,8 +162,11 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
         table = rows[rel.name] = []
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
+            end = 0
             try:
-                for lineno, row in enumerate(reader, start=1):
+                for row in reader:
+                    # a quoted value may span lines: name the record's first
+                    lineno, end = end + 1, reader.line_num
                     if len(row) != rel.arity:
                         raise StoreError(
                             f"{path}:{lineno}: expected {rel.arity} fields, got {len(row)}"

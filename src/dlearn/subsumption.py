@@ -70,9 +70,9 @@ class _Matcher:
       their free variables over d's terms.
     - Candidate reuse. A literal's candidates are binding deltas, the new
       bindings only; theta is copied only for the chosen literal's
-      candidates. Within one solve the candidates of a literal are memoized
-      under the projection of theta onto that literal's variables, which is
-      all they depend on.
+      candidates. Each unbound literal's list goes down the search and is
+      recomputed, in body order up to the first empty one, only when a new
+      binding touches the literal's variables, which is all it depends on.
     - Per-clause index. d's equality closure, relation buckets, repair and
       similarity lists, repair links and groups and term list, and c's
       per-literal variable tuples and repair groups, come from
@@ -85,12 +85,12 @@ class _Matcher:
 
     The budget counts candidate unifications tried (one per d literal
     examined as an image, one per condition-atom pairing, one per leaf
-    assignment of a free constraint variable). A memoized candidate list is
-    charged its full recorded count each time it is consulted, so a search
-    spends exactly what the unpruned search (tests/helpers._ReferenceMatcher)
-    spends on the nodes it still visits, and never more in total: pruning
-    can only let it finish within a budget that the unpruned search
-    exhausts. A search that binds more literals than the interpreter's
+    assignment of a free constraint variable), and a list is charged only
+    when it is computed. At every node the search charges a subset of what
+    the unpruned search (tests/helpers._ReferenceMatcher) charges there, so
+    it never spends more: it can only finish within a budget that the
+    unpruned search exhausts. A chain of n literals against itself costs
+    2n - 1. A search that binds more literals than the interpreter's
     recursion limit allows ends like one that runs out of budget: a
     non-cover flagged budget_exhausted.
     """
@@ -101,7 +101,6 @@ class _Matcher:
         self.budget = budget
         self.c_index = c.match_index
         self.d_index = d.match_index
-        self._cands: dict[tuple, tuple[list, int]] = {}
 
     # -- unification ------------------------------------------------------
 
@@ -147,14 +146,7 @@ class _Matcher:
                 yield from self._match_conditions(rest, d_atoms[:k] + d_atoms[k + 1:], theta, t2)
 
     def _candidates(self, ci, theta):
-        """(delta, d body index) pairs for c's body literal ci, memoized
-        under theta's projection onto the literal's variables."""
-        key = (ci, *map(theta.get, self.c_index.body_vars[ci]))
-        hit = self._cands.get(key)
-        if hit is not None:
-            self._charge(hit[1])
-            return hit[0]
-        start = self.budget
+        """(delta, d body index) pairs for c's body literal ci under theta."""
         lit = self.c.body[ci]
         out = []
         if isinstance(lit, Rel):
@@ -189,7 +181,6 @@ class _Matcher:
                     continue
                 for final in self._match_conditions(cond, tuple(dlit.cond), theta, delta):
                     out.append((final, di))
-        self._cands[key] = (out, start - self.budget)
         return out
 
     # -- constraint literals ----------------------------------------------
@@ -301,18 +292,18 @@ class _Matcher:
         if not all(self._holds(lit, theta) for lit in check):
             return CoverageVerdict(False)
         try:
-            found = self._search(self.c_index.binders, pending, theta, {})
+            found = self._search([(ci, None) for ci in self.c_index.binders], {}, pending, theta, {})
         except (_OutOfBudget, RecursionError):
             return CoverageVerdict(False, budget_exhausted=True)
         if found is None:
             return CoverageVerdict(False)
         return CoverageVerdict(True, witness=found)
 
-    def _search(self, remaining, pending, theta, lit_map):
-        """`remaining`: body indices of c's unbound relation and repair
-        literals; `pending`: body indices of its constraints with an
-        unbound variable; `lit_map`: the d body index each bound literal of
-        c maps onto."""
+    def _search(self, remaining, delta, pending, theta, lit_map):
+        """`remaining`: (body index, candidates or None) of c's unbound
+        relation and repair literals in body order, as of before `delta`,
+        theta's newest bindings; `pending`: body indices of its constraints
+        with an unbound variable; `lit_map`: each bound literal's d body index."""
         if not remaining:
             final = self._check_constraints([self.c.body[k] for k in pending], theta)
             if final is None:
@@ -321,25 +312,26 @@ class _Matcher:
                     and self._group_condition(lit_map)):
                 return None
             return final
-        # most constrained literal first
-        best_i, best_cands = None, None
-        for i, ci in enumerate(remaining):
-            cands = self._candidates(ci, theta)
-            if best_cands is None or len(cands) < len(best_cands):
-                best_i, best_cands = i, cands
+        body_vars = self.c_index.body_vars
+        current = []
+        for ci, cands in remaining:
+            if cands is None or not delta.keys().isdisjoint(body_vars[ci]):
+                cands = self._candidates(ci, theta)
                 if not cands:
                     return None
-        ci = remaining[best_i]
-        rest = remaining[:best_i] + remaining[best_i + 1:]
+            current.append((ci, cands))
+        # most constrained literal first
+        ci, best_cands = min(current, key=lambda entry: len(entry[1]))
+        rest = [entry for entry in current if entry[0] != ci]
         # binding ci binds all of its variables, whichever candidate is taken
-        check, pending = self._split_bound(pending, theta, self.c_index.body_vars[ci])
+        check, pending = self._split_bound(pending, theta, body_vars[ci])
         for delta, di in best_cands:
             theta2 = {**theta, **delta}
             if check and not all(self._holds(lit, theta2) for lit in check):
                 continue
             lit_map2 = dict(lit_map)
             lit_map2[ci] = di
-            out = self._search(rest, pending, theta2, lit_map2)
+            out = self._search(rest, delta, pending, theta2, lit_map2)
             if out is not None:
                 return out
         return None

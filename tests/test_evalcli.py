@@ -546,6 +546,30 @@ def test_eval_reads_back_a_definition_with_a_line_break_in_a_constant(tmp_path):
     assert rows[1][1:4] == ["2", "0", "0"]
 
 
+def test_eval_reads_back_a_carriage_return_in_a_constant_and_crlf_files(tmp_path):
+    """Text files are read as written: a constant keeps its carriage
+    return, and definition, schema, constraints and examples files with
+    CRLF line endings read as LF ones do."""
+    data = shutil.copytree(os.path.join(DATA_DIR, "data"), tmp_path / "data")
+    (data / "mov2genres.csv").write_text('m1,"com\redy"\nm2,"com\redy"\nm3,drama\n')
+    argv = _replaced(movie_args(["--min-pos", "1"]), "--data", str(data))
+    out = tmp_path / "definition.txt"
+    assert main(["learn"] + argv + ["--out", str(out)]) == 0
+    assert b"mov2genres(V1,'com\redy')" in out.read_bytes()
+    lf = argv + ["--definition", str(out), "--metrics-csv", str(tmp_path / "m.csv")]
+    crlf = list(lf)
+    for flag in ("--definition", "--schema", "--constraints", "--examples"):
+        text = open(lf[lf.index(flag) + 1], "rb").read()
+        assert b"\r\n" not in text
+        path = tmp_path / f"crlf{flag}"
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        crlf = _replaced(crlf, flag, str(path))
+    for run in (lf, crlf):
+        assert main(["eval"] + run) == 0
+        rows = list(csv.reader(open(tmp_path / "m.csv")))
+        assert rows[1][1:4] == ["2", "0", "0"]
+
+
 @pytest.mark.parametrize("line, message", [
     ("md: highGrossing[title] ~ movies[title,id] -> highGrossing[title] <-> movies[title]",
      "expected 'md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]'"),

@@ -64,6 +64,16 @@ def test_load_csv_arity_error_reports_line(tmp_path, schema):
         store.load_csv(schema, str(tmp_path))
 
 
+def test_load_csv_errors_name_the_line_a_record_starts_on(tmp_path, schema):
+    # a quoted line break in the first record puts the second on line 3
+    write_csvs(tmp_path, {"movies": [], "mov2genres": ['m1,"com\nedy"', "m2", "m3,drama"]})
+    with pytest.raises(StoreError, match=r"mov2genres\.csv:3: expected 2 fields, got 1"):
+        store.load_csv(schema, str(tmp_path))
+    write_csvs(tmp_path, {"movies": ['m1,"Super\nbad",2007', "m2,T,notayear"], "mov2genres": []})
+    with pytest.raises(StoreError, match=r"movies\.csv:3: attribute 'year' expects an integer"):
+        store.load_csv(schema, str(tmp_path))
+
+
 def test_load_csv_missing_file(tmp_path, schema):
     write_csvs(tmp_path, {"movies": []})
     with pytest.raises(StoreError, match="mov2genres"):

@@ -8,7 +8,7 @@ from dlearn.logic import parse_clause, print_clause
 from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
 from dlearn.learner import Grounding, LearnerConfig
-from helpers import (cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
+from helpers import (_ReferenceMatcher, cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
                      count_repair_literals, random_drop_variant, random_eq_repair_clause,
                      reference_covers_positive, reference_md_part, reference_subsumes,
                      title_database)
@@ -653,16 +653,23 @@ def differential_pairs():
 
 
 def test_search_gives_the_reference_verdict_and_witness(differential_pairs):
+    # the fan-out title pairs are the shape of the workloads; on every pair
+    # the search spends no more than the reference, and less on some
     assert sum(_has_cfd_repairs(c) or _has_cfd_repairs(d) for c, d in differential_pairs) >= 10
-    covered = 0
-    for c, d in differential_pairs:
-        ref = reference_subsumes(c, d, True)
-        new = subsumes_with_repairs(c, d)
+    pairs = differential_pairs + _title_pairs()
+    covered = cheaper = 0
+    for c, d in pairs:
+        ref_search = _ReferenceMatcher(c, d, True, subsumption.DEFAULT_BUDGET)
+        new_search = subsumption._Matcher(c, d, subsumption.DEFAULT_BUDGET)
+        ref, new = ref_search.solve(), new_search.solve()
         assert not ref.budget_exhausted
         assert (new.covered, new.witness, new.budget_exhausted) == (
             ref.covered, ref.witness, False), (print_clause(c), print_clause(d))
+        assert new_search.budget >= ref_search.budget, (print_clause(c), print_clause(d))
         covered += new.covered
-    assert 0 < covered < len(differential_pairs)
+        cheaper += new_search.budget > ref_search.budget
+    assert 0 < covered < len(pairs)
+    assert cheaper > 0
 
 
 def test_search_within_a_budget_spends_no_more_than_the_reference(differential_pairs):
@@ -680,16 +687,15 @@ def test_search_within_a_budget_spends_no_more_than_the_reference(differential_p
     assert only_reference_exhausted > 0
 
 
-def test_search_without_constraints_spends_exactly_what_the_reference_spends(differential_pairs):
-    # with no eq/sim literal in c nothing is pruned, so the search visits the
-    # reference's nodes, and a reused candidate list must cost what
-    # rebuilding it did: every budget gives the reference's verdict
-    for c, d in differential_pairs[::2]:
-        c = logic.Clause(c.head, tuple(l for l in c.body
-                                       if not isinstance(l, (logic.Eq, logic.Sim))))
-        for budget in range(1, 51):
-            assert subsumes_with_repairs(c, d, budget) == reference_subsumes(c, d, True, budget), (
-                budget, print_clause(c), print_clause(d))
+@pytest.mark.parametrize("n", [100, 400, 900])
+def test_search_charges_a_candidate_list_once_per_binding_that_changes_it(n):
+    # the root computes the n lists, one unit each, and each binding
+    # recomputes only the one list that shares its new variable
+    c = _chain(n)
+    verdict = subsumes_with_repairs(c, c, budget=2 * n - 1)
+    assert verdict.covered and not verdict.budget_exhausted
+    assert subsumes_with_repairs(c, c, budget=2 * n - 2) == subsumption.CoverageVerdict(
+        False, budget_exhausted=True)
 
 
 def test_failed_equality_prunes_before_the_remaining_literals_are_mapped():

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 import time
 from dataclasses import dataclass
 
-from . import learner, logic, oracle, saturation, store, subsumption, textsim
+from . import learner, logic, oracle, store, subsumption, textsim
 from .constraints import ConstraintError, parse_constraints
 from .learner import ExamplesError, LearnedClause, LearnedDefinition, LearnerConfig
 from .logic import ClauseError
@@ -124,14 +123,12 @@ def cross_validate(db, mds, cfds, pos, neg, folds: int, cfg: LearnerConfig):
 
 def parse_examples(text: str, target: str,
                    arity: int | None = None) -> tuple[list[Example], list[Example]]:
-    """Positive and negative examples; given the target's arity, every line
-    must carry exactly that many values. Errors name the line an example
-    starts on (a quoted value may span lines)."""
+    """Positive and negative examples, one CSV record each (store.csv_records);
+    given the target's arity, every record must carry exactly that many
+    values. Errors name the line an example starts on (a quoted value may
+    span lines)."""
     pos, neg = [], []
-    reader = csv.reader(io.StringIO(text))
-    end = 0
-    for row in reader:
-        lineno, end = end + 1, reader.line_num
+    for lineno, row in store.csv_records(text, "examples line "):
         if not row:
             continue
         label = row[0].strip()
@@ -143,16 +140,6 @@ def parse_examples(text: str, target: str,
         example = Example(target, tuple(row[1:]))
         (pos if label == "+" else neg).append(example)
     return pos, neg
-
-
-def read_text(path: str) -> str:
-    """The text of a UTF-8 file as written, less a leading byte-order mark;
-    one that does not decode raises a StoreError that names it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise StoreError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def write_definition(definition: LearnedDefinition, path: str) -> None:
@@ -186,7 +173,7 @@ def read_definition(path: str, target: str, arity: int) -> LearnedDefinition:
     be the target relation with `arity` arguments; errors name the clause's
     first line."""
     definition = LearnedDefinition(target=target)
-    for lineno, text in _clause_texts(read_text(path)):
+    for lineno, text in _clause_texts(store.read_text(path)):
         try:
             clause = logic.parse_clause(text)
         except ClauseError as exc:
@@ -261,14 +248,14 @@ def _config(args) -> LearnerConfig:
 
 
 def _load(args):
-    schema = store.parse_schema(read_text(args.schema), target=args.target)
+    schema = store.parse_schema(store.read_text(args.schema), target=args.target)
     db = store.load_csv(schema, args.data)
     mds, cfds = [], []
     if args.constraints:
-        mds, cfds = parse_constraints(read_text(args.constraints), schema)
+        mds, cfds = parse_constraints(store.read_text(args.constraints), schema)
     mds, cfds = apply_mode(mds, cfds, args.mode)
     arity = schema.relation(args.target).arity
-    pos, neg = parse_examples(read_text(args.examples), args.target, arity)
+    pos, neg = parse_examples(store.read_text(args.examples), args.target, arity)
     return db, mds, cfds, pos, neg, arity
 
 
@@ -303,21 +290,20 @@ def _cmd_cv(args) -> int:
 def _cmd_saturate(args) -> int:
     db, mds, cfds, _, _, arity = _load(args)
     cfg = _config(args)
-    values = next(csv.reader(io.StringIO(args.example)), [])
+    values = next((fields for _, fields in store.csv_records(args.example, "--example line ")), [])
     if len(values) != arity:
         raise ExamplesError(f"--example: {len(values)} values for a target of arity {arity}")
     example = Example(args.target, tuple(values))
-    idx = textsim.build_similarity_index(db, [example], mds, cfg.k_m, cfg.sim_threshold)
-    clause = saturation.ground_bottom_clause(example, db, mds, cfds, idx, cfg)
-    print(logic.print_clause(clause))
+    grounding = learner.Grounding(db, mds, cfds, [example], cfg)
+    print(logic.print_clause(grounding.ground[example.key()]))
     return 0
 
 
 def _cmd_subsume(args) -> int:
     if args.budget < 1:
         raise SaturationError(f"--budget must be positive, got {args.budget}")
-    c = logic.parse_clause(read_text(args.clause_c).strip())
-    d = logic.parse_clause(read_text(args.clause_d).strip())
+    c = logic.parse_clause(store.read_text(args.clause_c).strip())
+    d = logic.parse_clause(store.read_text(args.clause_d).strip())
     verdict = subsumption.subsumes_with_repairs(c, d, budget=args.budget)
     if verdict.covered:
         witness = ",".join(

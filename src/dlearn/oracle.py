@@ -427,9 +427,6 @@ def normalize_clause(clause: Clause) -> Clause:
     mapping: dict = {}
     closure = logic.eq_closure(clause)
     terms = set()
-    for lit in clause.body:
-        if isinstance(lit, (Eq, Sim)):
-            terms.update((lit.a, lit.b))
     for lit in [clause.head] + list(clause.body):
         terms.update(logic.literal_terms(lit))
     for t in terms:

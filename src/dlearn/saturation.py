@@ -202,21 +202,21 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     segments: list[list[logic.Literal]] = [[] for _ in rels]
     left_splits: dict[tuple, logic.Term] = {}
 
-    def left_term_for(probe: str, pair) -> logic.Term:
+    def left_term_for(probe: str, probe_side) -> logic.Term:
         if variabilize and probe in head_values | key_values:
             return alloc.shared(probe)
-        left_rel, left_attr = pair[0]
-        if left_rel != example.relation:
+        probe_rel, probe_attr = probe_side
+        if probe_rel != example.relation:
             # the probe value sits in a stored relation: give its occurrence
-            # at the pair's left attribute its own anchored variable, so the
-            # repair targets the occurrence (exact for a single occurrence,
-            # value-level beyond that)
-            key = (left_rel, left_attr, probe)
+            # at the probe's side of the pair its own anchored variable, so
+            # the repair targets the occurrence (exact for a single
+            # occurrence, value-level beyond that)
+            key = (probe_rel, probe_attr, probe)
             if key in left_splits:
                 return left_splits[key]
-            pos = schema.relation(left_rel).attr_index(left_attr)
+            pos = schema.relation(probe_rel).attr_index(probe_attr)
             homes = [k for k, r in enumerate(rels)
-                     if r.relation == left_rel and r.args[pos] == logic.Constant(probe)]
+                     if r.relation == probe_rel and r.args[pos] == logic.Constant(probe)]
             if len(homes) == 1:
                 split = left_splits[key] = _split(rels, homes[0], pos, alloc)
                 segments[homes[0]].append(logic.Eq(logic.Constant(probe), split))
@@ -231,16 +231,16 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
             side = (rt.tuple.relation, prov.attribute)
             forward = prov.pair[1] == side
             ordered_provs.append((0 if forward else 1, li, rt, prov))
-    # matches discovered on the right side of their attribute pair come
-    # first; a mirror discovery of the same value pair from the left side
-    # describes the same unification and is skipped
+    # matches discovered on the right side of their attribute pair (probe at
+    # pair[0]) come first; a mirror discovery of the same value pair from the
+    # left side (probe at pair[1]) is the same unification and is skipped
     ordered_provs.sort(key=lambda e: e[0])
     for backward, li, rt, prov in ordered_provs:
         if backward and prov.value_pair() in emitted_pairs:
             continue
         emitted_pairs.add(prov.value_pair())
         pos = schema.relation(rt.tuple.relation).attr_index(prov.attribute)
-        emissions.append((li, pos, left_term_for(prov.probe_value, prov.pair)))
+        emissions.append((li, pos, left_term_for(prov.probe_value, prov.pair[backward])))
     emissions.sort(key=lambda e: (e[0], e[1]))
     left_fanout: dict[logic.Term, int] = {}
     for _, _, left in emissions:
@@ -328,9 +328,10 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             touched.update((violation.first, violation.second))
         if not touched:
             return logic.Clause(head, tuple(body))
-    raise SaturationError(
-        f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds; the dependency set looks inconsistent"
-    )
+    raise SaturationError(f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds: a round "
+                          "repairs each literal once, so the rounds grow with the literals that "
+                          "share a CFD's left-hand values; raise cfd_fixpoint_cap (--cfd-cap) or "
+                          "shrink the bottom clause (--sample-size, --d)")
 
 
 def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,

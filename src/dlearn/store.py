@@ -1,4 +1,4 @@
-"""In-memory relational store: schema, CSV loading, value indexes, selection.
+"""In-memory relational store: input files, schema, value indexes, selection.
 
 The engine only ever needs two access paths: exact selection of tuples whose
 attribute value lies in a constant set, and similarity selection through a
@@ -8,6 +8,7 @@ precomputed match index. Everything is immutable after load.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -147,10 +148,34 @@ def build_indexes(db: Database) -> None:
             db.indexes[(rel.name, attr.name)] = index
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 input file as written, less a leading byte-order
+    mark; one that does not decode raises a StoreError that names it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def csv_records(text: str, where: str):
+    """(line the record starts on, fields) of each strict RFC 4180 record of
+    `text`. A malformed record raises a StoreError that reads
+    `<where><line>: malformed CSV: ...`, the form of the caller's own errors."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    end = 0
+    try:
+        for fields in reader:
+            yield end + 1, fields
+            end = reader.line_num
+    except csv.Error as exc:
+        raise StoreError(f"{where}{end + 1}: malformed CSV: {exc}") from exc
+
+
 def load_csv(schema: Schema, data_dir: str) -> Database:
     """Load ``<relation>.csv`` for every stored relation under data_dir.
 
-    Files are UTF-8 (a leading byte-order mark is skipped), comma separated,
+    Files are read by read_text and split by csv_records: comma separated,
     RFC 4180 quoting, no header row. Tuple ids follow file order, which
     makes every downstream result order reproducible.
     """
@@ -160,27 +185,15 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
         if not os.path.exists(path):
             raise StoreError(f"missing CSV file for relation {rel.name!r}: {path}")
         table = rows[rel.name] = []
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, strict=True)
-            end = 0
-            try:
-                for row in reader:
-                    # a quoted value may span lines: name the record's first
-                    lineno, end = end + 1, reader.line_num
-                    if len(row) != rel.arity:
-                        raise StoreError(
-                            f"{path}:{lineno}: expected {rel.arity} fields, got {len(row)}"
-                        )
-                    for val, attr in zip(row, rel.attributes):
-                        if attr.domain == "integer" and not _INT_RE.match(val.strip()):
-                            raise StoreError(
-                                f"{path}:{lineno}: attribute {attr.name!r} expects an integer, got {val!r}"
-                            )
-                    table.append(tuple(row))
-            except csv.Error as exc:
-                raise StoreError(f"{path}: malformed CSV: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise StoreError(f"{path}: not UTF-8: {exc}") from exc
+        for lineno, row in csv_records(read_text(path), f"{path}:"):
+            if len(row) != rel.arity:
+                raise StoreError(f"{path}:{lineno}: expected {rel.arity} fields, got {len(row)}")
+            for val, attr in zip(row, rel.attributes):
+                if attr.domain == "integer" and not _INT_RE.match(val.strip()):
+                    raise StoreError(
+                        f"{path}:{lineno}: attribute {attr.name!r} expects an integer, got {val!r}"
+                    )
+            table.append(tuple(row))
     return from_tuples(schema, rows)
 
 

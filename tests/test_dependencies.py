@@ -54,6 +54,44 @@ def test_package_uses_every_name_it_imports():
     assert unused == []
 
 
+def _calls_outside(path, names, kept):
+    """Every call in a file of a function or method whose name is in
+    `names`, outside the function whose qualified name is `kept`."""
+
+    def walk(node, qualified):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, qualified + child.name + ".")
+                continue
+            if isinstance(child, ast.Call) and qualified != kept + ".":
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    yield child
+            yield from walk(child, qualified)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem + ".")
+
+
+def _mode(call):
+    """The mode string an `open` call passes, "r" when it passes none."""
+    args = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return args[0].value if args and isinstance(args[0], ast.Constant) else "r"
+
+
+def test_every_input_file_is_read_by_store():
+    """store.read_text is the one place that opens a file for reading, and
+    store.csv_records the one place that splits text into CSV records, so
+    every input file is decoded and split by one policy."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    reads = [f"{path.name}:{call.lineno}" for path in modules
+             for call in _calls_outside(path, {"open"}, "store.read_text")
+             if not set(_mode(call)) & set("wax")]
+    readers = [f"{path.name}:{call.lineno}" for path in modules
+               for call in _calls_outside(path, {"reader", "DictReader"}, "store.csv_records")]
+    assert reads == [] and readers == []
+
+
 # bench/run.py passes the MDs to ground_bottom_clause positionally, and the
 # two bottom-clause builders keep one signature; what saturation uses of the
 # MDs comes through the similarity index

@@ -510,6 +510,22 @@ def test_parse_examples_skips_blank_lines_and_counts_them():
         parse_examples("+,a\n\n?,b\n", "t", 1)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ('+,"Superbad\n-,Orphan\n', 1, "unexpected end of data"),
+    ('+,Superbad\n-,"Orph"an\n', 2, "',' expected after '\"'"),
+], ids=["unterminated", "text-after-quote"])
+def test_examples_file_with_malformed_quoting_is_one_line_error(tmp_path, capsys, text, line,
+                                                               message):
+    """Examples are read as strictly as data files: malformed quoting stops
+    the run at the line its record starts on, instead of folding the later
+    examples into one value."""
+    bad = _written(tmp_path / "examples.txt", text)
+    argv = _replaced(movie_args(["--out", str(tmp_path / "d.txt")]), "--examples", bad)
+    err = _one_line_error(["learn"] + argv, capsys)
+    assert err == f"dlearn: error: examples line {line}: malformed CSV: {message}\n"
+    assert not (tmp_path / "d.txt").exists()
+
+
 def test_read_definition_continues_a_clause_while_a_constant_is_open(tmp_path):
     """A constant that holds a line break spans lines of a definition file;
     the clause reads back equal to the one written, and an error names the

@@ -383,6 +383,12 @@ def test_canonical_sorted_ignores_order():
 @settings(max_examples=200, deadline=None)
 @given(_clauses(), st.text(alphabet="%d{}'V0", max_size=4))
 def test_clause_key_equals_reference_key(clause, text):
+    # reserved literal names cannot appear as relation symbols, so a clause
+    # with one does not print to text that parses back
+    if clause.head.relation in ("sim", "eq", "rep") or any(
+        isinstance(l, Rel) and l.relation in ("sim", "eq", "rep") for l in clause.body
+    ):
+        return
     # constants with % and braces stress the printed literal templates
     clause = apply_substitution(clause, {V(0): C(text)})
     key = clause_key(clause)

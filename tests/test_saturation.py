@@ -267,6 +267,31 @@ def test_inject_cfd_fixpoint_cap():
                                                           cfd_fixpoint_cap=1))
 
 
+def test_a_key_with_too_many_names_for_the_default_cap_is_blamed_on_the_cap():
+    # a round repairs each literal once, so the rounds grow with the names
+    # a country key reaches: 16 fit the default cap and 17 do not
+    schema = store.parse_schema("movies(id:text, title:text)\nmov2countries(id:text, cid:text)\n"
+                                "countries(cid:text, name:text)\nt(v:text)", target="t")
+    _, cfds = constraints.parse_constraints("cfd: countries : cid -> name : (_ || _)", schema)
+    cfg = LearnerConfig(d=3, sample_size=100)
+    ex = Example("t", ("m0",))
+
+    def ground(names):
+        db = store.from_tuples(schema, {
+            "movies": [(f"m{i}", f"Title {i}") for i in range(6)],
+            "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(6)],
+            "countries": [(f"c{k}", f"name {k}.{j}") for k in range(2) for j in range(names)]})
+        idx = textsim.build_similarity_index(db, [ex], [], cfg.k_m, cfg.sim_threshold)
+        return ground_bottom_clause(ex, db, [], cfds, idx, cfg)
+
+    assert len(ground(16).body) == 530
+    with pytest.raises(SaturationError) as err:
+        ground(17)
+    message = str(err.value)
+    assert message.startswith("no repair fixpoint after 16 rounds: ")
+    assert "cfd_fixpoint_cap (--cfd-cap)" in message and "inconsistent" not in message
+
+
 def _injection_inputs(monkeypatch):
     """Every (clause, cfds, config) that inject_cfd_repairs receives while the
     bottom and ground bottom clauses of both cfd_micro_dataset variants and of
@@ -334,6 +359,34 @@ def test_left_side_split_keeps_its_value_through_an_anchoring_equality():
         "highGrossing(V0) :- movies(V1,V3,V2), eq('Superbad (2007)',V3), sim(V0,V3), "
         "rep{sim(V0,V3)}(V0,V4), rep{sim(V0,V3)}(V3,V5), eq(V4,V5), aka(V1,V6), "
         "sim(V3,V6), rep{sim(V3,V6)}(V3,V7), rep{sim(V3,V6)}(V6,V8), eq(V7,V8).")
+
+
+def test_a_match_found_from_the_left_side_splits_the_probe_at_the_right_side():
+    # m2 is reached only from aka's title, so the match is discovered from
+    # the left side of movies~aka and its probe sits at aka: that occurrence
+    # is split, as in the forward case, not repaired at the value level
+    schema = store.parse_schema(TITLE_SCHEMA_TEXT, target="highGrossing")
+    db = store.from_tuples(schema, {
+        "movies": [("m1", "Superbad (2007)", "2007"), ("m2", "Superbad 2007!", "2007")],
+        "aka": [("m1", "Superbad [2007]")]})
+    mds, _ = constraints.parse_constraints(TITLE_MD + "\n" + AKA_MD, schema)
+    idx = textsim.SimilarityIndex(entries={
+        (("highGrossing", "title"), ("movies", "title")): {"Superbad": [("Superbad (2007)", 0.8)]},
+        (("movies", "title"), ("aka", "title")): {"Superbad 2007!": [("Superbad [2007]", 0.9)]}})
+    ex = Example("highGrossing", ("Superbad",))
+    cfg = SaturationConfig(d=3, sample_size=10, rng_seed=0)
+    assert logic.print_clause(ground_bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "highGrossing('Superbad') :- movies('m1','Superbad (2007)','2007'), "
+        "sim('Superbad','Superbad (2007)'), rep{sim('Superbad','Superbad (2007)')}('Superbad',V1), "
+        "rep{sim('Superbad','Superbad (2007)')}('Superbad (2007)',V2), eq(V1,V2), "
+        "aka('m1',V0), eq('Superbad [2007]',V0), movies('m2','Superbad 2007!','2007'), "
+        "sim(V0,'Superbad 2007!'), rep{sim(V0,'Superbad 2007!')}(V0,V3), "
+        "rep{sim(V0,'Superbad 2007!')}('Superbad 2007!',V4), eq(V3,V4).")
+    assert logic.print_clause(bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "highGrossing(V0) :- movies(V1,V6,V2), sim(V0,V6), rep{sim(V0,V6)}(V0,V7), "
+        "rep{sim(V0,V6)}(V6,V8), eq(V7,V8), aka(V1,V5), eq('Superbad [2007]',V5), "
+        "movies(V3,V9,V4), sim(V5,V9), rep{sim(V5,V9)}(V5,V10), rep{sim(V5,V9)}(V9,V11), "
+        "eq(V10,V11).")
 
 
 def test_learner_config_saturates_like_its_saturation_fields():

@@ -72,6 +72,10 @@ def test_load_csv_errors_name_the_line_a_record_starts_on(tmp_path, schema):
     write_csvs(tmp_path, {"movies": ['m1,"Super\nbad",2007', "m2,T,notayear"], "mov2genres": []})
     with pytest.raises(StoreError, match=r"movies\.csv:3: attribute 'year' expects an integer"):
         store.load_csv(schema, str(tmp_path))
+    write_csvs(tmp_path, {"movies": ['m1,"Super\nbad",2007', 'm2,"Zoo', "lander,2001"],
+                          "mov2genres": []})
+    with pytest.raises(StoreError, match=r"movies\.csv:3: malformed CSV: unexpected end of data"):
+        store.load_csv(schema, str(tmp_path))
 
 
 def test_load_csv_missing_file(tmp_path, schema):
@@ -170,3 +174,12 @@ def test_load_csv_malformed_quoting(tmp_path, schema):
     (tmp_path / "mov2genres.csv").write_text("", encoding="utf-8")
     with pytest.raises(StoreError, match="malformed CSV"):
         store.load_csv(schema, str(tmp_path))
+
+
+@pytest.mark.parametrize("text, records", [
+    ('+,The "Best" Movie\n', [(1, ["+", 'The "Best" Movie'])]),
+    ('+,"say ""hi"""\n', [(1, ["+", 'say "hi"'])]),
+    ('+,"Super\r\nbad"\r\n\r\n-,x', [(1, ["+", "Super\r\nbad"]), (3, []), (4, ["-", "x"])]),
+])
+def test_csv_records_accepts_rfc_4180_and_bare_quotes_inside_a_value(text, records):
+    assert list(store.csv_records(text, "f:")) == records

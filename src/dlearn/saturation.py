@@ -330,8 +330,8 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             return logic.Clause(head, tuple(body))
     raise SaturationError(f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds: a round "
                           "repairs each literal once, so the rounds grow with the literals that "
-                          "share a CFD's left-hand values; raise cfd_fixpoint_cap (--cfd-cap) or "
-                          "shrink the bottom clause (--sample-size, --d)")
+                          "share a CFD's left-hand values; shrink the bottom clause (--sample-size, "
+                          "--d) or, for a key just past the cap, raise cfd_fixpoint_cap (--cfd-cap)")
 
 
 def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,

@@ -97,6 +97,8 @@ def parse_schema(text: str, target: str) -> Schema:
         if not m:
             raise StoreError(f"schema line {lineno}: cannot parse {raw!r}")
         name, attr_text = m.group(1), m.group(2)
+        if name in ("eq", "sim", "rep"):
+            raise StoreError(f"schema line {lineno}: {name!r} is a reserved literal name")
         if name in seen:
             raise StoreError(f"schema line {lineno}: duplicate relation {name!r}")
         seen.add(name)
@@ -148,21 +150,28 @@ def build_indexes(db: Database) -> None:
             db.indexes[(rel.name, attr.name)] = index
 
 
-def read_text(path: str) -> str:
-    """The text of a UTF-8 input file as written, less a leading byte-order
-    mark; one that does not decode raises a StoreError that names it."""
+def text_lines(path: str):
+    """The lines of a UTF-8 input file as written, less a leading byte-order
+    mark; bytes that do not decode raise a StoreError that names the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            return fh.read()
+            yield from fh
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def csv_records(text: str, where: str):
+def read_text(path: str) -> str:
+    """The whole text of an input file, as text_lines reads it."""
+    return "".join(text_lines(path))
+
+
+def csv_records(source, where: str):
     """(line the record starts on, fields) of each strict RFC 4180 record of
-    `text`. A malformed record raises a StoreError that reads
-    `<where><line>: malformed CSV: ...`, the form of the caller's own errors."""
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    `source`, a text or an iterable of its lines as written. A malformed
+    record raises a StoreError that reads `<where><line>: malformed CSV: ...`,
+    the form of the caller's own errors."""
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source,
+                        strict=True)
     end = 0
     try:
         for fields in reader:
@@ -175,7 +184,7 @@ def csv_records(text: str, where: str):
 def load_csv(schema: Schema, data_dir: str) -> Database:
     """Load ``<relation>.csv`` for every stored relation under data_dir.
 
-    Files are read by read_text and split by csv_records: comma separated,
+    Files are streamed by text_lines and split by csv_records: comma separated,
     RFC 4180 quoting, no header row. Tuple ids follow file order, which
     makes every downstream result order reproducible.
     """
@@ -185,7 +194,7 @@ def load_csv(schema: Schema, data_dir: str) -> Database:
         if not os.path.exists(path):
             raise StoreError(f"missing CSV file for relation {rel.name!r}: {path}")
         table = rows[rel.name] = []
-        for lineno, row in csv_records(read_text(path), f"{path}:"):
+        for lineno, row in csv_records(text_lines(path), f"{path}:"):
             if len(row) != rel.arity:
                 raise StoreError(f"{path}:{lineno}: expected {rel.arity} fields, got {len(row)}")
             for val, attr in zip(row, rel.attributes):

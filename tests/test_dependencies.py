@@ -80,12 +80,12 @@ def _mode(call):
 
 
 def test_every_input_file_is_read_by_store():
-    """store.read_text is the one place that opens a file for reading, and
+    """store.text_lines is the one place that opens a file for reading, and
     store.csv_records the one place that splits text into CSV records, so
     every input file is decoded and split by one policy."""
     modules = sorted(PACKAGE.glob("*.py"))
     reads = [f"{path.name}:{call.lineno}" for path in modules
-             for call in _calls_outside(path, {"open"}, "store.read_text")
+             for call in _calls_outside(path, {"open"}, "store.text_lines")
              if not set(_mode(call)) & set("wax")]
     readers = [f"{path.name}:{call.lineno}" for path in modules
                for call in _calls_outside(path, {"reader", "DictReader"}, "store.csv_records")]

@@ -289,7 +289,9 @@ def test_a_key_with_too_many_names_for_the_default_cap_is_blamed_on_the_cap():
         ground(17)
     message = str(err.value)
     assert message.startswith("no repair fixpoint after 16 rounds: ")
-    assert "cfd_fixpoint_cap (--cfd-cap)" in message and "inconsistent" not in message
+    assert "shrink the bottom clause (--sample-size, --d)" in message
+    assert message.index("--sample-size") < message.index("cfd_fixpoint_cap (--cfd-cap)")
+    assert "inconsistent" not in message
 
 
 def _injection_inputs(monkeypatch):

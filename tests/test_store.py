@@ -43,6 +43,15 @@ def test_parse_schema_rejects_duplicates():
         store.parse_schema("r(a:text, a:text)", target="r")
 
 
+@pytest.mark.parametrize("name", ["eq", "sim", "rep"])
+def test_parse_schema_rejects_a_reserved_literal_name(name):
+    # a clause over such a relation would print `eq('x','y')`, which
+    # parse_clause reads back as an equality literal
+    with pytest.raises(StoreError, match=rf"schema line 2: '{name}' is a reserved literal name"):
+        store.parse_schema(f"t(v:text)\n{name}(a:text, b:text)", target="t")
+    store.parse_schema(f"t(v:text)\n{name}x(a:text, b:text)", target="t")
+
+
 def test_load_csv_quoted_row(tmp_path, schema):
     write_csvs(tmp_path, {
         "movies": ['m1,"Superbad (2007)",2007'],

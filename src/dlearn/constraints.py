@@ -11,7 +11,9 @@ that agree on X and match the pattern agree on A; each X cell p is `_`
 (wildcard) or a single-quoted constant, in which `''` stands for a quote,
 and the right-hand cell is `_`. Cells split at `,` and `||`, and `#` starts
 a comment, only outside constants. A constant cannot hold a line break.
-Every other MD or CFD form is rejected.
+Every other MD or CFD form is rejected. Constraints always parse against
+the schema, and a parsed CFD holds only its X pattern and the positions of
+its attributes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from . import logic
-from .store import Schema
+from .store import Schema, StoreError
 
 AttrPair = tuple[tuple[str, str], tuple[str, str]]
 
@@ -43,53 +45,46 @@ class MD:
 
 
 @dataclass(frozen=True)
-class TuplePattern:
-    cells: tuple[str | None, ...]  # None = wildcard, str = constant
-
-    def pretty(self) -> str:
-        parts = [WILDCARD if c is None else "'%s'" % c.replace("'", "''") for c in self.cells]
-        return "(" + ",".join(parts[:-1]) + " || " + parts[-1] + ")"
-
-
-@dataclass(frozen=True)
 class CFD:
-    """Functional dependency X -> rhs restricted by a tuple pattern whose
-    right-hand cell is the wildcard.
-
-    x_positions / rhs_position are the argument positions of the attributes
-    in literals of `relation`, resolved against the schema at parse time.
-    """
+    """Functional dependency X -> rhs under a pattern of one cell per X
+    attribute (None for `_`, else a constant); the right-hand cell is `_`.
+    x_positions / rhs_position are the attributes' argument positions in
+    literals of `relation`, resolved against the schema by make_cfd."""
 
     relation: str
     lhs: tuple[str, ...]
     rhs: str
-    pattern: TuplePattern
+    cells: tuple[str | None, ...]
     x_positions: tuple[int, ...]
     rhs_position: int
 
     def pretty(self) -> str:
-        return f"cfd: {self.relation} : {','.join(self.lhs)} -> {self.rhs} : {self.pattern.pretty()}"
+        cells = ",".join(WILDCARD if c is None else "'%s'" % c.replace("'", "''")
+                         for c in self.cells)
+        return f"cfd: {self.relation} : {','.join(self.lhs)} -> {self.rhs} : ({cells} || _)"
+
+
+def _position(schema: Schema, relation: str, attr: str) -> int:
+    if not schema.has_relation(relation):
+        raise ConstraintError(f"unknown relation {relation!r}")
+    try:
+        return schema.relation(relation).attr_index(attr)
+    except StoreError:
+        raise ConstraintError(f"relation {relation!r} has no attribute {attr!r}") from None
 
 
 def make_cfd(schema: Schema, relation: str, lhs, rhs: str, cells) -> CFD:
-    """Build a CFD with attribute positions resolved against the schema."""
-    rel = schema.relation(relation)
-    lhs = tuple(lhs)
-    cells = tuple(cells)
-    if len(cells) != len(lhs) + 1:
-        raise ConstraintError(f"pattern has {len(cells)} cells for {len(lhs)} + 1 attributes")
-    if cells[-1] is not None:
-        raise ConstraintError(f"the right-hand cell must be '_', as in '{_CFD_FORM}'")
+    """The CFD lhs -> rhs over `relation` with the X cells `cells`: its
+    relation, attributes (rhs first), cell count and distinctness checked in
+    that order, and its attribute positions resolved against the schema."""
+    lhs, cells = tuple(lhs), tuple(cells)
+    rhs_position = _position(schema, relation, rhs)
+    x_positions = tuple(_position(schema, relation, x) for x in lhs)
+    if len(cells) != len(lhs):
+        raise ConstraintError(f"pattern has {len(cells) + 1} cells for {len(lhs)} + 1 attributes")
     if rhs in lhs or len(set(lhs)) != len(lhs):
         raise ConstraintError("CFD attributes must be distinct")
-    return CFD(
-        relation=relation,
-        lhs=lhs,
-        rhs=rhs,
-        pattern=TuplePattern(cells),
-        x_positions=tuple(rel.attr_index(x) for x in lhs),
-        rhs_position=rel.attr_index(rhs),
-    )
+    return CFD(relation, lhs, rhs, cells, x_positions, rhs_position)
 
 
 _MD_FORM = "md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]"
@@ -117,7 +112,7 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_cells(text: str, lineno: int) -> list[str | None]:
+def _parse_cells(text: str) -> list[str | None]:
     cells: list[str | None] = []
     for raw in _split_unquoted(text, ","):
         cell = raw.strip()
@@ -127,59 +122,52 @@ def _parse_cells(text: str, lineno: int) -> list[str | None]:
         elif constant:
             cells.append(constant.group(1).replace("''", "'"))
         else:
-            raise ConstraintError(f"line {lineno}: bad pattern cell {cell!r}")
+            raise ConstraintError(f"bad pattern cell {cell!r}")
     return cells
 
 
-def _check_attr(schema: Schema | None, rel: str, attr: str, lineno: int) -> None:
-    if schema is None:
-        return
-    if not schema.has_relation(rel):
-        raise ConstraintError(f"line {lineno}: unknown relation {rel!r}")
-    try:
-        schema.relation(rel).attr_index(attr)
-    except Exception:
-        raise ConstraintError(f"line {lineno}: relation {rel!r} has no attribute {attr!r}") from None
+def _parse_line(line: str, raw: str, schema: Schema) -> MD | CFD:
+    if line.startswith("md:"):
+        m = _MD_RE.match(line)
+        if not m:
+            raise ConstraintError(f"expected '{_MD_FORM}', got {raw!r}")
+        r1, a, r2, b = m.groups()
+        _position(schema, r1, a)
+        _position(schema, r2, b)
+        return MD(((r1, a), (r2, b)))
+    if not line.startswith("cfd:"):
+        raise ConstraintError(f"expected 'md:' or 'cfd:', got {raw!r}")
+    m = _CFD_RE.match(line)
+    if not m:
+        raise ConstraintError(f"expected '{_CFD_FORM}', got {raw!r}")
+    rel, x_text, rhs_attr, cell_text = m.groups()
+    xs = [x.strip() for x in x_text.split(",") if x.strip()]
+    if not xs:
+        raise ConstraintError("CFD left-hand side is empty")
+    halves = _split_unquoted(cell_text, "||")
+    if len(halves) != 2:
+        raise ConstraintError("CFD pattern needs one '||' before the right-hand cell")
+    *cells, rhs_cell = [cell for half in halves for cell in _parse_cells(half)]
+    cfd = make_cfd(schema, rel, xs, rhs_attr, cells)
+    # checked last, so that a bad attribute or cell count is reported first
+    if rhs_cell is not None:
+        raise ConstraintError(f"the right-hand cell must be '_', as in '{_CFD_FORM}'")
+    return cfd
 
 
-def parse_constraints(text: str, schema: Schema | None = None) -> tuple[list[MD], list[CFD]]:
-    mds: list[MD] = []
-    cfds: list[CFD] = []
+def parse_constraints(text: str, schema: Schema) -> tuple[list[MD], list[CFD]]:
+    """The MDs and CFDs of a constraint file, resolved against the schema.
+    An error names its line."""
+    mds, cfds = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
-        if line.startswith("md:"):
-            m = _MD_RE.match(line)
-            if not m:
-                raise ConstraintError(f"line {lineno}: expected '{_MD_FORM}', got {raw!r}")
-            r1, a, r2, b = m.groups()
-            _check_attr(schema, r1, a, lineno)
-            _check_attr(schema, r2, b, lineno)
-            mds.append(MD(((r1, a), (r2, b))))
-        elif line.startswith("cfd:"):
-            m = _CFD_RE.match(line)
-            if not m:
-                raise ConstraintError(f"line {lineno}: expected '{_CFD_FORM}', got {raw!r}")
-            rel, x_text, rhs_attr, cell_text = m.groups()
-            xs = [x.strip() for x in x_text.split(",") if x.strip()]
-            if not xs:
-                raise ConstraintError(f"line {lineno}: CFD left-hand side is empty")
-            halves = _split_unquoted(cell_text, "||")
-            if len(halves) != 2:
-                raise ConstraintError(f"line {lineno}: CFD pattern needs one '||' before the right-hand cell")
-            cells = [cell for half in halves for cell in _parse_cells(half, lineno)]
-            if schema is None:
-                raise ConstraintError(f"line {lineno}: CFDs need a schema to resolve attribute positions")
-            _check_attr(schema, rel, rhs_attr, lineno)
-            for x in xs:
-                _check_attr(schema, rel, x, lineno)
-            try:
-                cfds.append(make_cfd(schema, rel, xs, rhs_attr, cells))
-            except ConstraintError as exc:
-                raise ConstraintError(f"line {lineno}: {exc}") from None
-        else:
-            raise ConstraintError(f"line {lineno}: expected 'md:' or 'cfd:', got {raw!r}")
+        try:
+            constraint = _parse_line(line, raw, schema)
+        except ConstraintError as exc:
+            raise ConstraintError(f"line {lineno}: {exc}") from None
+        (mds if isinstance(constraint, MD) else cfds).append(constraint)
     return mds, cfds
 
 
@@ -232,7 +220,7 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[C
             i, l1 = rel_lits[ai]
             j, l2 = rel_lits[bi]
             chosen_x = []
-            for p, cell in zip(cfd.x_positions, cfd.pattern.cells):
+            for p, cell in zip(cfd.x_positions, cfd.cells):
                 pair = next(((t1, t2)
                              for t1 in options(l1.args[p])
                              for t2 in options(l2.args[p])

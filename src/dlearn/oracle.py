@@ -66,7 +66,7 @@ def _cfd_violation_pairs(instance: Instance, cfd):
     for i, j in itertools.combinations(range(len(rows)), 2):
         t1, t2 = rows[i], rows[j]
         ok = True
-        for p, cell in zip(cfd.x_positions, cfd.pattern.cells):
+        for p, cell in zip(cfd.x_positions, cfd.cells):
             if t1[p] != t2[p] or (cell is not None and t1[p] != cell):
                 ok = False
                 break
@@ -80,7 +80,7 @@ def _cfd_moves(instance: Instance, cfds):
         for i, j in _cfd_violation_pairs(instance, cfd):
             moves.append(("cfd_rhs", ci, i, j, 0))  # t1[A] := t2[A]
             moves.append(("cfd_rhs", ci, i, j, 1))  # t2[A] := t1[A]
-            for k, cell in enumerate(cfd.pattern.cells[:-1]):
+            for k, cell in enumerate(cfd.cells):
                 if cell is None:
                     moves.append(("cfd_lhs", ci, i, j, 0, k))
                     moves.append(("cfd_lhs", ci, i, j, 1, k))

@@ -363,7 +363,7 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
     x_pairs = []
     for k, p in enumerate(cfd.x_positions):
         t1, t2 = violation.x_terms[k]
-        if cfd.pattern.cells[k] is None:
+        if cfd.cells[k] is None:
             if t1 == body[i].args[p]:
                 t1 = _split_position(head, body, i, p, alloc)
             if t2 == body[j].args[p]:
@@ -375,7 +375,7 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         t = _split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
 
     atoms: list[logic.Atom] = []
-    for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
+    for (t1, t2), cell in zip(x_pairs, cfd.cells):
         if t1 != t2:
             atoms.append(logic.EqAtom(t1, t2))
         if cell is not None:
@@ -388,7 +388,7 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
     cond = tuple(atoms)
 
     new_lits: list[logic.RepairLit] = []
-    for (t1, t2), cell in zip(x_pairs, cfd.pattern.cells):
+    for (t1, t2), cell in zip(x_pairs, cfd.cells):
         if cell is not None:
             continue
         for side in (t1, t2):

@@ -24,12 +24,14 @@ when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
 that c covers g, c entails g (oracle.brute_force_entails), and when
-covers_negative does, some repair-free expansion of c entails g. It is not
+covers_negative does, some repair-free expansion of c entails g; it starts
+from covers_positive, so a positive cover is a negative one too. It is not
 complete, and three gaps are known: stage 2 of covers_positive can reject a
 clause that g entails, covers_negative misses a negative covered only
-through its own repairs (see their docstrings), and covers_positive demands
-an image in g for every repair literal of c, also for one whose condition
-no expansion of c can meet (README, "What coverage guarantees").
+through its own repairs that c does not match structurally (see their
+docstrings), and covers_positive demands an image in g for every repair
+literal of c, also for one whose condition no expansion of c can meet
+(README, "What coverage guarantees").
 """
 
 from __future__ import annotations
@@ -453,18 +455,24 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
 
 def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
                     repair_cap: int = DEFAULT_REPAIR_CAP) -> CoverageVerdict:
-    """A clause covers a negative example as soon as one of its repair-free
-    expansions covers the example's ground bottom clause. The expansions
-    are kept with c (Clause.views), so c is expanded once, not per negative.
-    g is not expanded: a negative covered only through its own repairs is
+    """A clause covers a negative example when it covers the example's
+    ground bottom clause g as a positive (c entails g, so every repair-free
+    expansion of c does), or else when one of its repair-free expansions
+    does. The expansions are kept with c (Clause.views), so c is expanded
+    once, not per negative. g is not expanded: a negative covered only
+    through its own repairs, which c does not match structurally, is
     missed, as the side condition keeps r off the parts of g they touch.
     """
+    direct = covers_positive(c, g, budget, repair_cap)
+    if direct.covered:
+        return direct
     try:
         expansions = _view("repaired", logic.repaired_clauses, c, repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
-    exhausted = False
-    for r in expansions:
+    exhausted = direct.budget_exhausted
+    # a clause without repair literals is its own one expansion, searched above
+    for r in (e for e in expansions if e is not c):
         verdict = covers_positive(r, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
         if verdict.covered:

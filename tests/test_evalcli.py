@@ -361,6 +361,64 @@ def test_cli_bad_option_or_input_is_one_line_error(tmp_path, capsys, make_argv, 
     assert not (tmp_path / "d.txt").exists()
 
 
+def test_cli_eval_counts_a_negative_that_repeats_a_covered_positive(tmp_path):
+    # `-,Superbad` is the same tuple as the covered positive `+,Superbad`,
+    # so the clause that covers the one covers the other
+    definition = tmp_path / "definition.txt"
+    assert main(["learn"] + movie_args(["--out", str(definition)])) == 0
+    with open(os.path.join(DATA_DIR, "examples.txt"), encoding="utf-8") as fh:
+        examples = _written(tmp_path / "examples.txt", fh.read() + "-,Superbad\n")
+    metrics = tmp_path / "m.csv"
+    argv = movie_args(["--definition", str(definition), "--metrics-csv", str(metrics)])
+    assert main(["eval"] + _replaced(argv, "--examples", examples)) == 0
+    rows = list(csv.reader(metrics.read_text(encoding="utf-8").splitlines()))
+    assert rows[1][:4] == ["test", "2", "1", "0"]
+
+
+def _schema(tmp, text):
+    return ["sim-index"] + _replaced(movie_args([]), "--schema", _written(tmp / "schema.txt", text))
+
+
+def _without_countries(tmp):
+    data = shutil.copytree(os.path.join(DATA_DIR, "data"), tmp / "data")
+    os.remove(data / "countries.csv")
+    return ["sim-index"] + _replaced(movie_args([]), "--data", str(data))
+
+
+def _subsume(tmp, c_text):
+    return ["subsume", _written(tmp / "c.txt", c_text + "\n"),
+            _written(tmp / "d.txt", "highGrossing('x') :- movies('m1','x','2000').\n")]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda tmp: _schema(tmp, "movies(id:text\nhighGrossing(title:text)\n"),
+     "schema line 1: cannot parse 'movies(id:text'"),
+    (lambda tmp: _schema(tmp, "movies(id:text)\nmovies(title:text)\nhighGrossing(title:text)\n"),
+     "schema line 2: duplicate relation 'movies'"),
+    (lambda tmp: _schema(tmp, "highGrossing(title:text, title:text)\n"),
+     "schema line 1: duplicate attribute 'title'"),
+    (lambda tmp: _schema(tmp, "movies(id:text, title:text, year:integer)\n"),
+     "target relation 'highGrossing' not declared in schema"),
+    (lambda tmp: _without_countries(tmp),
+     "missing CSV file for relation 'countries': {tmp}/data/countries.csv"),
+    (lambda tmp: _definition(tmp, "highGrossing(V0) :- movies(V1,V0,V2), eq(V0)."),
+     "definition line 2: parse error at position 44: eq takes two terms"),
+    (lambda tmp: _definition(tmp, "highGrossing(V0) :- sim(V0,V1,V2), movies(V1,V0,V2)."),
+     "definition line 2: parse error at position 33: sim takes two terms"),
+    (lambda tmp: _definition(tmp, "highGrossing(V0) :- rep{ne(V0,V1)}(V0,V1)."),
+     "definition line 2: parse error at position 26: expected condition atom, got 'ne'"),
+    (lambda tmp: _subsume(tmp, "eq(V0,V1) :- movies(V1,V0,V2)."),
+     "parse error at position 9: clause head must be a relation literal"),
+    (lambda tmp: _subsume(tmp, "highGrossing(V0) :- movies(V1,V0,V2). movies(V1,V0,V2)."),
+     "parse error at position 38: trailing input after clause"),
+], ids=["schema-syntax", "duplicate-relation", "duplicate-attribute", "target-undeclared",
+        "missing-csv", "eq-arity", "sim-arity", "condition-atom", "head-literal", "trailing-input"])
+def test_cli_bad_schema_data_or_clause_is_exact_one_line_error(tmp_path, capsys, make_argv,
+                                                               message):
+    err = _one_line_error(make_argv(tmp_path), capsys)
+    assert err == f"dlearn: error: {message.format(tmp=tmp_path)}\n"
+
+
 def _latin1(path, text) -> str:
     """Write `text` to `path` in Latin-1, where any non-ASCII character
     makes the file invalid UTF-8."""

@@ -433,7 +433,8 @@ def test_score_clause_expands_each_clause_once(monkeypatch):
         repaired.clear()
         partial.clear()
         score_clause(clause, positives, neg_gs)
-        assert repaired == Counter({clause: 1})
+        # none when the clause covers every negative as it stands
+        assert set(repaired) <= {clause} and repaired[clause] <= 1
         assert max(partial.values(), default=1) == 1
 
 

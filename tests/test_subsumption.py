@@ -199,6 +199,42 @@ def test_covers_negative_cap_flags():
     assert not v.covered and v.budget_exhausted
 
 
+def _cfd_micro_case_pairs():
+    """Per case of cfd_micro_db_clauses: each bottom clause and its drop
+    variant against every ground clause of the case."""
+    return [(c, g) for case in cfd_micro_db_clauses() for bottom, drop, _ in case
+            for c in (bottom, drop) for _, _, g in case]
+
+
+def _title_bottom_pairs():
+    """On title_database(4, seed, family=2) at seeds 0-5 (similarity
+    fan-out, k_m 5): every bottom clause against every ground clause."""
+    pairs = []
+    for seed in range(6):
+        db, mds, examples = title_database(4, seed, family=2)
+        cfg = LearnerConfig(d=2, k_m=5, sim_threshold=0.65, sample_size=100, rng_seed=seed)
+        grounding = Grounding(db, mds, [], examples, cfg)
+        for e in examples:
+            bottom = saturation.bottom_clause(e, db, mds, [], grounding.idx, cfg)
+            pairs += [(bottom, g) for g in grounding.ground.values()]
+    return pairs
+
+
+@pytest.mark.parametrize("make_pairs, floor", [(_cfd_micro_case_pairs, 200),
+                                               (_title_bottom_pairs, 40)],
+                         ids=["cfd-micro", "title-fanout"])
+def test_a_clause_covering_an_example_as_a_positive_covers_it_as_a_negative(make_pairs, floor):
+    # c entailing g means every expansion of c entails it, so some does
+    covered, missed = 0, []
+    for c, g in make_pairs():
+        if covers_positive(c, g).covered:
+            covered += 1
+            if not covers_negative(c, g).covered:
+                missed.append((print_clause(c), print_clause(g)))
+    assert covered >= floor
+    assert missed == []
+
+
 def test_soundness_engine_implies_oracle():
     rng = random.Random(77)
     positives = 0

@@ -89,6 +89,7 @@ def make_cfd(schema: Schema, relation: str, lhs, rhs: str, cells) -> CFD:
 
 _MD_FORM = "md: R1[A] ~ R2[B] -> R1[A] <-> R2[B]"
 _CFD_FORM = "cfd: R : X1,...,Xk -> A : (p1,...,pk || _)"
+_ONE_BAR = "CFD pattern needs one '||' before the right-hand cell"
 # the right-hand side repeats the matched pair
 _MD_RE = re.compile(r"^md:\s*(\w+)\[\s*(\w+)\s*\]\s*~\s*(\w+)\[\s*(\w+)\s*\]"
                     r"\s*->\s*\1\[\s*\2\s*\]\s*<->\s*\3\[\s*\4\s*\]$")
@@ -146,11 +147,13 @@ def _parse_line(line: str, raw: str, schema: Schema) -> MD | CFD:
         raise ConstraintError("CFD left-hand side is empty")
     halves = _split_unquoted(cell_text, "||")
     if len(halves) != 2:
-        raise ConstraintError("CFD pattern needs one '||' before the right-hand cell")
-    *cells, rhs_cell = [cell for half in halves for cell in _parse_cells(half)]
-    cfd = make_cfd(schema, rel, xs, rhs_attr, cells)
+        raise ConstraintError(_ONE_BAR)
+    left, right = map(_parse_cells, halves)
+    cfd = make_cfd(schema, rel, xs, rhs_attr, (left + right)[:-1])
     # checked last, so that a bad attribute or cell count is reported first
-    if rhs_cell is not None:
+    if len(right) != 1:
+        raise ConstraintError(_ONE_BAR)
+    if right[0] is not None:
         raise ConstraintError(f"the right-hand cell must be '_', as in '{_CFD_FORM}'")
     return cfd
 

@@ -142,7 +142,7 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
     the rules does not matter: the rounds end at the one greatest kept set
     that no rule shrinks."""
     head, body = ordered.clause.head, ordered.clause.body
-    groups = ordered.clause.match_index.groups
+    groups = ordered.clause.groups
     kept = set(range(len(body))) - groups.get(index, {index})
     while True:
         visible = set(head.args).union(*(body[i].args for i in kept if isinstance(body[i], Rel)))
@@ -158,14 +158,14 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
                                for a in lit.cond for t in (a.a, a.b))
                         # a similarity condition whose witnessing literal is
                         # gone can never hold again
-                        or any(isinstance(a, logic.SimAtom) and a.a != a.b
+                        or any(isinstance(a, Sim) and a.a != a.b
                                and frozenset((a.a, a.b)) not in sims for a in lit.cond)):
                     dead |= groups[i]
             elif isinstance(lit, (Sim, Eq)):
                 if any(isinstance(t, Variable) and t not in allowed for t in (lit.a, lit.b)):
                     dead.add(i)
         guarded = {frozenset((a.a, a.b)) for i in kept - dead if isinstance(body[i], RepairLit)
-                   for a in body[i].cond if isinstance(a, logic.SimAtom)}
+                   for a in body[i].cond if isinstance(a, Sim)}
         dead.update(i for i in kept if isinstance(body[i], Sim)
                     and frozenset((body[i].a, body[i].b)) not in guarded)
         alive = logic.head_reachable(head, ((i, l) for i, l in enumerate(body)

@@ -12,8 +12,10 @@ Clause grammar (round-trips through parse_clause / print_clause):
     term     := "V" digits | "'" chars "'"        ('' escapes a quote)
 
 A repair literal rep{c}(x, v) means: when condition c holds in the clause,
-replace x everywhere with v. A clause with repair literals compactly stands
-for the set of repair-free clauses reachable by applying or discarding them.
+replace x everywhere with v. Its condition c is a conjunction of the eq and
+sim literals that a body uses, plus neq, which only a condition holds. A
+clause with repair literals compactly stands for the set of repair-free
+clauses reachable by applying or discarding them.
 A repair literal is what it prints: one whose atoms are all sim comes from a
 matching dependency (MD), any other from a CFD, and MD repair literals with
 the same condition form one group, which fires as a unit. So a clause's text
@@ -105,28 +107,6 @@ Term = Variable | Constant
 
 
 @dataclass(frozen=True)
-class EqAtom:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
-class NeqAtom:
-    a: Term
-    b: Term
-
-
-@dataclass(frozen=True)
-class SimAtom:
-    a: Term
-    b: Term
-
-
-Atom = EqAtom | NeqAtom | SimAtom
-Condition = tuple
-
-
-@dataclass(frozen=True)
 class Rel:
     relation: str
     args: tuple[Term, ...]
@@ -142,6 +122,18 @@ class Sim:
 class Eq:
     a: Term
     b: Term
+
+
+@dataclass(frozen=True)
+class Neq:
+    """a and b differ: an atom of a repair condition, never a body literal."""
+
+    a: Term
+    b: Term
+
+
+Atom = Eq | Neq | Sim
+Condition = tuple
 
 
 @dataclass(frozen=True)
@@ -168,153 +160,13 @@ Literal = Rel | Sim | Eq | RepairLit
 
 @dataclass(frozen=True)
 class Clause:
-    head: Rel
-    body: tuple[Literal, ...] = ()
+    """A head and a body. Every other attribute is a cached property: built
+    on its first use and kept in the object's own attribute dict for as long
+    as the clause lives. They are not fields, so equality, hashing and
+    printing ignore them, and a clause that is only ever matched onto builds
+    no pattern parts, one that is only ever mapped no target parts.
 
-    @cached_property
-    def match_index(self) -> MatchIndex:
-        """The clause's MatchIndex, built on first use and kept in the
-        object's own attribute dict for as long as the clause lives. It is
-        not a field, so equality, hashing and printing ignore it."""
-        return MatchIndex(self)
-
-    @cached_property
-    def views(self) -> dict:
-        """The clause's coverage views (subsumption._view), each built on
-        first use and kept, like match_index, as long as the clause lives."""
-        return {}
-
-
-Substitution = dict
-
-
-def condition_origin(cond: Condition) -> str:
-    """Repair conditions made only of similarity atoms come from matching
-    dependencies; anything with an equality or inequality atom is CFD work."""
-    return "md" if all(isinstance(a, SimAtom) for a in cond) else "cfd"
-
-
-def group_key(lit: RepairLit) -> frozenset | None:
-    """The set of condition atoms of an MD literal; None for a CFD literal,
-    which applies alone. An MD condition may be empty: test with `is None`."""
-    return frozenset(lit.cond) if lit.origin == "md" else None
-
-
-def same_group(a: RepairLit, b: RepairLit) -> bool:
-    """Matching-dependency repair literals whose conditions are equal as sets
-    of atoms form a group and fire together (enforcing a similarity match
-    identifies both sides at once); CFD repair literals always apply alone."""
-    key = group_key(a)
-    return a is b or (key is not None and key == group_key(b))
-
-
-# ---------------------------------------------------------------------------
-# walking helpers
-# ---------------------------------------------------------------------------
-
-def literal_terms(lit: Literal):
-    if isinstance(lit, Rel):
-        yield from lit.args
-    elif isinstance(lit, (Sim, Eq)):
-        yield lit.a
-        yield lit.b
-    else:
-        for atom in lit.cond:
-            yield atom.a
-            yield atom.b
-        yield lit.target
-        yield lit.replacement
-
-
-def literal_vars(lit: Literal):
-    for t in literal_terms(lit):
-        if isinstance(t, Variable):
-            yield t
-
-
-def clause_vars(clause: Clause) -> set:
-    out = set(t for t in clause.head.args if isinstance(t, Variable))
-    for lit in clause.body:
-        out.update(literal_vars(lit))
-    return out
-
-
-def fresh_var(clause: Clause) -> Variable:
-    """A variable numbered above every variable of the clause."""
-    return Variable(max((v.id for v in clause_vars(clause)), default=-1) + 1)
-
-
-def _substitute_literal(lit: Literal, mapping: dict) -> Literal:
-    """The literal with every term rewritten through `mapping`: a term that
-    is a key becomes its value, any other term stays. Terms are type-strict
-    keys, so a mapping may rewrite constants as well as variables (repair
-    application replaces constant targets) and never confuses the two."""
-    get = mapping.get
-    if isinstance(lit, Rel):
-        return Rel(lit.relation, tuple(get(t, t) for t in lit.args))
-    if isinstance(lit, Sim):
-        return Sim(get(lit.a, lit.a), get(lit.b, lit.b))
-    if isinstance(lit, Eq):
-        return Eq(get(lit.a, lit.a), get(lit.b, lit.b))
-    cond = tuple(type(a)(get(a.a, a.a), get(a.b, a.b)) for a in lit.cond)
-    return RepairLit(cond, get(lit.target, lit.target), get(lit.replacement, lit.replacement))
-
-
-def apply_substitution(clause: Clause, subst: Substitution) -> Clause:
-    """The clause with every term of its head and body, repair conditions
-    included, rewritten through `subst` (see _substitute_literal); the keys
-    may be variables or constants."""
-    head = _substitute_literal(clause.head, subst)
-    return Clause(head, tuple(_substitute_literal(l, subst) for l in clause.body))
-
-
-# ---------------------------------------------------------------------------
-# equality closure and condition evaluation
-# ---------------------------------------------------------------------------
-
-class EqClosure:
-    """Reflexive-symmetric-transitive closure of a clause's equality literals.
-
-    Constants are equal exactly when they are the same value, unless equality
-    literals merge their classes (a degenerate but representable clause).
-
-    The classes are fixed at construction; there is no way to merge two
-    later. A clause's MatchIndex shares one closure with every search
-    against the clause, and apply_repair_literal shares a clause's with
-    each child that keeps its equality literals, so nothing may change it
-    after it is built. It keeps a flat map from each term of an equality
-    literal to its class's root, so `find` and `same` are dict lookups that
-    add nothing; any other term is alone in its class and is its own root.
-    """
-
-    def __init__(self, body=()):
-        eqs = [lit for lit in body if isinstance(lit, Eq)]
-        dsu = DisjointSet()
-        for lit in eqs:
-            dsu.union(lit.a, lit.b)
-        self._root = {t: dsu.find(t) for lit in eqs for t in (lit.a, lit.b)}
-
-    def find(self, a: Term):
-        return self._root.get(a, a)
-
-    def same(self, a: Term, b: Term) -> bool:
-        # roots are the disjoint-set's own key objects, one per class
-        root = self._root.get
-        return root(a, a) is root(b, b) or a == b
-
-
-def eq_closure(clause: Clause) -> EqClosure:
-    return EqClosure(clause.body)
-
-
-class MatchIndex:
-    """What theta-subsumption looks up in a clause, kept with the Clause
-    object (Clause.match_index). Each part is computed on its first use and
-    never changes afterwards, so a clause that is only ever matched onto
-    builds no pattern parts, and one that is only ever mapped builds no
-    target parts.
-
-    As the clause mapped onto (the target):
+    What theta-subsumption looks up in the clause mapped onto (the target):
     - closure: the EqClosure of its equality literals;
     - rels: its relation literals as (body index, literal) pairs, bucketed
       by (relation, arity);
@@ -327,33 +179,32 @@ class MatchIndex:
     - sim_pairs: the term pairs of its similarity literals, both ways round;
     - terms: its distinct terms, head first, in order of appearance.
 
-    As the clause being mapped (the pattern):
+    In the clause being mapped (the pattern):
     - body_vars: per body literal, its variables in order (repeats kept);
     - binders: body indices of the relation and repair literals;
     - constraints: body indices of the equality and similarity literals.
+
+    And views: its coverage views (subsumption._view).
     """
 
-    def __init__(self, clause: Clause):
-        # the head and body, not the clause: the clause holds its index, and
-        # a reference back would make every clause a reference cycle
-        self._head = clause.head
-        self._body = clause.body
+    head: Rel
+    body: tuple[Literal, ...] = ()
 
     @cached_property
     def closure(self) -> EqClosure:
-        return EqClosure(self._body)
+        return EqClosure(self.body)
 
     @cached_property
     def rels(self) -> dict[tuple[str, int], list[tuple[int, Rel]]]:
         rels: dict[tuple[str, int], list[tuple[int, Rel]]] = {}
-        for i, lit in enumerate(self._body):
+        for i, lit in enumerate(self.body):
             if isinstance(lit, Rel):
                 rels.setdefault((lit.relation, len(lit.args)), []).append((i, lit))
         return rels
 
     @cached_property
     def reps(self) -> tuple[tuple[int, RepairLit], ...]:
-        return tuple((i, lit) for i, lit in enumerate(self._body) if isinstance(lit, RepairLit))
+        return tuple((i, lit) for i, lit in enumerate(self.body) if isinstance(lit, RepairLit))
 
     @cached_property
     def repair_links(self) -> tuple[tuple[int, frozenset[Variable]], ...]:
@@ -374,27 +225,148 @@ class MatchIndex:
 
     @cached_property
     def sim_pairs(self) -> frozenset:
-        return frozenset(pair for lit in self._body if isinstance(lit, Sim)
+        return frozenset(pair for lit in self.body if isinstance(lit, Sim)
                          for pair in ((lit.a, lit.b), (lit.b, lit.a)))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
-        terms = list(self._head.args)
-        for lit in self._body:
+        terms = list(self.head.args)
+        for lit in self.body:
             terms.extend(literal_terms(lit))
         return tuple(dict.fromkeys(terms))
 
     @cached_property
     def body_vars(self) -> tuple[tuple[Variable, ...], ...]:
-        return tuple(tuple(literal_vars(lit)) for lit in self._body)
+        return tuple(tuple(literal_vars(lit)) for lit in self.body)
 
     @cached_property
     def binders(self) -> tuple[int, ...]:
-        return tuple(i for i, lit in enumerate(self._body) if isinstance(lit, (Rel, RepairLit)))
+        return tuple(i for i, lit in enumerate(self.body) if isinstance(lit, (Rel, RepairLit)))
 
     @cached_property
     def constraints(self) -> tuple[int, ...]:
-        return tuple(i for i, lit in enumerate(self._body) if isinstance(lit, (Eq, Sim)))
+        return tuple(i for i, lit in enumerate(self.body) if isinstance(lit, (Eq, Sim)))
+
+    @cached_property
+    def views(self) -> dict:
+        return {}
+
+
+Substitution = dict
+
+
+def condition_origin(cond: Condition) -> str:
+    """Repair conditions made only of similarity atoms come from matching
+    dependencies; anything with an equality or inequality atom is CFD work."""
+    return "md" if all(isinstance(a, Sim) for a in cond) else "cfd"
+
+
+def group_key(lit: RepairLit) -> frozenset | None:
+    """The set of condition atoms of an MD literal; None for a CFD literal,
+    which applies alone. An MD condition may be empty: test with `is None`."""
+    return frozenset(lit.cond) if lit.origin == "md" else None
+
+
+def same_group(a: RepairLit, b: RepairLit) -> bool:
+    """Matching-dependency repair literals whose conditions are equal as sets
+    of atoms form a group and fire together (enforcing a similarity match
+    identifies both sides at once); CFD repair literals always apply alone."""
+    key = group_key(a)
+    return a is b or (key is not None and key == group_key(b))
+
+
+# ---------------------------------------------------------------------------
+# walking helpers
+# ---------------------------------------------------------------------------
+
+def literal_terms(lit: Literal | Atom):
+    if isinstance(lit, Rel):
+        yield from lit.args
+    elif isinstance(lit, RepairLit):
+        for atom in lit.cond:
+            yield atom.a
+            yield atom.b
+        yield lit.target
+        yield lit.replacement
+    else:
+        yield lit.a
+        yield lit.b
+
+
+def literal_vars(lit: Literal):
+    for t in literal_terms(lit):
+        if isinstance(t, Variable):
+            yield t
+
+
+def clause_vars(clause: Clause) -> set:
+    out = set(t for t in clause.head.args if isinstance(t, Variable))
+    for lit in clause.body:
+        out.update(literal_vars(lit))
+    return out
+
+
+def fresh_var(clause: Clause) -> Variable:
+    """A variable numbered above every variable of the clause."""
+    return Variable(max((v.id for v in clause_vars(clause)), default=-1) + 1)
+
+
+def _substitute_literal(lit: Literal | Atom, mapping: dict) -> Literal | Atom:
+    """The literal with every term rewritten through `mapping`: a term that
+    is a key becomes its value, any other term stays. Terms are type-strict
+    keys, so a mapping may rewrite constants as well as variables (repair
+    application replaces constant targets) and never confuses the two."""
+    get = mapping.get
+    if isinstance(lit, Rel):
+        return Rel(lit.relation, tuple(get(t, t) for t in lit.args))
+    if isinstance(lit, RepairLit):
+        cond = tuple(_substitute_literal(a, mapping) for a in lit.cond)
+        return RepairLit(cond, get(lit.target, lit.target), get(lit.replacement, lit.replacement))
+    return type(lit)(get(lit.a, lit.a), get(lit.b, lit.b))
+
+
+def apply_substitution(clause: Clause, subst: Substitution) -> Clause:
+    """The clause with every term of its head and body, repair conditions
+    included, rewritten through `subst` (see _substitute_literal); the keys
+    may be variables or constants."""
+    head = _substitute_literal(clause.head, subst)
+    return Clause(head, tuple(_substitute_literal(l, subst) for l in clause.body))
+
+
+# ---------------------------------------------------------------------------
+# equality closure and condition evaluation
+# ---------------------------------------------------------------------------
+
+class EqClosure:
+    """Reflexive-symmetric-transitive closure of the equality literals of a
+    body (EqClosure(clause.body)).
+
+    Constants are equal exactly when they are the same value, unless equality
+    literals merge their classes (a degenerate but representable clause).
+
+    The classes are fixed at construction; there is no way to merge two
+    later. Clause.closure shares one closure with every search against the
+    clause, and apply_repair_literal shares a clause's with each child that
+    keeps its equality literals, so nothing may change it after it is
+    built. It keeps a flat map from each term of an equality literal to its
+    class's root, so `find` and `same` are dict lookups that add nothing;
+    any other term is alone in its class and is its own root.
+    """
+
+    def __init__(self, body=()):
+        eqs = [lit for lit in body if isinstance(lit, Eq)]
+        dsu = DisjointSet()
+        for lit in eqs:
+            dsu.union(lit.a, lit.b)
+        self._root = {t: dsu.find(t) for lit in eqs for t in (lit.a, lit.b)}
+
+    def find(self, a: Term):
+        return self._root.get(a, a)
+
+    def same(self, a: Term, b: Term) -> bool:
+        # roots are the disjoint-set's own key objects, one per class
+        root = self._root.get
+        return root(a, a) is root(b, b) or a == b
 
 
 def _sim_pairs(body, closure: EqClosure) -> frozenset:
@@ -411,10 +383,10 @@ def _holds(cond: Condition, closure: EqClosure, sims: frozenset) -> bool:
     a and b are equal or their classes are a pair."""
     same = closure.same
     for atom in cond:
-        if isinstance(atom, EqAtom):
+        if isinstance(atom, Eq):
             if not same(atom.a, atom.b):
                 return False
-        elif isinstance(atom, NeqAtom):
+        elif isinstance(atom, Neq):
             if same(atom.a, atom.b):
                 return False
         elif not (same(atom.a, atom.b) or (closure.find(atom.a), closure.find(atom.b)) in sims):
@@ -444,10 +416,10 @@ def apply_repair_literal(clause: Clause, index: int, closure: EqClosure | None =
     if not (0 <= index < len(body)) or not isinstance(body[index], RepairLit):
         raise ClauseError(f"body index {index} is not a repair literal")
     lit = body[index]
-    closure = closure or eq_closure(clause)
+    closure = closure or EqClosure(body)
     if not _holds(lit.cond, closure, _sim_pairs(body, closure)):
         return Clause(clause.head, body[:index] + body[index + 1:])
-    group = clause.match_index.groups[index]
+    group = clause.groups[index]
     mapping = {body[q].target: body[q].replacement for q in group}
     targets = mapping.keys()
 
@@ -524,7 +496,7 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
         seen.add(key)
         positions = applicable(c)
         if positions:
-            closure = eq_closure(c)
+            closure = EqClosure(c.body)
             stack.extend(apply_repair_literal(c, i, closure) for i in positions)
             continue
         if origin is None:
@@ -605,21 +577,18 @@ def print_term(t: Term) -> str:
     return "'%s'" % t.value.replace("'", "''")
 
 
-def _print_atom(a: Atom, term) -> str:
-    kind = {EqAtom: "eq", NeqAtom: "neq", SimAtom: "sim"}[type(a)]
-    return f"{kind}({term(a.a)},{term(a.b)})"
+_NAME = {Sim: "sim", Eq: "eq", Neq: "neq"}
 
 
-def print_literal(lit: Literal, term=print_term) -> str:
-    """The literal's text, with each term printed by `term`."""
+def print_literal(lit: Literal | Atom, term=print_term) -> str:
+    """The literal's (or condition atom's) text, with each term printed by
+    `term`."""
     if isinstance(lit, Rel):
         return f"{lit.relation}({','.join(term(t) for t in lit.args)})"
-    if isinstance(lit, Sim):
-        return f"sim({term(lit.a)},{term(lit.b)})"
-    if isinstance(lit, Eq):
-        return f"eq({term(lit.a)},{term(lit.b)})"
-    cond = ";".join(_print_atom(a, term) for a in lit.cond)
-    return f"rep{{{cond}}}({term(lit.target)},{term(lit.replacement)})"
+    if isinstance(lit, RepairLit):
+        cond = ";".join(print_literal(a, term) for a in lit.cond)
+        return f"rep{{{cond}}}({term(lit.target)},{term(lit.replacement)})"
+    return f"{_NAME[type(lit)]}({term(lit.a)},{term(lit.b)})"
 
 
 def _clause_text(head: str, body) -> str:
@@ -706,7 +675,7 @@ def _parse_atom(tk: _Tokens) -> Atom:
     tk.expect(",")
     b = tk.term()
     tk.expect(")")
-    return {"eq": EqAtom, "neq": NeqAtom, "sim": SimAtom}[kind](a, b)
+    return {"eq": Eq, "neq": Neq, "sim": Sim}[kind](a, b)
 
 
 def _parse_literal(tk: _Tokens) -> Literal:

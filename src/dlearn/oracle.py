@@ -232,7 +232,7 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
     if len(cvars) > var_cap:
         raise OracleCapExceeded(f"too many variables for exhaustive subsumption: {len(cvars)}")
     dterms = _clause_terms(d)
-    closure = logic.eq_closure(d)
+    closure = logic.EqClosure(d.body)
     d_rels: dict = {}
     d_sims = []
     for lit in d.body:
@@ -425,7 +425,7 @@ def normalize_clause(clause: Clause) -> Clause:
         clause = logic.apply_substitution(clause, fresh_map)
     dsu_members: dict = {}
     mapping: dict = {}
-    closure = logic.eq_closure(clause)
+    closure = logic.EqClosure(clause.body)
     terms = set()
     for lit in [clause.head] + list(clause.body):
         terms.update(logic.literal_terms(lit))

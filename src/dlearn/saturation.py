@@ -259,10 +259,11 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
             if anchored:
                 segments[li].append(logic.Eq(right_term, split))
             right_term = split
-        cond = (logic.SimAtom(left_term, right_term),)
+        # the similarity literal is also the one atom of the group's condition
+        cond = (logic.Sim(left_term, right_term),)
         v_left, v_right = alloc.fresh(), alloc.fresh()
         segments[li] += [
-            logic.Sim(left_term, right_term),
+            cond[0],
             logic.RepairLit(cond, left_term, v_left),
             logic.RepairLit(cond, right_term, v_right),
             logic.Eq(v_left, v_right),
@@ -377,14 +378,14 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
     atoms: list[logic.Atom] = []
     for (t1, t2), cell in zip(x_pairs, cfd.cells):
         if t1 != t2:
-            atoms.append(logic.EqAtom(t1, t2))
+            atoms.append(logic.Eq(t1, t2))
         if cell is not None:
             const = logic.Constant(cell)
             for side in (t1, t2):
-                atom = logic.EqAtom(side, const)
+                atom = logic.Eq(side, const)
                 if side != const and atom not in atoms:
                     atoms.append(atom)
-    atoms.append(logic.NeqAtom(z, t))
+    atoms.append(logic.Neq(z, t))
     cond = tuple(atoms)
 
     new_lits: list[logic.RepairLit] = []

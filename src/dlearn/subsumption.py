@@ -10,16 +10,17 @@ with the same origin, target, replacement and condition. On top of the plain
 mapping, every repair literal of D that is connected to a mapped literal must
 itself be mapped; this is what makes the test sound as a proxy for entailment
 between the repair-free expansions of the two clauses. Those repair literals
-come from one closure, logic.reachable over D's MatchIndex.repair_links: the
+come from one closure, logic.reachable over D's Clause.repair_links: the
 closure that also keeps a clause connected to its head, and that md_part
 seeds with the CFD repair literals.
 
 The search (_Matcher) prunes and reuses work without changing a verdict or
 a witness of the unpruned search; its docstring states how, and what its
-budget counts. Like Clause.match_index, the views the coverage tests derive
-from a clause (md_part, logic.first_partial_repair, logic.partial_repairs,
-logic.repaired_clauses) are built once per Clause object, kept in
-Clause.views and shared by all callers. covers_positive's docstring states
+budget counts. Like the parts the search looks up in a clause
+(Clause.closure, Clause.rels and the rest), the views the coverage tests
+derive from a clause (md_part, logic.first_partial_repair,
+logic.partial_repairs, logic.repaired_clauses) are built once per Clause
+object, kept in Clause.views and shared by all callers. covers_positive's docstring states
 when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
@@ -75,10 +76,10 @@ class _Matcher:
       candidates. Each unbound literal's list goes down the search and is
       recomputed, in body order up to the first empty one, only when a new
       binding touches the literal's variables, which is all it depends on.
-    - Per-clause index. d's equality closure, relation buckets, repair and
+    - Per-clause parts. d's equality closure, relation buckets, repair and
       similarity lists, repair links and groups and term list, and c's
-      per-literal variable tuples and repair groups, come from
-      Clause.match_index: built once per Clause object, kept as long as it
+      per-literal variable tuples and repair groups, are cached properties
+      of the Clause: built once per Clause object, kept as long as it
       lives, and shared by every search against it.
     - Leaf checks. A leaf checks only what the mapping decides: the
       connected-repair side condition (logic.reachable from the mapped
@@ -101,8 +102,6 @@ class _Matcher:
         self.c = c
         self.d = d
         self.budget = budget
-        self.c_index = c.match_index
-        self.d_index = d.match_index
 
     # -- unification ------------------------------------------------------
 
@@ -152,7 +151,7 @@ class _Matcher:
         lit = self.c.body[ci]
         out = []
         if isinstance(lit, Rel):
-            bucket = self.d_index.rels.get((lit.relation, len(lit.args)), ())
+            bucket = self.d.rels.get((lit.relation, len(lit.args)), ())
             self._charge(len(bucket))
             # _bind inlined: one fresh delta per image, filled in place
             for di, dlit in bucket:
@@ -171,7 +170,7 @@ class _Matcher:
                     out.append((delta, di))
         else:
             cond = tuple(lit.cond)
-            for di, dlit in self.d_index.reps:
+            for di, dlit in self.d.reps:
                 if dlit.origin != lit.origin:
                     continue
                 self._charge(1)
@@ -195,14 +194,14 @@ class _Matcher:
         # similarity literal of d must relate exactly these terms (matching
         # through the equality closure would survive expansions that the
         # repairs of d actually destroy)
-        if self.d_index.closure.same(a, b):
+        if self.d.closure.same(a, b):
             return True
-        return isinstance(lit, Sim) and (a, b) in self.d_index.sim_pairs
+        return isinstance(lit, Sim) and (a, b) in self.d.sim_pairs
 
     def _split_bound(self, constraints, bound, extra=()):
         """(the literals of `constraints` whose variables are all in `bound`
         or `extra`, the body indices of the rest), both in order."""
-        body, body_vars = self.c.body, self.c_index.body_vars
+        body, body_vars = self.c.body, self.c.body_vars
         now, later = [], []
         for k in constraints:
             for v in body_vars[k]:
@@ -225,7 +224,7 @@ class _Matcher:
             return theta
         var = next(t for lit in pending for t in (lit.a, lit.b)
                    if isinstance(t, Variable) and t not in theta)
-        for dt in self.d_index.terms:
+        for dt in self.d.terms:
             self._charge(1)
             out = dict(theta)
             out[var] = dt
@@ -244,7 +243,7 @@ class _Matcher:
         mapped = set(lit_map.values())
         mapped_rep = {di for di in mapped if isinstance(self.d.body[di], RepairLit)}
         region = (t for di in mapped - mapped_rep for t in logic.literal_terms(self.d.body[di]))
-        return logic.reachable(region, self.d_index.repair_links) <= mapped_rep
+        return logic.reachable(region, self.d.repair_links) <= mapped_rep
 
     @cached_property
     def _pins_survive(self) -> bool:
@@ -257,18 +256,18 @@ class _Matcher:
         demands = {t for t in self.c.head.args if isinstance(t, Constant)}
         demands.update(t for lit in self.c.body if isinstance(lit, Rel)
                        for t in lit.args if isinstance(t, Constant))
-        c_rep_targets = {lit.target for _, lit in self.c_index.reps}
+        c_rep_targets = {lit.target for _, lit in self.c.reps}
         return not any(dlit.target in demands and dlit.target not in c_rep_targets
-                       for _, dlit in self.d_index.reps if isinstance(dlit.target, Constant))
+                       for _, dlit in self.d.reps if isinstance(dlit.target, Constant))
 
     def _group_condition(self, lit_map):
         """Repair groups of c must land inside single groups of d, and two
         c-groups sharing a target must land in distinct d-groups: collapsing
         diverging repair alternatives onto one would claim more than the
         pattern's own expansions deliver."""
-        d_groups = self.d_index.groups
+        d_groups = self.d.groups
         landed: dict[frozenset, frozenset] = {}
-        for ci, c_group in self.c_index.groups.items():
+        for ci, c_group in self.c.groups.items():
             d_group = d_groups[lit_map[ci]]
             if landed.setdefault(c_group, d_group) != d_group:
                 return False
@@ -290,11 +289,11 @@ class _Matcher:
             theta = self._bind(ct, dt, {}, theta)
             if theta is None:
                 return CoverageVerdict(False)
-        check, pending = self._split_bound(self.c_index.constraints, theta)
+        check, pending = self._split_bound(self.c.constraints, theta)
         if not all(self._holds(lit, theta) for lit in check):
             return CoverageVerdict(False)
         try:
-            found = self._search([(ci, None) for ci in self.c_index.binders], {}, pending, theta, {})
+            found = self._search([(ci, None) for ci in self.c.binders], {}, pending, theta, {})
         except (_OutOfBudget, RecursionError):
             return CoverageVerdict(False, budget_exhausted=True)
         if found is None:
@@ -314,7 +313,7 @@ class _Matcher:
                     and self._group_condition(lit_map)):
                 return None
             return final
-        body_vars = self.c_index.body_vars
+        body_vars = self.c.body_vars
         current = []
         for ci, cands in remaining:
             if cands is None or not delta.keys().isdisjoint(body_vars[ci]):
@@ -351,16 +350,15 @@ def md_part(clause: Clause) -> Clause:
     reach, keeping every MD repair literal: all of a clause without a CFD
     repair literal, which is returned as it is.
 
-    One closure (logic.reachable over MatchIndex.repair_links), seeded with
+    One closure (logic.reachable over Clause.repair_links), seeded with
     the terms of the CFD repair literals, finds the repair literals linked
     to them through variables. A relation, equality or similarity literal is
     kept only if it shares no variable with their targets and replacements."""
-    index = clause.match_index
-    seeds = [t for _, r in index.reps if r.origin == "cfd" for t in (r.target, r.replacement)]
+    seeds = [t for _, r in clause.reps if r.origin == "cfd" for t in (r.target, r.replacement)]
     if not seeds:
         return clause
-    reached = logic.reachable(seeds, index.repair_links)
-    tainted = {t for ri, links in index.repair_links if ri in reached for t in links}
+    reached = logic.reachable(seeds, clause.repair_links)
+    tainted = {t for ri, links in clause.repair_links if ri in reached for t in links}
     return Clause(clause.head, tuple(
         lit for lit in clause.body
         if (lit.origin == "md" if isinstance(lit, RepairLit)
@@ -432,7 +430,7 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     if not v2.covered:
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
     path = _view("cfd path", logic.first_partial_repair, c, "cfd")
-    if _needed_constants(path).difference(g.match_index.terms):
+    if _needed_constants(path).difference(g.terms):
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted)
     try:
         c_variants = _view("cfd", logic.partial_repairs, c, "cfd", repair_cap)

@@ -122,12 +122,13 @@ def combined_bound(a: str, counts_a: Counter, b: str, counts_b: Counter) -> floa
 class SimilarityIndex:
     """Top-k similar value pairs per comparable attribute pair.
 
-    entries maps ((rel1, attr1), (rel2, attr2)) to {left value: ((right value,
-    score), ...)} with each sequence sorted by descending score, ties broken
+    entries maps the attribute pair ((rel1, attr1), (rel2, attr2)) of every
+    MD to {left value: ((right value, score), ...)}, an empty table when no
+    pair is kept, with each sequence sorted by descending score, ties broken
     by the right value, and truncated to build_similarity_index's k_m
-    entries on both sides. Lookups work from either side of a pair; the
-    right-to-left table of a pair is built on its first lookup from the
-    right side.
+    entries on both sides, so covers() holds for every attribute under an
+    MD. Lookups work from either side of a pair; the right-to-left table of
+    a pair is built on its first lookup from the right side.
     """
 
     entries: dict[PairKey, dict[str, Sequence[tuple[str, float]]]] = field(default_factory=dict)
@@ -252,6 +253,5 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
             kept = tuple(m for m in matches if (lv, m[0]) in keep)
             if kept:
                 pruned[lv] = kept
-        if pruned:
-            entries[pair] = pruned
+        entries[pair] = pruned
     return SimilarityIndex(entries=entries)

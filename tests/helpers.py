@@ -215,7 +215,8 @@ def brute_force_index(db, examples, mds, k_m: int, threshold: float):
     """Reference for textsim.build_similarity_index(...).entries: scores every
     cross pair of distinct values with combined_similarity, keeps the k_m
     best at or above the threshold per left value (ties by right value), and
-    of those the k_m best per right value."""
+    of those the k_m best per right value. Every MD pair has a table, empty
+    when it keeps nothing."""
     def values(relation, attribute):
         if relation == db.schema.target:
             pos = db.schema.relation(relation).attr_index(attribute)
@@ -242,9 +243,7 @@ def brute_force_index(db, examples, mds, k_m: int, threshold: float):
                 lefts_of.setdefault(rv, []).append((lv, score))
         keep = {(lv, rv) for rv, lefts in lefts_of.items() for lv, _ in sorted(lefts, key=rank)[:k_m]}
         table = {lv: tuple(m for m in matches if (lv, m[0]) in keep) for lv, matches in fwd.items()}
-        table = {lv: matches for lv, matches in table.items() if matches}
-        if table:
-            entries[pair] = table
+        entries[pair] = {lv: matches for lv, matches in table.items() if matches}
     return entries
 
 
@@ -311,7 +310,7 @@ def reference_exhaust_repairs(clause: logic.Clause, origin: str | None, cap: int
 def condition_holds(cond, clause: logic.Clause, closure=None) -> bool:
     """Whether a repair condition holds in a clause, by the engine's own
     test (logic._holds over the clause's closure and similarity pairs)."""
-    closure = closure or logic.eq_closure(clause)
+    closure = closure or logic.EqClosure(clause.body)
     return logic._holds(cond, closure, logic._sim_pairs(clause.body, closure))
 
 
@@ -334,12 +333,12 @@ def _reference_sim_holds(a, b, clause: logic.Clause, closure) -> bool:
 
 
 def reference_condition_holds(cond, clause: logic.Clause, closure=None) -> bool:
-    closure = closure or logic.eq_closure(clause)
+    closure = closure or logic.EqClosure(clause.body)
     for atom in cond:
-        if isinstance(atom, logic.EqAtom):
+        if isinstance(atom, logic.Eq):
             if not closure.same(atom.a, atom.b):
                 return False
-        elif isinstance(atom, logic.NeqAtom):
+        elif isinstance(atom, logic.Neq):
             if closure.same(atom.a, atom.b):
                 return False
         else:
@@ -352,7 +351,7 @@ def reference_apply_repair_literal(clause: logic.Clause, index: int, closure=Non
     if not (0 <= index < len(clause.body)) or not isinstance(clause.body[index], logic.RepairLit):
         raise logic.ClauseError(f"body index {index} is not a repair literal")
     lit = clause.body[index]
-    closure = closure or logic.eq_closure(clause)
+    closure = closure or logic.EqClosure(clause.body)
     if not reference_condition_holds(lit.cond, clause, closure):
         body = clause.body[:index] + clause.body[index + 1:]
         return logic.Clause(clause.head, body)
@@ -380,7 +379,7 @@ def reference_apply_repair_literal(clause: logic.Clause, index: int, closure=Non
     result = logic.Clause(head, tuple(new_body))
 
     if dropped_eq:
-        closure = logic.eq_closure(result)
+        closure = logic.EqClosure(result.body)
     kept = tuple(
         l for l in result.body
         if not (isinstance(l, logic.RepairLit)
@@ -418,7 +417,7 @@ def reference_step_exhaust(clause: logic.Clause, origin: str | None, cap: int) -
         seen.add(key)
         repair_idx = applicable(c)
         if repair_idx:
-            closure = logic.eq_closure(c)
+            closure = logic.EqClosure(c.body)
             stack.extend(reference_apply_repair_literal(c, i, closure) for i in repair_idx)
             continue
         if origin is None:
@@ -460,13 +459,13 @@ def random_eq_repair_clause(rng: random.Random) -> logic.Clause:
     for _ in range(rng.randint(3, 6)):
         if sims and rng.random() < 0.3:
             a, b = sims[0]
-            cond = (logic.SimAtom(a, b),)
+            cond = (logic.Sim(a, b),)
             body += [logic.RepairLit(cond, a, next(fresh)),
                      logic.RepairLit(cond, b, next(fresh))]
             continue
         atoms = []
         for _ in range(rng.randint(1, 2)):
-            kind = rng.choice((logic.EqAtom, logic.EqAtom, logic.NeqAtom))
+            kind = rng.choice((logic.Eq, logic.Eq, logic.Neq))
             atoms.append(kind(*rng.sample(chain, 2)))
         body.append(logic.RepairLit(tuple(atoms), rng.choice(chain), next(fresh)))
     rng.shuffle(body)
@@ -538,7 +537,7 @@ class _ReferenceMatcher:
         self.d = d
         self.with_repairs = with_repairs
         self.budget = budget
-        self.d_closure = logic.eq_closure(self.d)
+        self.d_closure = logic.EqClosure(self.d.body)
         self.d_rels: dict[tuple[str, int], list[tuple[int, logic.Rel]]] = {}
         self.d_reps: list[tuple[int, logic.RepairLit]] = []
         self.d_sims: list[logic.Sim] = []
@@ -976,14 +975,14 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
     atoms: list[logic.Atom] = []
     for (t1, t2), cell in zip(x_pairs, cfd.cells):
         if t1 != t2:
-            atoms.append(logic.EqAtom(t1, t2))
+            atoms.append(logic.Eq(t1, t2))
         if cell is not None:
             const = logic.Constant(cell)
             for side in (t1, t2):
-                atom = logic.EqAtom(side, const)
+                atom = logic.Eq(side, const)
                 if side != const and atom not in atoms:
                     atoms.append(atom)
-    atoms.append(logic.NeqAtom(z, t))
+    atoms.append(logic.Neq(z, t))
     cond = tuple(atoms)
 
     new_lits: list[logic.Literal] = []
@@ -1004,7 +1003,7 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
 def reference_drop_with_repair(ordered, index: int):
     body = list(ordered.clause.body)
     head = ordered.clause.head
-    groups = ordered.clause.match_index.groups
+    groups = ordered.clause.groups
     # a dropped repair literal takes its whole group with it
     removed = set(groups.get(index, (index,)))
     while True:
@@ -1030,7 +1029,7 @@ def reference_drop_with_repair(ordered, index: int):
                 # a similarity condition whose witnessing literal is gone can
                 # never hold again, so the repair group it guards is dead
                 dead = dead or any(
-                    isinstance(a, logic.SimAtom) and a.a != a.b
+                    isinstance(a, logic.Sim) and a.a != a.b
                     and frozenset((a.a, a.b)) not in sims
                     for a in lit.cond
                 )
@@ -1044,7 +1043,7 @@ def reference_drop_with_repair(ordered, index: int):
         guarded = {
             frozenset((a.a, a.b))
             for j in remaining if j not in removed and isinstance(body[j], logic.RepairLit)
-            for a in body[j].cond if isinstance(a, logic.SimAtom)
+            for a in body[j].cond if isinstance(a, logic.Sim)
         }
         for i in remaining:
             lit = body[i]

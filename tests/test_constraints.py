@@ -107,6 +107,11 @@ _RHS_CELL = f"the right-hand cell must be '_', as in '{_CFD_FORM}'"
      "line 1: pattern has 3 cells for 1 + 1 attributes"),
     ("cfd: mov2locale : title, title -> country : (_ || _)",
      "line 1: pattern has 2 cells for 2 + 1 attributes"),
+    # the right half is the one right-hand cell: a '||' before an X cell
+    ("cfd: mov2locale : title, language -> country : (_ || _, _)",
+     "line 1: CFD pattern needs one '||' before the right-hand cell"),
+    ("cfd: mov2locale : title, language -> country : ('a' || 'b', _)",
+     "line 1: CFD pattern needs one '||' before the right-hand cell"),
 ])
 def test_every_parse_error_message_is_exact(schema, text, message):
     with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):

@@ -183,6 +183,22 @@ def test_cli_saturate_prints_ground_clause(capsys):
     assert "movies('m1'" in shown
 
 
+@pytest.mark.parametrize("rows", ["m1,Superbad\n", "m1,Superbad\nm2,Superbadd\n"])
+def test_cli_saturate_probes_an_md_attribute_exactly_without_similar_pairs(tmp_path, capsys, rows):
+    # an attribute under an MD joins exactly as well as by similarity, also
+    # when no similar pair of its MD is kept (here: none with one movie)
+    (tmp_path / "schema.txt").write_text("movies(id:text, title:text)\nt(title:text)\n")
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "movies.csv").write_text(rows)
+    (tmp_path / "constraints.txt").write_text("md: t[title] ~ movies[title] -> t[title] <-> movies[title]\n")
+    (tmp_path / "examples.txt").write_text("+,Superbad\n")
+    assert main(["saturate", "--schema", str(tmp_path / "schema.txt"),
+                 "--data", str(tmp_path / "data"), "--target", "t",
+                 "--constraints", str(tmp_path / "constraints.txt"),
+                 "--examples", str(tmp_path / "examples.txt"), "--example", "Superbad"]) == 0
+    assert "movies('m1','Superbad')" in capsys.readouterr().out
+
+
 def test_cli_subsume(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -48,6 +49,27 @@ def test_order_clause_idempotent_and_stable():
     # the two movies literals keep their input order
     movies = [l for l in once.body if isinstance(l, logic.Rel) and l.relation == "movies"]
     assert movies[0].args[1] == logic.Variable(1)
+
+
+def test_order_clause_is_pinned_on_cfd_micro_clauses():
+    # the ARMG literal order of repair literals rests on how their condition
+    # atoms print and sort; this pins it on clauses with many eq, neq and sim
+    # conditions, so a change to the condition atoms cannot reorder it
+    text = "\n".join(print_clause(order_clause(c).clause)
+                     for case in cfd_micro_db_clauses() for triple in case for c in triple)
+    assert text.count("neq(") >= 50 and text.count("rep{sim(") >= 500
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5cfc15ad762e9b153057013ced56fe11cafc3089132b6054ce49c28fed44c673")
+
+
+def test_learned_cfd_micro_definition_is_pinned():
+    db, mds, cfds, _, examples, _ = cfd_micro_dataset(by_title=True, n=6)
+    cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
+    definition = learner.learn(db, mds, cfds, examples[:3], examples[3:], cfg)
+    assert definition.pretty() == (
+        "# pos=3 neg=0\n"
+        "t(V0) :- mov2countries(V1,V2), mov2genres(V1,'comedy'), movies(V1,V3), sim(V0,V3), "
+        "eq(V4,V5), rep{sim(V0,V3)}(V0,V4), rep{sim(V0,V3)}(V3,V5).\n")
 
 
 def test_find_blocking_literal_movie_example(movie_clauses):
@@ -342,7 +364,7 @@ def test_armg_keeps_matched_movie_under_fanout():
             title = movie.args[1]
             assert logic.Sim(head, title) in out.body
             group = [lit for lit in out.body if isinstance(lit, logic.RepairLit)
-                     and lit.cond == (logic.SimAtom(head, title),)]
+                     and lit.cond == (logic.Sim(head, title),)]
             assert {lit.target for lit in group} == {head, title}
         if seed_ex.values[0].split()[:2] != target_ex.values[0].split()[:2]:
             cross_family += 1

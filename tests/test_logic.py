@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlearn import logic, saturation
-from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqAtom, EqClosure,
-                          NeqAtom, Rel, RepairCapExceeded, RepairLit, Sim,
-                          SimAtom, Variable, apply_repair_literal,
+from dlearn.logic import (Clause, ClauseError, Constant, Eq, EqClosure, Neq,
+                          Rel, RepairCapExceeded, RepairLit, Sim, Variable,
+                          apply_repair_literal,
                           apply_substitution, clause_key, parse_clause,
                           partial_repairs, print_clause, repaired_clauses)
 from dlearn.learner import Grounding, LearnerConfig
@@ -54,16 +54,16 @@ def test_apply_substitution_rewrites_constant_keys():
 
 def test_condition_holds_cases():
     c = parse_clause("t(V0) :- r(V0,V1), sim(V0,V1), eq(V2,V3), r(V2,V3).")
-    assert condition_holds((SimAtom(V(0), V(1)),), c)
-    assert condition_holds((EqAtom(C("a"), C("a")),), c)
-    assert condition_holds((EqAtom(V(2), V(3)),), c)
-    assert not condition_holds((EqAtom(V(0), V(1)),), c)
-    assert condition_holds((NeqAtom(V(0), V(1)),), c)
-    assert not condition_holds((NeqAtom(V(2), V(3)),), c)
-    assert not condition_holds((SimAtom(V(2), V(0)),), c)
+    assert condition_holds((Sim(V(0), V(1)),), c)
+    assert condition_holds((Eq(C("a"), C("a")),), c)
+    assert condition_holds((Eq(V(2), V(3)),), c)
+    assert not condition_holds((Eq(V(0), V(1)),), c)
+    assert condition_holds((Neq(V(0), V(1)),), c)
+    assert not condition_holds((Neq(V(2), V(3)),), c)
+    assert not condition_holds((Sim(V(2), V(0)),), c)
     # reflexive similarity on one term / equal constants
-    assert condition_holds((SimAtom(V(7), V(7)),), c)
-    assert condition_holds((SimAtom(C("u"), C("u")),), c)
+    assert condition_holds((Sim(V(7), V(7)),), c)
+    assert condition_holds((Sim(C("u"), C("u")),), c)
 
 
 def test_closure_is_equivalence():
@@ -160,8 +160,8 @@ def test_repaired_clauses_cap():
         vid += 2
         body.append(Rel(f"r{k}", (V(k),)))
         body.append(Sim(V(0), V(k)))
-        body.append(RepairLit((SimAtom(V(0), V(k)),), V(0), a))
-        body.append(RepairLit((SimAtom(V(0), V(k)),), V(k), b))
+        body.append(RepairLit((Sim(V(0), V(k)),), V(0), a))
+        body.append(RepairLit((Sim(V(0), V(k)),), V(k), b))
         body.append(Eq(a, b))
     c = Clause(Rel("t", (V(0),)), tuple(body))
     assert len(repaired_clauses(c, cap=64)) == 6
@@ -213,7 +213,7 @@ def _clauses(draw):
             body.append(Eq(draw(_term), draw(_term)))
         else:
             atoms = tuple(
-                draw(st.sampled_from([EqAtom, NeqAtom, SimAtom]))(draw(_term), draw(_term))
+                draw(st.sampled_from([Eq, Neq, Sim]))(draw(_term), draw(_term))
                 for _ in range(draw(st.integers(1, 2)))
             )
             body.append(RepairLit(atoms, draw(_term), Variable(draw(st.integers(0, 5)))))
@@ -235,7 +235,7 @@ def test_parse_print_round_trip_random(clause):
 def test_same_group_is_decided_by_the_condition():
     # MD repair literals built apart with one condition form one group,
     # whatever the order of the condition's atoms
-    s01, s23 = SimAtom(V(0), V(1)), SimAtom(V(2), V(3))
+    s01, s23 = Sim(V(0), V(1)), Sim(V(2), V(3))
     a = RepairLit((s01, s23), V(0), V(8))
     b = RepairLit((s23, s01), V(2), V(9))
     assert a.origin == b.origin == "md"
@@ -243,26 +243,26 @@ def test_same_group_is_decided_by_the_condition():
     assert logic.same_group(a, RepairLit((s01, s23), V(1), V(7)))
     assert not logic.same_group(a, RepairLit((s01,), V(0), V(8)))
     # a CFD repair literal applies alone, even beside an equal literal
-    cond = (EqAtom(V(0), V(1)), NeqAtom(V(2), V(3)))
+    cond = (Eq(V(0), V(1)), Neq(V(2), V(3)))
     c, d = RepairLit(cond, V(2), V(3)), RepairLit(cond, V(2), V(3))
     assert c.origin == "cfd" and c == d
     assert logic.same_group(c, c) and not logic.same_group(c, d)
     assert not logic.same_group(c, RepairLit(cond, V(3), V(2)))
-    assert not logic.same_group(a, RepairLit((s01, s23, NeqAtom(V(2), V(3))), V(0), V(8)))
+    assert not logic.same_group(a, RepairLit((s01, s23, Neq(V(2), V(3))), V(0), V(8)))
 
 
 def test_match_index_groups_key_md_literals_by_condition_and_cfd_literals_alone():
-    """MatchIndex.groups maps each repair literal's body index to its
+    """Clause.groups maps each repair literal's body index to its
     group's indices (group_key): MD literals with one set of condition
     atoms share a group, the empty set included, and a CFD literal is its
     own group even beside an equal one."""
-    s01 = SimAtom(V(0), V(1))
-    cfd = (EqAtom(V(0), V(1)), NeqAtom(V(2), V(3)))
+    s01 = Sim(V(0), V(1))
+    cfd = (Eq(V(0), V(1)), Neq(V(2), V(3)))
     body = (Rel("r", (V(0), V(1))), RepairLit((s01,), V(0), V(4)), RepairLit((), V(0), V(5)),
             RepairLit(cfd, V(2), V(3)), RepairLit((s01,), V(1), V(6)), RepairLit(cfd, V(2), V(3)),
             RepairLit((), V(1), V(7)))
     assert logic.group_key(body[2]) == frozenset() and logic.group_key(body[3]) is None
-    groups = Clause(Rel("t", (V(0),)), body).match_index.groups
+    groups = Clause(Rel("t", (V(0),)), body).groups
     assert groups == {1: {1, 4}, 4: {1, 4}, 2: {2, 6}, 6: {2, 6}, 3: {3}, 5: {5}}
     assert groups[1] is groups[4]
 
@@ -281,8 +281,8 @@ def test_printed_clauses_parse_back_with_their_origins_and_groups(
     title_database(4, seed, family=2) at seeds 0-2 and of both
     cfd_micro_dataset variants, and every partial and full repair expansion
     of them, parses back from its text with the same body, each repair
-    literal with its origin and the repair literals in the same groups. The
-    groups of each clause's MatchIndex are those groups."""
+    literal with its origin and the repair literals in the same groups.
+    Each clause's Clause.groups are those groups."""
     sources = [(movie_db, movie_mds, [], movie_idx, list(movie_examples.values()),
                 saturation.SaturationConfig(d=3, sample_size=1000, rng_seed=1))]
     for seed in range(3):
@@ -305,7 +305,7 @@ def test_printed_clauses_parse_back_with_their_origins_and_groups(
         assert [getattr(l, "origin", None) for l in again.body] == \
             [getattr(l, "origin", None) for l in c.body]
         assert _groups(again) == _groups(c), print_clause(c)
-        assert set(c.match_index.groups.values()) == _groups(c), print_clause(c)
+        assert set(c.groups.values()) == _groups(c), print_clause(c)
         grouped += any(len(g) > 1 for g in _groups(c))
     assert len(clauses) >= 150 and grouped >= 50
     assert sum(_has_repairs(c, "cfd") for c in clauses) >= 20
@@ -420,10 +420,9 @@ def test_reachable_equals_the_reference_closures(movie_db, movie_mds, movie_idx,
                              for c in triple] + movie + [c for pair in pairs for c in pair])
     repairs_reached = cut_off = cases = 0
     for c in clauses:
-        index = c.match_index
         for i, lit in enumerate(c.body):
-            got = logic.reachable(logic.literal_terms(lit), index.repair_links)
-            assert got == reference_connected_repairs(index.reps, logic.literal_terms(lit)), (
+            got = logic.reachable(logic.literal_terms(lit), c.repair_links)
+            assert got == reference_connected_repairs(c.reps, logic.literal_terms(lit)), (
                 print_clause(c), i)
             rest = [(j, l) for j, l in enumerate(c.body) if j != i]
             reached = logic.head_reachable(c.head, rest)
@@ -539,7 +538,7 @@ def test_fired_group_that_drops_an_eq_rechecks_conditions_on_the_child():
     # equalities, so the CFD repair guarded by eq(V2,V4) must go too
     c = parse_clause("t(V0) :- r(V1,V2,V4), eq(V2,V1), eq(V1,V4), "
                      "rep{sim(V0,V0)}(V1,V3), rep{eq(V2,V4)}(V2,V5).")
-    assert condition_holds((EqAtom(V(2), V(4)),), c)
+    assert condition_holds((Eq(V(2), V(4)),), c)
     got = apply_repair_literal(c, 3, EqClosure(c.body))
     assert print_clause(got) == "t(V0) :- r(V3,V2,V4)."
 
@@ -627,9 +626,9 @@ def test_expansions_of_a_ground_clause_use_only_its_terms():
     assert sum(_has_repairs(g, "cfd") for g in grounds) >= 8
     assert sum(_has_repairs(g, "md") for g in grounds) >= 12
     for g in grounds:
-        terms = set(g.match_index.terms)
+        terms = set(g.terms)
         for expansion in partial_repairs(g, "cfd") + repaired_clauses(g):
-            assert set(expansion.match_index.terms) <= terms, print_clause(expansion)
+            assert set(expansion.terms) <= terms, print_clause(expansion)
 
 
 def test_first_partial_repair_is_one_of_the_partial_repairs(micro_db_clauses):

@@ -189,9 +189,9 @@ def test_covers_negative_cap_flags():
         vid += 2
         body.append(logic.Rel(f"r{k}", (logic.Variable(k),)))
         body.append(logic.Sim(logic.Variable(0), logic.Variable(k)))
-        body.append(logic.RepairLit((logic.SimAtom(logic.Variable(0), logic.Variable(k)),),
+        body.append(logic.RepairLit((logic.Sim(logic.Variable(0), logic.Variable(k)),),
                                     logic.Variable(0), a))
-        body.append(logic.RepairLit((logic.SimAtom(logic.Variable(0), logic.Variable(k)),),
+        body.append(logic.RepairLit((logic.Sim(logic.Variable(0), logic.Variable(k)),),
                                     logic.Variable(k), b))
         body.append(logic.Eq(a, b))
     c = logic.Clause(logic.Rel("t", (logic.Variable(0),)), tuple(body))
@@ -751,11 +751,17 @@ def test_failed_equality_prunes_before_the_remaining_literals_are_mapped():
 
 
 def test_match_index_is_built_once_per_clause_object():
+    # the parts a search looks up in a clause are built once per Clause
+    # object, and a second search against it reuses them
     c = parse_clause("t(V0) :- r(V0,V1), eq(V1,'k').")
     d = parse_clause("t('a') :- r('a','k'), s('k').")
-    index = d.match_index
     assert subsumes_with_repairs(c, d).covered
-    assert d.match_index is index and c.match_index is c.match_index
-    # the index is not a field: equal clauses stay equal and hash alike
+    c_parts, d_parts = dict(vars(c)), dict(vars(d))
+    assert {"body_vars", "binders", "constraints"} <= c_parts.keys()
+    assert {"closure", "rels"} <= d_parts.keys()
+    assert subsumes_with_repairs(c, d).covered
+    assert all(vars(c)[k] is v for k, v in c_parts.items())
+    assert all(vars(d)[k] is v for k, v in d_parts.items())
+    # the parts are not fields: equal clauses stay equal and hash alike
     fresh = parse_clause(print_clause(d))
-    assert fresh == d and hash(fresh) == hash(d) and "match_index" not in vars(fresh)
+    assert fresh == d and hash(fresh) == hash(d) and set(vars(fresh)) == {"head", "body"}

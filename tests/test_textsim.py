@@ -107,7 +107,8 @@ def test_build_index_movie_pairs(movie_db, movie_mds, movie_examples):
 def test_build_index_threshold_above_one(movie_db, movie_mds, movie_examples):
     idx = build_similarity_index(movie_db, list(movie_examples.values()), movie_mds,
                                  k_m=2, threshold=1.001)
-    assert idx.entries == {}
+    assert set(idx.entries) == {md.pair for md in movie_mds}
+    assert all(table == {} for table in idx.entries.values())
 
 
 def test_build_index_truncation(movie_db, movie_mds, movie_examples):
@@ -240,7 +241,8 @@ def test_index_build_stops_at_the_top_k_floor(monkeypatch):
 def test_index_keeps_nothing_at_k_m_zero():
     db, mds, examples = title_database(24, seed=0, family=0)
     idx = build_similarity_index(db, examples, mds, k_m=0, threshold=0.65)
-    assert idx.entries == {}
+    assert set(idx.entries) == {md.pair for md in mds}
+    assert all(table == {} for table in idx.entries.values())
 
 
 def test_pruned_index_stored_pair_reverse_lookup():

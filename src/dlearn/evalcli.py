@@ -226,7 +226,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     cfg = LearnerConfig
     p.add_argument("--d", type=int, default=cfg.d, help="saturation iterations")
     p.add_argument("--km", type=int, default=cfg.k_m, help="similar matches kept per value")
-    p.add_argument("--sample-size", type=int, default=cfg.sample_size)
+    p.add_argument("--sample-size", type=int, default=cfg.sample_size,
+                   help="bound on the new tuples kept per probe (relation, attribute, iteration)")
     p.add_argument("--sim-threshold", type=float, default=cfg.sim_threshold)
     p.add_argument("--K", type=int, default=cfg.K, help="positives sampled per generalization round")
     p.add_argument("--min-pos", type=int, default=cfg.min_pos)

@@ -184,7 +184,7 @@ class Clause:
     - binders: body indices of the relation and repair literals;
     - constraints: body indices of the equality and similarity literals.
 
-    And views: its coverage views (subsumption._view).
+    And views: its coverage views, other than the clause itself (subsumption._view).
     """
 
     head: Rel
@@ -300,10 +300,7 @@ def literal_vars(lit: Literal):
 
 
 def clause_vars(clause: Clause) -> set:
-    out = set(t for t in clause.head.args if isinstance(t, Variable))
-    for lit in clause.body:
-        out.update(literal_vars(lit))
-    return out
+    return {t for t in clause.terms if isinstance(t, Variable)}
 
 
 def fresh_var(clause: Clause) -> Variable:

@@ -1,11 +1,11 @@
 """Bottom-clause construction over dirty data.
 
-Starting from one example, the collector walks the database for a fixed
-number of iterations, pulling in tuples reachable through exact joins on each
+Starting from one example, the collector walks the database for a fixed number
+of iterations, pulling in tuples reachable through exact joins on each
 relation's leading (key) attribute and through similarity joins on attributes
-covered by a matching dependency. Per relation, attribute and iteration the
-candidate tuples are down-sampled to a fixed size, so the resulting clause is
-an approximation whose size is controlled.
+covered by a matching dependency. Each iteration probes the constants that no
+earlier one probed and keeps a fixed-size sample of the new candidate tuples
+per relation and attribute, so the clause is an approximation of bounded size.
 
 The clause builder then turns the gathered tuples into literals. Values are
 variabilized by role: example values and values seen at a leading position
@@ -97,15 +97,17 @@ def _probe_plan(db: Database, idx: SimilarityIndex):
 
 def collect_relevant(example: Example, db: Database, idx: SimilarityIndex,
                      cfg: SaturationConfig) -> RelevantSet:
-    """Gather the tuples reachable from the example in at most d hops."""
+    """Gather the tuples reachable from the example in at most d hops,
+    probing each constant once: a tuple that an older constant joins was
+    gathered, or dropped by sampling, when that constant was probed."""
     rng = derive_rng(cfg.rng_seed, "saturate", example.relation, example.values)
     relevant = RelevantSet(constants=set(example.values))
     gathered: dict[tuple[str, int], RelevantTuple] = {}
     plan = _probe_plan(db, idx)
+    probed: set = set()
     for _ in range(cfg.d):
-        # probe with the constants known at the start of the iteration, so d
-        # bounds the join distance from the example
-        frontier = set(relevant.constants)
+        # only constants new at this hop's start: d bounds the join distance
+        frontier, probed = relevant.constants - probed, set(relevant.constants)
         for relation, attribute, use_sim in plan:
             exact = store.select_eq(db, relation, attribute, frontier)
             sims = store.select_sim(db, relation, attribute, frontier, idx) if use_sim else []

@@ -14,14 +14,14 @@ come from one closure, logic.reachable over D's Clause.repair_links: the
 closure that also keeps a clause connected to its head, and that md_part
 seeds with the CFD repair literals.
 
-The search (_Matcher) prunes and reuses work without changing a verdict or
-a witness of the unpruned search; its docstring states how, and what its
-budget counts. Like the parts the search looks up in a clause
-(Clause.closure, Clause.rels and the rest), the views the coverage tests
-derive from a clause (md_part, logic.first_partial_repair,
-logic.partial_repairs, logic.repaired_clauses) are built once per Clause
-object, kept in Clause.views and shared by all callers. covers_positive's docstring states
-when its stages 2 and 3 run and why the stage-3 shortcut is exact.
+The search (_Matcher) prunes and reuses work without changing a verdict or a
+witness of the unpruned search; its docstring states how, and what its budget
+counts. Like the parts the search looks up in a clause (Clause.closure,
+Clause.rels and the rest), the clauses that the coverage tests derive from a
+clause (md_part, logic.first_partial_repair, logic.partial_repairs,
+logic.repaired_clauses) are built once per Clause object and kept in
+Clause.views, never the clause itself (_view). covers_positive's docstring
+states when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
 that c covers g, c entails g (oracle.brute_force_entails), and when
@@ -367,18 +367,20 @@ def md_part(clause: Clause) -> Clause:
 
 def _view(view: str, fn, clause: Clause, *args):
     """fn(clause, *args), the `view` of a clause, computed on first use and
-    kept in clause.views under `(view, args)`. A RepairCapExceeded is kept
-    like a result, so every later use raises it again."""
+    kept in clause.views under `(view, args)`, unless it is the clause or a
+    list of only it, which fn returns at its first check. A RepairCapExceeded
+    is kept without the traceback that holds the clause; each use raises a copy."""
     key = (view, args)
     out = clause.views.get(key)
     if out is None:
         try:
             out = fn(clause, *args)
         except logic.RepairCapExceeded as exc:
-            out = exc
-        clause.views[key] = out
+            out = exc.with_traceback(None)
+        if out is not clause and not (isinstance(out, list) and out[0] is clause):
+            clause.views[key] = out
     if isinstance(out, logic.RepairCapExceeded):
-        raise out.with_traceback(None)
+        raise logic.RepairCapExceeded(*out.args)
     return out
 
 
@@ -456,21 +458,21 @@ def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     """A clause covers a negative example when it covers the example's
     ground bottom clause g as a positive (c entails g, so every repair-free
     expansion of c does), or else when one of its repair-free expansions
-    does. The expansions are kept with c (Clause.views), so c is expanded
-    once, not per negative. g is not expanded: a negative covered only
-    through its own repairs, which c does not match structurally, is
-    missed, as the side condition keeps r off the parts of g they touch.
+    does. A clause without repair literals is its own one expansion and is
+    never expanded; any other is expanded once (Clause.views). g is not
+    expanded: a negative covered only through its own repairs, which c does
+    not match structurally, is missed, as the side condition keeps r off the
+    parts of g they touch.
     """
     direct = covers_positive(c, g, budget, repair_cap)
-    if direct.covered:
+    if direct.covered or not c.reps:
         return direct
     try:
         expansions = _view("repaired", logic.repaired_clauses, c, repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
     exhausted = direct.budget_exhausted
-    # a clause without repair literals is its own one expansion, searched above
-    for r in (e for e in expansions if e is not c):
+    for r in expansions:
         verdict = covers_positive(r, g, budget, repair_cap)
         exhausted = exhausted or verdict.budget_exhausted
         if verdict.covered:

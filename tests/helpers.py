@@ -3,6 +3,7 @@ module tests and the acceptance suite."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 from dlearn import constraints, generalization, logic, saturation, store, subsumption, textsim
@@ -122,6 +123,24 @@ def cfd_micro_db_clauses(n_cases: int = 60):
                             saturation.ground_bottom_clause(ex, db, mds, cfds, idx, cfg)))
         cases.append(triples)
     return cases
+
+
+def cyclic_garbage(work) -> int:
+    """The number of objects that only the cyclic collector frees once
+    work() has returned, counted with automatic collection off. The
+    collector's state is restored."""
+    enabled, debug, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        work()
+        return gc.collect()
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[kept:]
+        if enabled:
+            gc.enable()
 
 
 CFD_MICRO_SCHEMA_TEXT = """\

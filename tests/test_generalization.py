@@ -12,9 +12,9 @@ from dlearn.generalization import (ClauseStats, OrderedClause, armg, best_scored
                                    drop_with_repair, find_blocking_literal, order_clause,
                                    score_clause)
 from dlearn.logic import parse_clause, print_clause
-from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, random_micro_db,
-                     reference_drop_with_repair, reference_find_blocking_literal, seeded_titles,
-                     title_database)
+from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, cyclic_garbage,
+                     random_micro_db, reference_drop_with_repair, reference_find_blocking_literal,
+                     seeded_titles, title_database)
 
 
 @pytest.fixture
@@ -503,7 +503,7 @@ def test_learn_clause_skips_a_beaten_bottom_clause_and_the_current_clause(monkey
     assert negatives[bottom] == 0 and repaired[bottom] == 0
     # round 2 builds only clauses equal to the winner of round 1, which are
     # not scored again
-    assert repaired[clause] == 1 and set(repaired.values()) == {1}
+    assert negatives[clause] == len(neg) and set(repaired.values()) <= {1}
 
 
 @pytest.mark.parametrize("by_title", [False, True])
@@ -598,3 +598,18 @@ def test_evaluate_expands_each_definition_clause_once(monkeypatch):
     fresh = parse_clause(print_clause(clauses[0]))
     assert "views" in vars(clauses[0]) and "views" not in vars(fresh)
     assert fresh == clauses[0] and hash(fresh) == hash(clauses[0])
+
+
+@pytest.mark.parametrize("by_title", [False, True])
+def test_learn_and_evaluate_leave_no_reference_cycle(by_title):
+    # a coverage view that is its own clause would tie the clause to itself
+    # through Clause.views, which only the cyclic collector frees
+    db, mds, cfds, _, examples, _ = cfd_micro_dataset(by_title, n=6)
+    cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3, min_pos=1)
+    pos, neg = examples[:3], examples[3:]
+
+    def learn_and_evaluate():
+        definition = learner.learn(db, mds, cfds, pos, neg, cfg)
+        evalcli.evaluate(definition, pos, neg, db, mds, cfds, cfg)
+
+    assert cyclic_garbage(learn_and_evaluate) == 0

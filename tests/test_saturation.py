@@ -145,6 +145,21 @@ def test_bottom_clause_monotone_in_d_and_sample(movie_db, movie_mds, movie_idx, 
     assert rel_count(3, 1) <= rel_count(3, 2) <= rel_count(3, 1000)
 
 
+def test_a_key_is_sampled_once_however_many_hops_follow():
+    # c0's 100 names are sampled when c0 is first probed; a later hop probes
+    # only new constants, so it does not sample them again
+    schema = store.parse_schema("movies(id:text, title:text)\nmov2countries(id:text, cid:text)\n"
+                                "countries(cid:text, name:text)\nt(v:text)", target="t")
+    db = store.from_tuples(schema, {
+        "movies": [("m0", "Title 0")],
+        "mov2countries": [("m0", "c0")],
+        "countries": [("c0", f"name {j}") for j in range(100)]})
+    for d in (2, 3, 4, 6):
+        rel = collect_relevant(Example("t", ("m0",)), db, textsim.SimilarityIndex(),
+                               SaturationConfig(d=d, sample_size=10, rng_seed=0))
+        assert sum(rt.tuple.relation == "countries" for rt in rel.tuples) == 10
+
+
 LOCALE_SCHEMA = """\
 mov2locale(title:text, language:text, country:text)
 hg(title:text)

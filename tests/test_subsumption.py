@@ -9,9 +9,9 @@ from dlearn.subsumption import (covers_negative, covers_positive, md_part,
                                 subsumes_with_repairs)
 from dlearn.learner import Grounding, LearnerConfig
 from helpers import (_ReferenceMatcher, cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
-                     count_repair_literals, random_drop_variant, random_eq_repair_clause,
-                     reference_covers_positive, reference_md_part, reference_subsumes,
-                     title_database)
+                     count_repair_literals, cyclic_garbage, random_drop_variant,
+                     random_eq_repair_clause, reference_covers_positive, reference_md_part,
+                     reference_subsumes, title_database)
 
 
 def test_theta_subsumes_movie_pair():
@@ -181,6 +181,17 @@ def test_covers_negative_repair_free_equals_positive():
     assert covers_negative(c, g).covered == covers_positive(c, g).covered
 
 
+def test_covers_negative_never_expands_a_repair_free_clause(monkeypatch):
+    # such a clause is its own one expansion, already tested as a positive
+    calls = []
+    real = logic.repaired_clauses
+    monkeypatch.setattr(logic, "repaired_clauses", lambda *args: calls.append(args) or real(*args))
+    c = parse_clause("t(V0) :- r(V0,V1).")
+    assert not covers_negative(c, parse_clause("t('a') :- r('b','c').")).covered
+    assert covers_negative(c, parse_clause("t('a') :- r('a','c').")).covered
+    assert calls == []
+
+
 def test_covers_negative_cap_flags():
     body = []
     vid = 20
@@ -199,11 +210,57 @@ def test_covers_negative_cap_flags():
     assert not v.covered and v.budget_exhausted
 
 
+def test_a_repair_cap_hit_leaves_no_reference_cycle():
+    # the RepairCapExceeded kept in a clause's views must not hold the clause
+    # through its traceback
+    g = parse_clause("t('a') :- r('c'), s('c').")
+
+    def cover_twice():
+        h = parse_clause(
+            "t(V0) :- r(V1), sim(V0,V1), rep{sim(V0,V1)}(V0,V2), rep{sim(V0,V1)}(V1,V3), "
+            "eq(V2,V3), s(V4), sim(V0,V4), rep{sim(V0,V4)}(V0,V5), rep{sim(V0,V4)}(V4,V6), "
+            "eq(V5,V6).")
+        for _ in range(2):
+            v = covers_negative(h, g, repair_cap=1)
+            assert not v.covered and v.budget_exhausted
+
+    assert cyclic_garbage(cover_twice) == 0
+
+
 def _cfd_micro_case_pairs():
     """Per case of cfd_micro_db_clauses: each bottom clause and its drop
     variant against every ground clause of the case."""
     return [(c, g) for case in cfd_micro_db_clauses() for bottom, drop, _ in case
             for c in (bottom, drop) for _, _, g in case]
+
+
+def test_no_clause_keeps_itself_as_a_coverage_view():
+    # a view that is its own clause, or a list of only it, would be a
+    # reference cycle through Clause.views
+    kept = 0
+    for case in cfd_micro_db_clauses(30):
+        seen = set()
+        todo = []
+        for bottom, drop, _ in case:
+            for c in (bottom, drop):
+                for _, _, g in case:
+                    covers_positive(c, g)
+                    covers_negative(c, g)
+                    todo += [c, g]
+        while todo:
+            clause = todo.pop()
+            if id(clause) in seen:
+                continue
+            seen.add(id(clause))
+            for view in clause.views.values():
+                assert view is not clause
+                if isinstance(view, list):
+                    assert not any(v is clause for v in view)
+                    todo += view
+                elif isinstance(view, logic.Clause):
+                    todo.append(view)
+                kept += 1
+    assert kept >= 50
 
 
 def _title_bottom_pairs():

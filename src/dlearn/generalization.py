@@ -181,14 +181,24 @@ def drop_with_repair(ordered: OrderedClause, index: int) -> OrderedClause:
 def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
          repair_cap: int = DEFAULT_REPAIR_CAP) -> Clause:
     """Drop blocking literals until the clause covers g's example (or nothing
-    is left to drop)."""
-    ordered = order_clause(clause)
-    while ordered.clause.body:
-        index, _ = find_blocking_literal(ordered, g, budget, repair_cap)
-        if index is None:
-            return ordered.clause
-        ordered = drop_with_repair(ordered, index)
-    return ordered.clause
+    is left to drop).
+
+    The result is kept in g.views under the clause's head and body, and
+    under its own: it is in ARMG literal order (order_clause is idempotent)
+    and its last prefix walk against g found no blocking literal, so its
+    armg against g is itself. A repeat runs no coverage test."""
+    key = ("armg", clause.head, clause.body, budget, repair_cap)
+    out = g.views.get(key)
+    if out is None:
+        ordered = order_clause(clause)
+        while ordered.clause.body:
+            index, _ = find_blocking_literal(ordered, g, budget, repair_cap)
+            if index is None:
+                break
+            ordered = drop_with_repair(ordered, index)
+        out = g.views[key] = ordered.clause
+        g.views[("armg", out.head, out.body, budget, repair_cap)] = out
+    return out
 
 
 @dataclass(frozen=True)

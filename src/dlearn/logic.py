@@ -185,6 +185,8 @@ class Clause:
     - constraints: body indices of the equality and similarity literals.
 
     And views: its coverage views, other than the clause itself (subsumption._view).
+    A ground clause also keeps there the ARMG results computed against it
+    (generalization.armg).
     """
 
     head: Rel

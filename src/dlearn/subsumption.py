@@ -20,7 +20,9 @@ counts. Like the parts the search looks up in a clause (Clause.closure,
 Clause.rels and the rest), the clauses that the coverage tests derive from a
 clause (md_part, logic.first_partial_repair, logic.partial_repairs,
 logic.repaired_clauses) are built once per Clause object and kept in
-Clause.views, never the clause itself (_view). covers_positive's docstring
+Clause.views, never the clause itself (_view). A ground clause also keeps
+there the ARMG results computed against it, so a repeated
+generalization.armg runs no coverage test. covers_positive's docstring
 states when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports

@@ -4,15 +4,27 @@ precomputed cross-attribute match index used by similarity selection.
 Scoring constants live in one block below. The combined operator is the
 average of the alignment score (normalized into [0, 1]) and the length ratio.
 
+A pair where one value occurs inside the other (a containment pair) is
+answered without the alignment: the shorter value aligns whole, its matches
+sum to the perfect score exactly, so its alignment part is 1.0 and its
+combined score (1 + length ratio) / 2. That length part also bounds the
+score of every pair, since the alignment part is at most 1.0.
+
 The index build never aligns a value pair whose combined_bound plus EPS is
 below the threshold: such a pair cannot be kept (count filtering, Gravano et
-al., VLDB 2001). Per left value it then aligns the remaining right values in
-descending bound order and stops at the first whose bound plus EPS is below
-a floor: the k_m-th best score kept so far for that value (kept scores are
-at or above the threshold). Every pair from there on scores strictly below
-k_m kept pairs, so it cannot be among that value's k_m best, ties included.
-Every pair it aligns gets exactly the score it would get unpruned, so the
-kept entries, their scores and their order do not change.
+al., VLDB 2001). Before it counts characters, it drops every pair whose
+length part plus EPS is below a length floor: the k_m-th best score of the
+left value's containment pairs, or the threshold when that is higher. Per
+left value it then aligns the remaining right values in descending bound
+order and stops at the first whose bound plus EPS is below a floor: the
+k_m-th best score kept so far for that value (kept scores are at or above
+the threshold). Every pair from there on scores strictly below k_m kept
+pairs, so it cannot be among that value's k_m best, ties included. A pair
+the length cut drops scores strictly below k_m containment pairs, whose
+bound is their score, so the scan would stop before it too: the cut leaves
+the aligned pairs as they are. Every pair it aligns gets exactly the score
+it would get unpruned, so the kept entries, their scores and their order do
+not change.
 """
 
 from __future__ import annotations
@@ -47,17 +59,28 @@ def length_similarity(a: str, b: str) -> float:
     return min(la, lb) / max(la, lb)
 
 
+def _contained(a: str, b: str) -> bool:
+    """The shorter of two non-empty values occurs inside the longer one."""
+    if len(a) <= len(b):
+        return a != "" and a in b
+    return b != "" and b in a
+
+
 def swg_similarity(a: str, b: str) -> float:
     """Best local alignment score with affine gaps, normalized to [0, 1].
 
     Normalization divides by MATCH_SCORE * min(len(a), len(b)), the score of a
-    perfect alignment of the shorter string.
+    perfect alignment of the shorter string. When the shorter string occurs
+    inside the longer one the answer is 1.0 without the alignment: it aligns
+    whole there, and its matches sum to that perfect score exactly.
     """
     la, lb = len(a), len(b)
     if la == 0 and lb == 0:
         return 1.0
     if la == 0 or lb == 0:
         return 0.0
+    if _contained(a, b):
+        return 1.0
     # h: best score of alignment ending at (i, j); e/f: ending in a gap.
     # Each `max(x, y, ...)` of the recurrence is written out as comparisons
     # that keep the first of equal values, as max() does.
@@ -196,12 +219,14 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
     Identical value pairs are skipped: exact matches are already reachable
     through equality selection and unifying two equal values changes nothing.
     Pairs whose combined_bound plus EPS is below the threshold are skipped
-    unscored; they could not be kept. The rest of a left value's pairs are
-    scored in descending bound order until the bound plus EPS falls below
-    the k_m-th best score so far: the pairs after that score strictly below
-    k_m kept ones, so they cannot reach the value's top k_m (with k_m < 1
-    only the threshold bounds the scan). Truncation to the k_m best matches
-    is applied per left value and then per right value.
+    unscored; they could not be kept. So are pairs whose length part plus
+    EPS is below the k_m-th best score of the value's containment pairs
+    (exact without alignment): k_m pairs score above them. The rest of a
+    left value's pairs are scored in descending bound order until the bound
+    plus EPS falls below the k_m-th best score so far: the pairs after that
+    score strictly below k_m kept ones, so they cannot reach the value's top
+    k_m (with k_m < 1 only the threshold bounds the scan). Truncation to the
+    k_m best matches is applied per left value and then per right value.
     """
     pair_keys = dict.fromkeys(md.pair for md in mds)
     counts: dict[str, Counter] = {}
@@ -217,9 +242,17 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
         fwd: dict[str, list[tuple[str, float]]] = {}
         for lv in left_values:
             lc = counts[lv]
+            # (1 + length ratio) / 2 bounds a pair's score, and is the exact
+            # score of a pair where one value contains the other
+            parts = [((1.0 + length_similarity(lv, rv)) / 2.0, rv, rc)
+                     for rv, rc in right if lv != rv]
+            sure = [part for part, rv, _ in parts if _contained(lv, rv)]
+            floor = threshold
+            if 0 < k_m <= len(sure):
+                floor = max(floor, heapq.nlargest(k_m, sure)[-1])
             bounded = []
-            for rv, rc in right:
-                if lv != rv:
+            for part, rv, rc in parts:
+                if part + EPS >= floor:
                     b = combined_bound(lv, lc, rv, rc)
                     if b + EPS >= threshold:
                         bounded.append((-b, rv))

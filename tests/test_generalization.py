@@ -12,9 +12,9 @@ from dlearn.generalization import (ClauseStats, OrderedClause, armg, best_scored
                                    drop_with_repair, find_blocking_literal, order_clause,
                                    score_clause)
 from dlearn.logic import parse_clause, print_clause
-from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, cyclic_garbage,
-                     random_micro_db, reference_drop_with_repair, reference_find_blocking_literal,
-                     seeded_titles, title_database)
+from helpers import (TITLE_MD, cfd_micro_dataset, cfd_micro_db_clauses, clause_pair,
+                     cyclic_garbage, random_micro_db, reference_drop_with_repair,
+                     reference_find_blocking_literal, seeded_titles, title_database)
 
 
 @pytest.fixture
@@ -560,6 +560,56 @@ def test_score_clause_with_kept_views_equals_fresh_copies(by_title):
             scores.append(expected)
         capped += scores[0] != scores[1]
     assert capped >= 5
+
+
+def _armg_pairs():
+    """(clause, ground clause) pairs: every cfd_micro_dataset candidate, by
+    movie id and by title, against each ground clause of its dataset, and
+    seeded clause_pair pairs with and without a CFD."""
+    pairs = []
+    for by_title in (False, True):
+        positives, neg_gs, candidates = _cfd_micro_db(by_title)
+        grounds = [g for _, g in positives] + neg_gs
+        pairs += [(c, g) for c in candidates for g in grounds]
+    rng = random.Random(77)
+    pairs += [clause_pair(rng, with_cfd=i % 2 == 1) for i in range(20)]
+    return pairs
+
+
+def test_armg_is_idempotent_without_its_memo():
+    # the repeat runs against a fresh copy of g, which keeps no armg result
+    dropped = 0
+    for c, g in _armg_pairs():
+        out = armg(c, g)
+        assert armg(out, _fresh(g)) == out
+        dropped += len(out.body) < len(c.body)
+    assert dropped >= 10
+
+
+def test_repeated_armg_runs_no_coverage_test(monkeypatch):
+    real = subsumption.covers_positive
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subsumption, "covers_positive", counted)
+    first = repeats = other_limits = 0
+    for c, g in _armg_pairs():
+        out = armg(c, g)
+        first += len(calls)
+        calls.clear()
+        assert armg(c, g) is out and armg(out, g) is out
+        assert armg(_fresh(c), g) is out
+        repeats += len(calls)
+        # other limits are another key, and get the result of a fresh g
+        for limits in ((2, subsumption.DEFAULT_REPAIR_CAP), (subsumption.DEFAULT_BUDGET, 2)):
+            limited = armg(c, g, *limits)
+            assert limited == armg(c, _fresh(g), *limits)
+            other_limits += limited != out
+        calls.clear()
+    assert first >= 100 and repeats == 0 and other_limits >= 10
 
 
 def test_evaluate_expands_each_definition_clause_once(monkeypatch):

@@ -158,6 +158,29 @@ def test_combined_bound_never_below_score(a, b):
     assert combined_bound(a, Counter(a), b, Counter(b)) + EPS >= combined_similarity(a, b)
 
 
+_inner = st.one_of(
+    st.text(alphabet="aab (1)", min_size=1, max_size=8),
+    st.text(alphabet="éß€𝄞 a", min_size=1, max_size=8),
+    st.text(min_size=1, max_size=8),
+)
+_affix = st.one_of(st.text(alphabet="aab (1)", max_size=6), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inner, _affix, _affix)
+@example("Superbad", "", " (2007)")
+@example("a", "", "")
+@example("ab", "b", "")
+def test_containment_scores_one_exactly(a, x, y):
+    # swg_similarity answers these pairs without aligning; the independent
+    # reference aligns them, and both must give exactly 1.0
+    longer = x + a + y
+    assert swg_similarity(a, longer) == 1.0
+    assert swg_similarity(longer, a) == 1.0
+    assert swg_reference(a, longer) == 1.0
+    assert combined_similarity(a, longer) == (1.0 + length_similarity(a, longer)) / 2.0
+
+
 def _assert_same_entries(got, expect):
     # equal tables, scores compared as floats with ==, and every table and
     # match list in the same order
@@ -236,6 +259,47 @@ def test_index_build_stops_at_the_top_k_floor(monkeypatch):
     # measured: 26 of the 112 pairs count filtering keeps are scored
     assert count_filtered == 112
     assert len(calls) <= 26
+
+
+def _counting_bounds(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return combined_bound(*args)
+
+    monkeypatch.setattr(textsim, "combined_bound", counted)
+    return calls
+
+
+def test_index_build_cuts_by_length_below_the_containment_floor(monkeypatch):
+    db, mds, examples = title_database(24, seed=0, family=0)
+    cross = sum(1 for e in examples for rv in db.values_at("movies", "title")
+                if e.values[0] != rv)
+    calls = _counting_bounds(monkeypatch)
+    idx = build_similarity_index(db, examples, mds, k_m=1, threshold=0.65)
+    monkeypatch.undo()
+    assert idx.entries == brute_force_index(db, examples, mds, 1, 0.65)
+    # measured: 359 of the 576 cross pairs get a character-count bound
+    assert cross == 576
+    assert len(calls) <= 359
+
+
+@pytest.mark.parametrize("k_m", [1, 2, 3, 4])
+def test_index_length_cut_keeps_ties_at_the_containment_floor(monkeypatch, k_m):
+    # "ab" lies inside "bab", "abb" and "aba", which tie at (1 + 2/3) / 2, and
+    # inside "abab" at (1 + 1/2) / 2; "ba" only shares letters with it
+    movies = ["bab", "abb", "aba", "ba", "abab"]
+    for threshold in (0.5, 0.65, 0.8):
+        db, mds, exs = _small_title_db(["ab"], movies, [])
+        calls = _counting_bounds(monkeypatch)
+        idx = build_similarity_index(db, exs, mds, k_m=k_m, threshold=threshold)
+        monkeypatch.undo()
+        _assert_same_entries(idx.entries, brute_force_index(db, exs, mds, k_m, threshold))
+        # the floor is the k_m-th containment score or the threshold: the
+        # pairs tied at it stay, and "abab" is cut unless it sets the floor
+        bounded = movies if k_m == 4 and threshold < 0.75 else movies[:4]
+        assert [rv for _, _, rv, _ in calls] == bounded
 
 
 def test_index_keeps_nothing_at_k_m_zero():

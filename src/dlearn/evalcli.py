@@ -222,30 +222,41 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default="full")
 
 
+# Each learner option as (flag, LearnerConfig field, help), in `-h` order.
+# An option's type and default are its field's; its dest is the flag less
+# its dashes, as argparse derives it.
+CONFIG_OPTIONS = (
+    ("--d", "d", "saturation iterations"),
+    ("--km", "k_m", "similar matches kept per value"),
+    ("--sample-size", "sample_size",
+     "bound on the new tuples kept per probe (relation, attribute, iteration)"),
+    ("--sim-threshold", "sim_threshold",
+     "least combined similarity, in [0, 1], of a value pair the similarity index keeps"),
+    ("--K", "K", "positives sampled per generalization round"),
+    ("--min-pos", "min_pos", "least positives a clause must cover to enter the definition"),
+    ("--min-precision", "min_precision",
+     "least precision, in [0, 1], of a clause that enters the definition"),
+    ("--seed", "rng_seed", "seed of all randomness: reruns give byte-identical definitions"),
+    ("--threads", "threads", "accepted and has no effect: coverage runs on one thread"),
+    ("--budget", "subsumption_budget",
+     "candidate unifications one subsumption search tries; past it, a flagged non-cover"),
+    ("--repair-cap", "repair_cap",
+     "repair-free expansions of one clause, past which it covers nothing; oracle: "
+     "stable instances, past which the run stops"),
+    ("--cfd-cap", "cfd_fixpoint_cap",
+     "CFD injection rounds per clause; a clause that needs more stops the run"),
+)
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    cfg = LearnerConfig
-    p.add_argument("--d", type=int, default=cfg.d, help="saturation iterations")
-    p.add_argument("--km", type=int, default=cfg.k_m, help="similar matches kept per value")
-    p.add_argument("--sample-size", type=int, default=cfg.sample_size,
-                   help="bound on the new tuples kept per probe (relation, attribute, iteration)")
-    p.add_argument("--sim-threshold", type=float, default=cfg.sim_threshold)
-    p.add_argument("--K", type=int, default=cfg.K, help="positives sampled per generalization round")
-    p.add_argument("--min-pos", type=int, default=cfg.min_pos)
-    p.add_argument("--min-precision", type=float, default=cfg.min_precision)
-    p.add_argument("--seed", type=int, default=cfg.rng_seed)
-    p.add_argument("--threads", type=int, default=cfg.threads)
-    p.add_argument("--budget", type=int, default=cfg.subsumption_budget)
-    p.add_argument("--repair-cap", type=int, default=cfg.repair_cap)
-    p.add_argument("--cfd-cap", type=int, default=cfg.cfd_fixpoint_cap)
+    for flag, name, help_text in CONFIG_OPTIONS:
+        default = getattr(LearnerConfig, name)
+        p.add_argument(flag, type=type(default), default=default, help=help_text)
 
 
 def _config(args) -> LearnerConfig:
-    return LearnerConfig(
-        d=args.d, k_m=args.km, sample_size=args.sample_size, sim_threshold=args.sim_threshold,
-        K=args.K, min_pos=args.min_pos, min_precision=args.min_precision, rng_seed=args.seed,
-        subsumption_budget=args.budget, repair_cap=args.repair_cap,
-        cfd_fixpoint_cap=args.cfd_cap, threads=args.threads,
-    )
+    return LearnerConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
+                            for flag, name, _ in CONFIG_OPTIONS})
 
 
 def _load(args):
@@ -341,54 +352,38 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Each subcommand as (name, help, handler, own options as (flag, keywords of
+# add_argument)), in `dlearn -h` order. Every command but subsume reads a
+# database and takes the data and learner options before its own.
+COMMANDS = (
+    ("learn", "learn a definition and write it to --out", _cmd_learn,
+     (("--out", {"required": True}), ("--metrics-csv", {}))),
+    ("eval", "evaluate a definition file on examples", _cmd_eval,
+     (("--definition", {"required": True}), ("--metrics-csv", {}))),
+    ("cv", "cross-validate", _cmd_cv,
+     (("--folds", {"type": int, "default": 5}), ("--metrics-csv", {}))),
+    ("saturate", "print the ground bottom clause of one example", _cmd_saturate,
+     (("--example", {"required": True, "help": "comma separated example values"}),)),
+    ("subsume", "check subsumption between two clause files", _cmd_subsume,
+     (("clause_c", {}), ("clause_d", {}),
+      ("--budget", {"type": int, "default": subsumption.DEFAULT_BUDGET}))),
+    ("sim-index", "dump the similarity index as CSV", _cmd_sim_index, ()),
+    ("oracle", "enumerate the repairs of a small database", _cmd_oracle, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dlearn",
                                      description="rule learning over dirty relational data")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("learn", help="learn a definition and write it to --out")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics-csv", default=None)
-    p.set_defaults(fn=_cmd_learn)
-
-    p = sub.add_parser("eval", help="evaluate a definition file on examples")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.add_argument("--definition", required=True)
-    p.add_argument("--metrics-csv", default=None)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("cv", help="cross-validate")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--metrics-csv", default=None)
-    p.set_defaults(fn=_cmd_cv)
-
-    p = sub.add_parser("saturate", help="print the ground bottom clause of one example")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.add_argument("--example", required=True, help="comma separated example values")
-    p.set_defaults(fn=_cmd_saturate)
-
-    p = sub.add_parser("subsume", help="check subsumption between two clause files")
-    p.add_argument("clause_c")
-    p.add_argument("clause_d")
-    p.add_argument("--budget", type=int, default=subsumption.DEFAULT_BUDGET)
-    p.set_defaults(fn=_cmd_subsume)
-
-    p = sub.add_parser("sim-index", help="dump the similarity index as CSV")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.set_defaults(fn=_cmd_sim_index)
-
-    p = sub.add_parser("oracle", help="enumerate the repairs of a small database")
-    _add_data_args(p)
-    _add_config_args(p)
-    p.set_defaults(fn=_cmd_oracle)
-
+    for name, help_text, fn, own in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name != "subsume":
+            _add_data_args(p)
+            _add_config_args(p)
+        for flag, keywords in own:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -129,13 +129,18 @@ class Database:
     def tuples(self, relation: str) -> list[Tuple]:
         return self.tables.get(relation, [])
 
-    def values_at(self, relation: str, attribute: str) -> list[str]:
-        """Distinct values at (relation, attribute), first-seen order."""
+    def index(self, relation: str, attribute: str) -> dict[str, list[int]]:
+        """Tuple ids by value at (relation, attribute), first-seen order, empty
+        for the target; names are checked (StoreError) only on a miss."""
         idx = self.indexes.get((relation, attribute))
         if idx is None:
             self.schema.relation(relation).attr_index(attribute)
-            return []
-        return list(idx.keys())
+            return {}
+        return idx
+
+    def values_at(self, relation: str, attribute: str) -> list[str]:
+        """Distinct values at (relation, attribute), first-seen order."""
+        return list(self.index(relation, attribute))
 
 
 def build_indexes(db: Database) -> None:
@@ -220,13 +225,11 @@ def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Datab
 
 def select_eq(db: Database, relation: str, attribute: str, values) -> list[Tuple]:
     """Tuples whose value at `attribute` is in `values`, in tuple-id order."""
-    rel = db.schema.relation(relation)
-    rel.attr_index(attribute)
-    index = db.indexes.get((relation, attribute), {})
+    index = db.index(relation, attribute)
     tids = set()
     for v in values:
         tids.update(index.get(v, ()))
-    table = db.tables.get(relation, [])
+    table = db.tuples(relation)
     return [table[t] for t in sorted(tids)]
 
 
@@ -255,10 +258,8 @@ def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list
     into a similarity literal. Probe values are visited in sorted order
     and results are ordered by (tuple id, probe, matched).
     """
-    rel = db.schema.relation(relation)
-    rel.attr_index(attribute)
-    index = db.indexes.get((relation, attribute), {})
-    table = db.tables.get(relation, [])
+    index = db.index(relation, attribute)
+    table = db.tuples(relation)
     out = {}
     for probe in sorted(values):
         for other, _, pair in idx.matches(relation, attribute, probe):

@@ -225,10 +225,12 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
     left value's pairs are scored in descending bound order until the bound
     plus EPS falls below the k_m-th best score so far: the pairs after that
     score strictly below k_m kept ones, so they cannot reach the value's top
-    k_m (with k_m < 1 only the threshold bounds the scan). Truncation to the
-    k_m best matches is applied per left value and then per right value.
+    k_m. Truncation to the k_m best matches is applied per left value and
+    then per right value. With k_m < 1 every pair gets an empty table, unscored.
     """
     pair_keys = dict.fromkeys(md.pair for md in mds)
+    if k_m < 1:
+        return SimilarityIndex(entries={pair: {} for pair in pair_keys})
     counts: dict[str, Counter] = {}
     entries: dict[PairKey, dict[str, Sequence[tuple[str, float]]]] = {}
     for pair in pair_keys:
@@ -248,7 +250,7 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
                      for rv, rc in right if lv != rv]
             sure = [part for part, rv, _ in parts if _contained(lv, rv)]
             floor = threshold
-            if 0 < k_m <= len(sure):
+            if k_m <= len(sure):
                 floor = max(floor, heapq.nlargest(k_m, sure)[-1])
             bounded = []
             for part, rv, rc in parts:
@@ -261,14 +263,14 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
             best: list[float] = []  # min-heap of the k_m best scores so far
             for neg_b, rv in bounded:
                 # this pair and every later one score below k_m kept pairs
-                if len(best) == k_m > 0 and -neg_b + EPS < best[0]:
+                if len(best) == k_m and -neg_b + EPS < best[0]:
                     break
                 s = combined_similarity(lv, rv)
                 if s >= threshold:
                     scored.append((rv, s))
                     if len(best) < k_m:
                         heapq.heappush(best, s)
-                    elif k_m > 0 and s > best[0]:
+                    elif s > best[0]:
                         heapq.heapreplace(best, s)
             if scored:
                 fwd[lv] = _truncate(scored, k_m)

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import dataclasses
 import io
 import os
 import shutil
@@ -697,3 +698,55 @@ def test_parse_examples_reads_back_csv_writer_rows(case):
     pos, neg = parse_examples(buf.getvalue(), "t", arity)
     assert pos == [Example("t", tuple(v)) for label, v in rows if label == "+"]
     assert neg == [Example("t", tuple(v)) for label, v in rows if label == "-"]
+
+
+def _subparsers():
+    """Each subcommand's parser by name, in `dlearn -h` order."""
+    parser = evalcli.build_parser()
+    return next(a for a in parser._actions if a.choices is not None and a.dest == "command").choices
+
+
+DATA_OPTIONS = ["-h", "--help", "--schema", "--data", "--target", "--constraints", "--examples",
+                "--mode"]
+LEARNER_OPTIONS = ["--d", "--km", "--sample-size", "--sim-threshold", "--K", "--min-pos",
+                   "--min-precision", "--seed", "--threads", "--budget", "--repair-cap",
+                   "--cfd-cap"]
+
+
+def test_each_subcommand_lists_its_options_in_order():
+    shared = DATA_OPTIONS + LEARNER_OPTIONS
+    expect = {
+        "learn": shared + ["--out", "--metrics-csv"],
+        "eval": shared + ["--definition", "--metrics-csv"],
+        "cv": shared + ["--folds", "--metrics-csv"],
+        "saturate": shared + ["--example"],
+        "subsume": ["-h", "--help", "clause_c", "clause_d", "--budget"],
+        "sim-index": shared,
+        "oracle": shared,
+    }
+    got = {name: [s for a in p._actions for s in a.option_strings or [a.dest]]
+           for name, p in _subparsers().items()}
+    assert list(got) == list(expect) and got == expect
+
+
+def test_option_table_names_each_learner_config_field_once():
+    fields = [f.name for f in dataclasses.fields(learner.LearnerConfig)]
+    named = [name for _, name, _ in evalcli.CONFIG_OPTIONS]
+    assert sorted(named) == sorted(fields) and len(set(named)) == len(named)
+    assert [flag for flag, _, _ in evalcli.CONFIG_OPTIONS] == LEARNER_OPTIONS
+
+
+def test_every_learner_option_keeps_its_dest_and_type_and_has_help():
+    expect = {"--d": ("d", int), "--km": ("km", int), "--sample-size": ("sample_size", int),
+              "--sim-threshold": ("sim_threshold", float), "--K": ("K", int),
+              "--min-pos": ("min_pos", int), "--min-precision": ("min_precision", float),
+              "--seed": ("seed", int), "--threads": ("threads", int), "--budget": ("budget", int),
+              "--repair-cap": ("repair_cap", int), "--cfd-cap": ("cfd_cap", int)}
+    for name, p in _subparsers().items():
+        if name == "subsume":
+            continue
+        actions = {a.option_strings[0]: a for a in p._actions if a.option_strings}
+        for flag, (dest, kind) in expect.items():
+            action = actions[flag]
+            assert (action.dest, action.type) == (dest, kind), (name, flag)
+            assert action.help and action.help.strip(), (name, flag)

@@ -292,6 +292,28 @@ def test_a_clause_covering_an_example_as_a_positive_covers_it_as_a_negative(make
     assert missed == []
 
 
+def _has_cfd_repair(clause):
+    return any(isinstance(l, logic.RepairLit) and l.origin == "cfd" for l in clause.body)
+
+
+def test_covers_negative_is_sound_on_cfd_carrying_pairs():
+    # criterion 6 on clauses with CFD repair literals: a negative cover
+    # claims that some repair-free expansion of c entails g
+    carrying = covers = carrying_covers = 0
+    unsound = []
+    for c, g in _cfd_micro_case_pairs():
+        cfd = _has_cfd_repair(c) or _has_cfd_repair(g)
+        carrying += cfd
+        if covers_negative(c, g).covered:
+            covers += 1
+            carrying_covers += cfd
+            if not any(oracle.brute_force_entails(r, g, var_cap=16)
+                       for r in logic.repaired_clauses(c)):
+                unsound.append((print_clause(c), print_clause(g)))
+    assert carrying >= 19 and carrying_covers >= 15 and covers >= 350
+    assert unsound == []
+
+
 def test_soundness_engine_implies_oracle():
     rng = random.Random(77)
     positives = 0

@@ -309,6 +309,19 @@ def test_index_keeps_nothing_at_k_m_zero():
     assert all(table == {} for table in idx.entries.values())
 
 
+@pytest.mark.parametrize("k_m", [0, -1])
+def test_index_below_k_m_one_scores_no_pair(monkeypatch, k_m):
+    # a negative k_m used to keep all but the last match of each value
+    def never(*args):
+        raise AssertionError("a pair was scored")
+
+    monkeypatch.setattr(textsim, "combined_bound", never)
+    monkeypatch.setattr(textsim, "combined_similarity", never)
+    db, mds, examples = title_database(24, seed=0, family=0)
+    idx = build_similarity_index(db, examples, mds, k_m=k_m, threshold=0.65)
+    assert idx.entries == {md.pair: {} for md in mds}
+
+
 def test_pruned_index_stored_pair_reverse_lookup():
     db, mds, examples = title_database(40, seed=9, family=2, stored_pair=True)
     idx = build_similarity_index(db, examples, mds, k_m=5, threshold=0.65)

@@ -190,53 +190,80 @@ class CfdViolation:
     rhs_terms: tuple[logic.Term, logic.Term]
 
 
-def _term_matches_cell(term: logic.Term, cell: str | None, closure) -> bool:
-    if cell is None:
-        return True
-    const = logic.Constant(cell)
-    return term == const or closure.same(term, const)
+def cfd_literals(body, cfd: CFD) -> list[int]:
+    """Body positions of the relation literals that cfd constrains: those of
+    its relation that reach its X and right-hand positions."""
+    reach = max(cfd.rhs_position, *cfd.x_positions)
+    return [i for i, lit in enumerate(body)
+            if isinstance(lit, logic.Rel) and lit.relation == cfd.relation and len(lit.args) > reach]
 
 
-def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None) -> list[CfdViolation]:
+def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None, handled=frozenset(),
+                        positions=None) -> list[CfdViolation]:
     """All unordered literal pairs of cfd.relation violating the dependency.
 
     Term identity is decided by the equality closure of the clause, so split
-    variables linked by induced equality literals still count as equal. When
+    variables linked by induced equality literals still count as equal.
+    `eq_closure` maps a term to its class root by `find`: a logic.EqClosure,
+    or the util.DisjointSet that inject_cfd_repairs grows. When
     `alternatives` maps a term to candidate replacement terms, states
     reachable by choosing a replacement are searched as well; that is how
     violations induced by earlier repair literals are found. At each X
     position the first term pair in option order (the term itself, then its
     alternatives) that agrees and matches the pattern stands for the pair.
     Results are ordered by literal index pair.
+
+    A right-hand pair (z, t) for which the set `handled` holds both (z, t)
+    and (t, z) is left out: inject_cfd_repairs passes its CFD swap pairs,
+    and such a violation is already repaired both ways. `positions` lists
+    the body positions of cfd's literals (cfd_literals when None). Each
+    literal's options and their classes are found once per call, not once
+    per pair.
     """
     alternatives = alternatives or {}
-    rel_lits = [(i, lit) for i, lit in enumerate(body)
-                if isinstance(lit, logic.Rel) and lit.relation == cfd.relation
-                and len(lit.args) > max(cfd.rhs_position, *cfd.x_positions)]
-    out: list[CfdViolation] = []
+    if positions is None:
+        positions = cfd_literals(body, cfd)
+    # each class root gets a small int, so that comparing classes costs no
+    # call of a term's __eq__
+    find, class_ids = eq_closure.find, {}
 
     def options(term):
-        return dict.fromkeys([term, *alternatives.get(term, ())])
+        return [(option, class_ids.setdefault(find(option), len(class_ids)))
+                for option in dict.fromkeys([term, *alternatives.get(term, ())])]
 
-    for ai in range(len(rel_lits)):
-        for bi in range(ai + 1, len(rel_lits)):
-            i, l1 = rel_lits[ai]
-            j, l2 = rel_lits[bi]
+    cell_classes = [None if cell is None
+                    else class_ids.setdefault(find(logic.Constant(cell)), len(class_ids))
+                    for cell in cfd.cells]
+
+    # per literal: at each X position, the first option of each class among
+    # the options that match the cell (the first agreeing pair in option
+    # order is the first class of one side that the other side has), and
+    # the right-hand options
+    lits = []
+    for i in positions:
+        args = body[i].args
+        xs = []
+        for p, cell_class in zip(cfd.x_positions, cell_classes):
+            first: dict = {}
+            for option, cls in options(args[p]):
+                if cell_class is None or cls == cell_class:
+                    first.setdefault(cls, option)
+            xs.append(first)
+        lits.append((i, xs, options(args[cfd.rhs_position])))
+
+    out: list[CfdViolation] = []
+    for ai, (i, xs1, rhs1) in enumerate(lits):
+        for j, xs2, rhs2 in lits[ai + 1:]:
             chosen_x = []
-            for p, cell in zip(cfd.x_positions, cfd.cells):
-                pair = next(((t1, t2)
-                             for t1 in options(l1.args[p])
-                             for t2 in options(l2.args[p])
-                             if eq_closure.same(t1, t2)
-                             and _term_matches_cell(t1, cell, eq_closure)
-                             and _term_matches_cell(t2, cell, eq_closure)), None)
+            for first1, first2 in zip(xs1, xs2):
+                pair = next(((t1, first2[cls]) for cls, t1 in first1.items() if cls in first2),
+                            None)
                 if pair is None:
                     break
                 chosen_x.append(pair)
             else:
                 chosen_x = tuple(chosen_x)
                 out += [CfdViolation(i, j, chosen_x, (z, t))
-                        for z in options(l1.args[cfd.rhs_position])
-                        for t in options(l2.args[cfd.rhs_position])
-                        if not eq_closure.same(z, t)]
+                        for z, z_class in rhs1 for t, t_class in rhs2
+                        if z_class != t_class and not ((z, t) in handled and (t, z) in handled)]
     return out

@@ -104,22 +104,29 @@ def _component_anchors(clause: Clause):
 
 def find_blocking_literal(ordered: OrderedClause, g: Clause,
                           budget: int = DEFAULT_BUDGET,
-                          repair_cap: int = DEFAULT_REPAIR_CAP):
+                          repair_cap: int = DEFAULT_REPAIR_CAP, covering=None):
     """(index, budget_exhausted) of the first literal whose prefix fails to
     cover g; index None when the whole clause covers.
 
     The prefix at index i holds the literals that join it by then: a
     relation literal at its own position, any other at its anchor. Only the
     indices where a literal joins start a new prefix, so each distinct
-    prefix is tested once."""
+    prefix is tested once. `covering` is a set of prefix bodies (under this
+    clause's head) known to cover g: a prefix whose body is in it is not
+    tested again, since an equal clause gets an equal verdict, and each
+    prefix found to cover is added to it."""
     clause = ordered.clause
+    covering = set() if covering is None else covering
     anchors = _component_anchors(clause)
     joins = [j if isinstance(lit, Rel) else anchors[j] for j, lit in enumerate(clause.body)]
     for i in sorted({0, *(j for j in joins if j > 0)}) if joins else ():
-        prefix = Clause(clause.head, tuple(lit for lit, j in zip(clause.body, joins) if j <= i))
-        verdict = subsumption.covers_positive(prefix, g, budget, repair_cap)
+        body = tuple(lit for lit, j in zip(clause.body, joins) if j <= i)
+        if body in covering:
+            continue
+        verdict = subsumption.covers_positive(Clause(clause.head, body), g, budget, repair_cap)
         if not verdict.covered:
             return i, verdict.budget_exhausted
+        covering.add(body)
     return None, False
 
 
@@ -186,13 +193,16 @@ def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     The result is kept in g.views under the clause's head and body, and
     under its own: it is in ARMG literal order (order_clause is idempotent)
     and its last prefix walk against g found no blocking literal, so its
-    armg against g is itself. A repeat runs no coverage test."""
+    armg against g is itself. A repeat runs no coverage test. Within one
+    call, the prefix walk after each drop skips the prefix bodies that an
+    earlier walk found to cover g."""
     key = ("armg", clause.head, clause.body, budget, repair_cap)
     out = g.views.get(key)
     if out is None:
         ordered = order_clause(clause)
+        covering: set = set()
         while ordered.clause.body:
-            index, _ = find_blocking_literal(ordered, g, budget, repair_cap)
+            index, _ = find_blocking_literal(ordered, g, budget, repair_cap, covering)
             if index is None:
                 break
             ordered = drop_with_repair(ordered, index)

@@ -24,13 +24,15 @@ until a fixpoint.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import constraints as cn
 from . import logic, store
 from .store import Database, Example
 from .textsim import SimilarityIndex
-from .util import derive_rng
+from .util import DisjointSet, derive_rng
 
 
 class SaturationError(Exception):
@@ -156,18 +158,19 @@ class _VarAllocator:
         return self.by_value[value]
 
 
-def _occurrences(head: logic.Rel, rels, term) -> int:
-    """Occurrences of `term` among the head and the relation literals of
-    `rels`."""
-    return head.args.count(term) + sum(
-        lit.args.count(term) for lit in rels if isinstance(lit, logic.Rel))
+def _occurrence_counts(head: logic.Rel, body) -> Counter:
+    """Occurrences of each term among the head and the relation literals of
+    `body`."""
+    return Counter(chain(head.args, *(lit.args for lit in body if isinstance(lit, logic.Rel))))
 
 
-def _split(rels: list, i: int, pos: int, alloc: _VarAllocator) -> logic.Variable:
+def _split(rels: list, i: int, pos: int, alloc: _VarAllocator, counts: Counter) -> logic.Variable:
     """Replace argument `pos` of the relation literal rels[i] by a fresh
-    variable, and return that variable."""
+    variable, move that occurrence to it in `counts`, and return it."""
     lit = rels[i]
     split = alloc.fresh()
+    counts[lit.args[pos]] -= 1
+    counts[split] = 1
     rels[i] = logic.Rel(lit.relation, lit.args[:pos] + (split,) + lit.args[pos + 1:])
     return split
 
@@ -196,6 +199,7 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
         rels.append(logic.Rel(rt.tuple.relation,
                               tuple(term_for(v, rt.tuple.relation, i)
                                     for i, v in enumerate(rt.tuple.values))))
+    counts = _occurrence_counts(head, rels)
 
     # one trailing segment per relation literal: induced equalities from
     # splitting plus the similarity/repair group of each match
@@ -220,7 +224,7 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
             homes = [k for k, r in enumerate(rels)
                      if r.relation == probe_rel and r.args[pos] == logic.Constant(probe)]
             if len(homes) == 1:
-                split = left_splits[key] = _split(rels, homes[0], pos, alloc)
+                split = left_splits[key] = _split(rels, homes[0], pos, alloc, counts)
                 segments[homes[0]].append(logic.Eq(logic.Constant(probe), split))
                 return split
         return logic.Constant(probe)
@@ -255,9 +259,9 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
         # group may be discarded in favor of a rival and the original value
         # must stay known), the split keeps an induced equality anchor; a
         # constant matched exactly once simply turns into a variable.
-        anchored = _occurrences(head, rels, right_term) > 1 or left_fanout[left_term] > 1
+        anchored = counts[right_term] > 1 or left_fanout[left_term] > 1
         if anchored or (variabilize and isinstance(right_term, logic.Constant)):
-            split = _split(rels, li, pos, alloc)
+            split = _split(rels, li, pos, alloc, counts)
             if anchored:
                 segments[li].append(logic.Eq(right_term, split))
             right_term = split
@@ -292,27 +296,38 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     directly. Scanning repeats until a round repairs nothing: a violation
     is skipped only when it is handled or shares a literal with one
     repaired in the same round, so such a round leaves none unhandled.
+
+    Each round calls find_cfd_violations once per CFD, and the rounds keep
+    what they share up to date instead of rebuilding it (a semi-naive
+    fixpoint). A split rewrites one argument of a relation literal in place
+    to a fresh variable and appends eq(old term, fresh variable); every
+    other appended literal is a repair literal. So each part is exact: the
+    equality closure is one union-find that only adds each fresh variable
+    to an existing class, never merging two; a split moves one occurrence
+    of the head and relation literals' terms to the fresh variable; each
+    CFD's relation literals keep their positions. The finder leaves out
+    right-hand pairs swapped both ways at the round's start, which the
+    round would skip.
     """
     if not cfds or not any(isinstance(l, logic.Rel) for l in clause.body):
         return clause
-    head = clause.head
-    body = list(clause.body)
-    # one allocator for every round: each id it hands out lands in the body,
-    # so it stays the first free id without rescanning the clause
-    alloc = _VarAllocator(logic.fresh_var(clause).id)
+    state = _SplitBody(clause)
     # the body's repair literals, its CFD swap pairs and each repaired term's
     # alternatives, kept up to date as literals are appended (splits replace
     # relation literals only)
-    repairs = {l for l in body if isinstance(l, logic.RepairLit)}
+    repairs = {l for l in state.lits if isinstance(l, logic.RepairLit)}
     swaps = {(l.target, l.replacement) for l in repairs if l.origin == "cfd"}
     alternatives: dict[logic.Term, list[logic.Term]] = {}
-    for lit in body:
+    for lit in state.lits:
         if isinstance(lit, logic.RepairLit):
             alternatives.setdefault(lit.target, []).append(lit.replacement)
+    # no appended literal is a relation literal, so each CFD's literals stay
+    # where they are
+    positions = [cn.cfd_literals(state.lits, cfd) for cfd in cfds]
     for _ in range(cfg.cfd_fixpoint_cap):
-        closure = logic.EqClosure(body)
-        pending = [(cfd, v) for cfd in cfds
-                   for v in cn.find_cfd_violations(body, cfd, closure, alternatives)]
+        pending = [(cfd, v) for cfd, at in zip(cfds, positions)
+                   for v in cn.find_cfd_violations(state.lits, cfd, state.closure, alternatives,
+                                                   swaps, at)]
         touched: set[int] = set()
         for cfd, violation in pending:
             # a swap pair over the right-hand terms in both orientations means
@@ -322,41 +337,59 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
             z, t = violation.rhs_terms
             if ((z, t) in swaps and (t, z) in swaps) or {violation.first, violation.second} & touched:
                 continue
-            for lit in _repair_one_violation(head, body, cfd, violation, alloc):
+            for lit in _repair_one_violation(state, cfd, violation):
                 if lit not in repairs:
                     repairs.add(lit)
                     swaps.add((lit.target, lit.replacement))
                     alternatives.setdefault(lit.target, []).append(lit.replacement)
-                    body.append(lit)
+                    state.lits.append(lit)
             touched.update((violation.first, violation.second))
         if not touched:
-            return logic.Clause(head, tuple(body))
+            return logic.Clause(clause.head, tuple(state.lits))
     raise SaturationError(f"no repair fixpoint after {cfg.cfd_fixpoint_cap} rounds: a round "
                           "repairs each literal once, so the rounds grow with the literals that "
                           "share a CFD's left-hand values; shrink the bottom clause (--sample-size, "
                           "--d) or, for a key just past the cap, raise cfd_fixpoint_cap (--cfd-cap)")
 
 
-def _split_position(head, body: list, i: int, pos: int, alloc: _VarAllocator,
-                    rhs: bool = False) -> logic.Term:
-    """The term for the occurrence at argument `pos` of body[i]. When its
-    term appears anywhere else among the head and relation literals, the
+class _SplitBody:
+    """The body that CFD injection splits and extends, with the state its
+    rounds share: the next free variable id (every id handed out lands in
+    the body), each term's occurrences among the head and relation
+    literals, and the equality closure of the eq literals as a union-find."""
+
+    def __init__(self, clause: logic.Clause):
+        self.lits = list(clause.body)
+        self.alloc = _VarAllocator(logic.fresh_var(clause).id)
+        self.counts = _occurrence_counts(clause.head, clause.body)
+        self.closure = DisjointSet()
+        for lit in self.lits:
+            if isinstance(lit, logic.Eq):
+                self.closure.union(lit.a, lit.b)
+
+
+def _split_position(state: _SplitBody, i: int, pos: int, rhs: bool = False) -> logic.Term:
+    """The term for the occurrence at argument `pos` of body literal i. When
+    its term appears anywhere else among the head and relation literals, the
     occurrence gets its own variable, and an induced equality literal keeps
     the connection. A right-hand term (rhs=True) feeds the swap repairs,
     whose replacement slot must be a variable, so a constant there is split
     unconditionally."""
+    body = state.lits
     term = body[i].args[pos]
-    if not (rhs and isinstance(term, logic.Constant)) and _occurrences(head, body, term) <= 1:
+    if not (rhs and isinstance(term, logic.Constant)) and state.counts[term] <= 1:
         return term
-    split = _split(body, i, pos, alloc)
+    split = _split(body, i, pos, state.alloc, state.counts)
     body.append(logic.Eq(term, split))
+    state.closure.union(term, split)
     return split
 
 
-def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
-                          alloc: _VarAllocator) -> list[logic.RepairLit]:
+def _repair_one_violation(state: _SplitBody, cfd: cn.CFD,
+                          violation: cn.CfdViolation) -> list[logic.RepairLit]:
     """The repair literals of one violation, after splitting the shared
-    occurrences of its terms in body."""
+    occurrences of its terms in the body."""
+    body = state.lits
     i, j = violation.first, violation.second
     z, t = violation.rhs_terms
 
@@ -368,14 +401,14 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         t1, t2 = violation.x_terms[k]
         if cfd.cells[k] is None:
             if t1 == body[i].args[p]:
-                t1 = _split_position(head, body, i, p, alloc)
+                t1 = _split_position(state, i, p)
             if t2 == body[j].args[p]:
-                t2 = _split_position(head, body, j, p, alloc)
+                t2 = _split_position(state, j, p)
         x_pairs.append((t1, t2))
     if z == body[i].args[cfd.rhs_position]:
-        z = _split_position(head, body, i, cfd.rhs_position, alloc, rhs=True)
+        z = _split_position(state, i, cfd.rhs_position, rhs=True)
     if t == body[j].args[cfd.rhs_position]:
-        t = _split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
+        t = _split_position(state, j, cfd.rhs_position, rhs=True)
 
     atoms: list[logic.Atom] = []
     for (t1, t2), cell in zip(x_pairs, cfd.cells):
@@ -395,7 +428,7 @@ def _repair_one_violation(head, body, cfd: cn.CFD, violation: cn.CfdViolation,
         if cell is not None:
             continue
         for side in (t1, t2):
-            new_lits.append(logic.RepairLit(cond, side, alloc.fresh()))
+            new_lits.append(logic.RepairLit(cond, side, state.alloc.fresh()))
     return new_lits + [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
 
 

@@ -915,9 +915,58 @@ def reference_learn_clause(grounding, seed: Example, uncovered, negatives, cfg):
     return current, stats
 
 
+# Reference CFD violation finder: constraints.find_cfd_violations as it was
+# before it took the handled swap pairs and the CFD's literal positions. It
+# tests every option pair of every literal pair through the closure's
+# `same`. Its differential test compares the finder against it.
+
+def reference_find_cfd_violations(body, cfd: constraints.CFD, eq_closure,
+                                  alternatives=None) -> list[constraints.CfdViolation]:
+    alternatives = alternatives or {}
+    rel_lits = [(i, lit) for i, lit in enumerate(body)
+                if isinstance(lit, logic.Rel) and lit.relation == cfd.relation
+                and len(lit.args) > max(cfd.rhs_position, *cfd.x_positions)]
+    out: list[constraints.CfdViolation] = []
+
+    def options(term):
+        return dict.fromkeys([term, *alternatives.get(term, ())])
+
+    def matches_cell(term, cell):
+        if cell is None:
+            return True
+        const = logic.Constant(cell)
+        return term == const or eq_closure.same(term, const)
+
+    for ai in range(len(rel_lits)):
+        for bi in range(ai + 1, len(rel_lits)):
+            i, l1 = rel_lits[ai]
+            j, l2 = rel_lits[bi]
+            chosen_x = []
+            for p, cell in zip(cfd.x_positions, cfd.cells):
+                pair = next(((t1, t2)
+                             for t1 in options(l1.args[p])
+                             for t2 in options(l2.args[p])
+                             if eq_closure.same(t1, t2)
+                             and matches_cell(t1, cell)
+                             and matches_cell(t2, cell)), None)
+                if pair is None:
+                    break
+                chosen_x.append(pair)
+            else:
+                chosen_x = tuple(chosen_x)
+                out += [constraints.CfdViolation(i, j, chosen_x, (z, t))
+                        for z in options(l1.args[cfd.rhs_position])
+                        for t in options(l2.args[cfd.rhs_position])
+                        if not eq_closure.same(z, t)]
+    return out
+
+
 # Reference CFD repair injection: saturation.inject_cfd_repairs and
 # _repair_one_violation as they were before the body's repair literals and
-# CFD swap pairs were kept in sets. Each pending violation scans the whole
+# CFD swap pairs were kept in sets, and before the rounds shared the
+# equality closure and occurrence counts. Each round rebuilds the closure
+# and finds every violation with the reference finder, each split counts
+# occurrences over the whole body, each pending violation scans the whole
 # body for its two swaps, and each new literal is checked against the whole
 # body. Differential tests compare inject_cfd_repairs against it.
 
@@ -938,7 +987,7 @@ def reference_inject_cfd_repairs(clause: logic.Clause, cfds,
                 alternatives.setdefault(lit.target, []).append(lit.replacement)
         pending = []
         for cfd in cfds:
-            for v in constraints.find_cfd_violations(body, cfd, closure, alternatives):
+            for v in reference_find_cfd_violations(body, cfd, closure, alternatives):
                 pending.append((cfd, v))
         emitted = False
         deferred = False
@@ -982,14 +1031,14 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
         t1, t2 = violation.x_terms[k]
         if cfd.cells[k] is None:
             if t1 == body[i].args[p]:
-                t1 = saturation._split_position(head, body, i, p, alloc)
+                t1 = _reference_split_position(head, body, i, p, alloc)
             if t2 == body[j].args[p]:
-                t2 = saturation._split_position(head, body, j, p, alloc)
+                t2 = _reference_split_position(head, body, j, p, alloc)
         x_pairs.append((t1, t2))
     if z == body[i].args[cfd.rhs_position]:
-        z = saturation._split_position(head, body, i, cfd.rhs_position, alloc, rhs=True)
+        z = _reference_split_position(head, body, i, cfd.rhs_position, alloc, rhs=True)
     if t == body[j].args[cfd.rhs_position]:
-        t = saturation._split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
+        t = _reference_split_position(head, body, j, cfd.rhs_position, alloc, rhs=True)
 
     atoms: list[logic.Atom] = []
     for (t1, t2), cell in zip(x_pairs, cfd.cells):
@@ -1013,6 +1062,20 @@ def _reference_repair_one_violation(head, body, cfd: constraints.CFD,
     new_lits += [logic.RepairLit(cond, z, t), logic.RepairLit(cond, t, z)]
     body.extend(l for l in new_lits if l not in body)
     return True
+
+
+def _reference_split_position(head, body: list, i: int, pos: int,
+                              alloc: saturation._VarAllocator, rhs: bool = False) -> logic.Term:
+    term = body[i].args[pos]
+    occurrences = head.args.count(term) + sum(
+        lit.args.count(term) for lit in body if isinstance(lit, logic.Rel))
+    if not (rhs and isinstance(term, logic.Constant)) and occurrences <= 1:
+        return term
+    lit = body[i]
+    split = alloc.fresh()
+    body[i] = logic.Rel(lit.relation, lit.args[:pos] + (split,) + lit.args[pos + 1:])
+    body.append(logic.Eq(term, split))
+    return split
 
 
 # Reference drop cascade: generalization.drop_with_repair as it was when it

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -10,6 +11,8 @@ from dlearn.constraints import (MD, ConstraintError, find_cfd_violations,
 from dlearn.logic import Constant as C
 from dlearn.logic import Eq, EqClosure, Rel
 from dlearn.logic import Variable as V
+from dlearn.util import DisjointSet
+from helpers import reference_find_cfd_violations
 
 SCHEMA_TEXT = """\
 movies(id:text, title:text, year:integer)
@@ -313,3 +316,52 @@ def test_violation_via_alternatives(locale_cfd):
     alts = {V(3): [V(9)]}
     out = find_cfd_violations(body, locale_cfd, EqClosure(body), alternatives=alts)
     assert [v.rhs_terms for v in out] == [(V(9), V(4))]
+
+
+def _random_violation_input(rng):
+    """A body of mov2locale literals over small pools of variables and
+    constants (some equated by eq literals), and alternatives for a few of
+    its terms, as CFD injection builds them."""
+    pool = [V(k) for k in range(6)] + [C("English"), C("French"), C("a"), C("b")]
+    body = [Rel("mov2locale", tuple(rng.choice(pool) for _ in range(3)))
+            for _ in range(rng.randint(0, 7))]
+    body.insert(rng.randint(0, len(body)), Rel("movies", (V(0), V(1), V(2))))
+    body += [Eq(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(body)
+    extra = [V(k) for k in range(6, 10)] + [C("English")]
+    alternatives = {term: rng.sample(extra + pool, rng.randint(1, 3))
+                    for term in rng.sample(pool, rng.randint(0, 4))}
+    return tuple(body), alternatives
+
+
+def test_find_cfd_violations_equals_the_reference_finder(schema):
+    # two X positions, with a wildcard or a constant cell at each, and one;
+    # the closure is an EqClosure or the union-find that injection grows.
+    # With handled swap pairs, the violations whose right-hand pair is
+    # handled both ways are left out, and only those.
+    cfds = [make_cfd(schema, "mov2locale", ["title", "language"], "country", cells)
+            for cells in ([None, None], [None, "English"], ["a", None])]
+    cfds.append(make_cfd(schema, "mov2locale", ["language"], "title", [None]))
+    rng = random.Random(11)
+    found = filtered = 0
+    for _ in range(400):
+        body, alternatives = _random_violation_input(rng)
+        union_find = DisjointSet()
+        for lit in body:
+            if isinstance(lit, Eq):
+                union_find.union(lit.a, lit.b)
+        for cfd in cfds:
+            want = reference_find_cfd_violations(body, cfd, EqClosure(body), alternatives)
+            assert find_cfd_violations(body, cfd, EqClosure(body), alternatives) == want
+            rhs_pairs = [v.rhs_terms for v in want]
+            handled = {pair for pair in rhs_pairs if rng.random() < 0.5}
+            handled |= {(t, z) for z, t in handled if rng.random() < 0.7}
+            kept = [v for v in want
+                    if not (v.rhs_terms in handled and v.rhs_terms[::-1] in handled)]
+            positions = constraints.cfd_literals(body, cfd)
+            assert find_cfd_violations(body, cfd, union_find, alternatives, handled,
+                                       positions) == kept
+            assert find_cfd_violations(body, cfd, EqClosure(body), alternatives, handled) == kept
+            found += len(want)
+            filtered += len(want) - len(kept)
+    assert found >= 1000 and filtered >= 300, (found, filtered)

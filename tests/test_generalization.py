@@ -612,6 +612,64 @@ def test_repeated_armg_runs_no_coverage_test(monkeypatch):
     assert first >= 100 and repeats == 0 and other_limits >= 10
 
 
+def test_armg_memo_keys_on_the_repair_cap(monkeypatch):
+    # a result kept under the default cap does not answer another cap
+    real = subsumption.covers_positive
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subsumption, "covers_positive", counted)
+    pairs = [(c, _fresh(g)) for c, g in _armg_pairs() if c.body]
+    for c, g in pairs:
+        armg(c, g)
+        calls.clear()
+        armg(c, g, subsumption.DEFAULT_BUDGET, 2)
+        assert calls and all(limits == [subsumption.DEFAULT_BUDGET, 2]
+                             for _, _, *limits in calls)
+        calls.clear()
+    assert len(pairs) >= 100
+
+
+def test_armg_tests_each_covering_prefix_body_once(monkeypatch):
+    # within one armg call, a prefix body that covered g is not tested
+    # again; the result and every other test are those of a walk that tests
+    # each prefix of each intermediate clause
+    real = subsumption.covers_positive
+    calls = []
+
+    def recording(c, g, *limits):
+        verdict = real(c, g, *limits)
+        calls.append((c.head, c.body, verdict.covered))
+        return verdict
+
+    monkeypatch.setattr(subsumption, "covers_positive", recording)
+    skipped = 0
+    for c, g in _armg_pairs():
+        got = armg(c, _fresh(g))
+        got_calls, calls[:] = calls[:], []
+        ordered, g_copy = order_clause(c), _fresh(g)
+        while ordered.clause.body:
+            index, _ = reference_find_blocking_literal(ordered, g_copy)
+            if index is None:
+                break
+            ordered = drop_with_repair(ordered, index)
+        assert got == ordered.clause
+        covering, expected = set(), []
+        for head, body, covered in calls:
+            if (head, body) in covering:
+                skipped += 1
+                continue
+            expected.append((head, body, covered))
+            if covered:
+                covering.add((head, body))
+        calls.clear()
+        assert got_calls == expected
+    assert skipped >= 50, skipped
+
+
 def test_evaluate_expands_each_definition_clause_once(monkeypatch):
     db, mds, cfds, idx, examples, _ = cfd_micro_dataset(by_title=False)
     cfg = learner.LearnerConfig(d=3, sample_size=100, rng_seed=3)

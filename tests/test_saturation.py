@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -429,3 +430,138 @@ def test_self_coverage_micro_databases():
             assert subsumption.covers_positive(c, g).covered, (seed, logic.print_clause(c))
             hits += 1
     assert hits >= 40
+
+
+# the schema of test_a_key_with_too_many_names_for_the_default_cap_is_blamed_on_the_cap
+KEY_SCHEMA_TEXT = ("movies(id:text, title:text)\nmov2countries(id:text, cid:text)\n"
+                   "countries(cid:text, name:text)\nt(v:text)")
+
+
+def _country_key(names: int):
+    """(db, cfds, idx, example, config): six movies on two country keys with
+    `names` names each, and the CFD cid -> name."""
+    schema = store.parse_schema(KEY_SCHEMA_TEXT, target="t")
+    _, cfds = constraints.parse_constraints("cfd: countries : cid -> name : (_ || _)", schema)
+    cfg = LearnerConfig(d=3, sample_size=100)
+    ex = Example("t", ("m0",))
+    db = store.from_tuples(schema, {
+        "movies": [(f"m{i}", f"Title {i}") for i in range(6)],
+        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(6)],
+        "countries": [(f"c{k}", f"name {k}.{j}") for k in range(2) for j in range(names)]})
+    idx = textsim.build_similarity_index(db, [ex], [], cfg.k_m, cfg.sim_threshold)
+    return db, cfds, idx, ex, cfg
+
+
+def _injected_inputs(monkeypatch, build, *args):
+    """The clause that `build(*args)` hands to inject_cfd_repairs, with the
+    CFDs and config, and the clause it returns."""
+    calls = []
+
+    def record(clause, cfds, cfg):
+        calls.append((clause, cfds, cfg))
+        return inject_cfd_repairs(clause, cfds, cfg)
+
+    monkeypatch.setattr(saturation, "inject_cfd_repairs", record)
+    out = build(*args)
+    monkeypatch.undo()
+    (call,) = calls
+    return call, out
+
+
+@pytest.mark.parametrize("names", [2, 5, 9])
+def test_injection_equals_the_reference_on_wide_keys(monkeypatch, names):
+    # many literals per key, where violations appear after earlier repairs
+    # in every round and the handled pairs grow quadratically
+    db, cfds, idx, ex, cfg = _country_key(names)
+    for build in (ground_bottom_clause, bottom_clause):
+        (clause, cfds, cfg), got = _injected_inputs(monkeypatch, build, ex, db, [], cfds, idx, cfg)
+        assert _same_clause(got, reference_inject_cfd_repairs(clause, cfds, cfg))
+        assert len(got.body) > len(clause.body) + names * names
+
+
+def test_a_key_with_sixteen_names_prints_its_pinned_ground_clause():
+    # the reference takes seconds here, so the printed clause of the
+    # reference injection is pinned by its sha256
+    db, cfds, idx, ex, cfg = _country_key(16)
+    text = logic.print_clause(ground_bottom_clause(ex, db, [], cfds, idx, cfg))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "a02454aa37ea0518c1a77f3e67a8c2a53be0ed59f3f805275cddf56b214752d6")
+
+
+CHAINED_ROWS = {
+    # (r rows, fixpoint cap): a -> b repairs make the b values of k0 equal,
+    # which exposes b -> c violations among their c values
+    "one swap": ([("k0", "b0", "c0"), ("k0", "b1", "c0"), ("k0", "b1", "c0")], 16),
+    "b and c": ([("k0", "b0", "c0"), ("k0", "b1", "c1"), ("k0", "b0", "c0")], 64),
+    "b, then c": ([("k0", "b0", "c0"), ("k0", "b0", "c1"), ("k0", "b1", "c1")], 64),
+    "three c": ([("k0", "b0", "c0"), ("k0", "b1", "c1"), ("k0", "b1", "c2")], 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINED_ROWS))
+def test_injection_equals_the_reference_on_chained_cfds(monkeypatch, case):
+    rows, cap = CHAINED_ROWS[case]
+    schema = store.parse_schema("r(a:text, b:text, c:text)\nt(v:text)", target="t")
+    _, cfds = constraints.parse_constraints(
+        "cfd: r : a -> b : (_ || _)\ncfd: r : b -> c : (_ || _)", schema)
+    db = store.from_tuples(schema, {"r": rows})
+    ex = Example("t", ("k0",))
+    cfg = SaturationConfig(d=2, sample_size=100)
+    idx = textsim.build_similarity_index(db, [ex], [], 1, 0.5)
+    # the clauses before injection
+    clauses = []
+    monkeypatch.setattr(saturation, "inject_cfd_repairs",
+                        lambda clause, *_: clauses.append(clause) or clause)
+    for build in (ground_bottom_clause, bottom_clause):
+        build(ex, db, [], cfds, idx, cfg)
+    monkeypatch.undo()
+    for clause in clauses:
+        if cap > cfg.cfd_fixpoint_cap:
+            # both give up at the default cap
+            for inject in (inject_cfd_repairs, reference_inject_cfd_repairs):
+                with pytest.raises(SaturationError):
+                    inject(clause, cfds, cfg)
+        capped = SaturationConfig(d=2, sample_size=100, cfd_fixpoint_cap=cap)
+        got = inject_cfd_repairs(clause, cfds, capped)
+        assert _same_clause(got, reference_inject_cfd_repairs(clause, cfds, capped))
+        assert len(got.body) > len(clause.body) + 10
+
+
+def test_injection_builds_no_closure_and_finds_once_per_cfd_and_round(monkeypatch):
+    # the closure and the occurrence counts are kept across rounds, not
+    # rebuilt; a key with three names takes four rounds, the last finding
+    # nothing left to repair
+    db, cfds, idx, ex, cfg = _country_key(3)
+    (clause, cfds, _), _ = _injected_inputs(monkeypatch, ground_bottom_clause,
+                                            ex, db, [], cfds, idx, cfg)
+    with pytest.raises(SaturationError):
+        inject_cfd_repairs(clause, cfds, SaturationConfig(cfd_fixpoint_cap=3))
+    for cfd_list in (cfds, cfds * 2):
+        calls = []
+        real = constraints.find_cfd_violations
+
+        def finding(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(logic, "EqClosure", None)
+        monkeypatch.setattr(constraints, "find_cfd_violations", finding)
+        inject_cfd_repairs(clause, cfd_list, SaturationConfig(cfd_fixpoint_cap=4))
+        monkeypatch.undo()
+        assert calls == cfd_list * 4
+
+
+def test_the_last_occurrence_of_a_split_term_keeps_it():
+    # V2 occurs only in the two violating literals: splitting the first
+    # occurrence leaves one, which keeps its term, so V2 gets one induced
+    # equality; the right-hand constants feed the swaps and are split anyway
+    schema = store.parse_schema("r(a:text, b:text)\nt(v:text)", target="t")
+    _, cfds = constraints.parse_constraints("cfd: r : a -> b : (_ || _)", schema)
+    clause = logic.parse_clause("t(V0) :- r(V0,V1), r(V2,'b0'), r(V2,'b1').")
+    cfg = SaturationConfig()
+    got = inject_cfd_repairs(clause, cfds, cfg)
+    assert _same_clause(got, reference_inject_cfd_repairs(clause, cfds, cfg))
+    assert logic.print_clause(got) == (
+        "t(V0) :- r(V0,V1), r(V3,V4), r(V2,V5), eq(V2,V3), eq('b0',V4), eq('b1',V5), "
+        "rep{eq(V3,V2);neq(V4,V5)}(V3,V6), rep{eq(V3,V2);neq(V4,V5)}(V2,V7), "
+        "rep{eq(V3,V2);neq(V4,V5)}(V4,V5), rep{eq(V3,V2);neq(V4,V5)}(V5,V4).")

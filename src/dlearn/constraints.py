@@ -198,6 +198,12 @@ def cfd_literals(body, cfd: CFD) -> list[int]:
             if isinstance(lit, logic.Rel) and lit.relation == cfd.relation and len(lit.args) > reach]
 
 
+def swapped_both_ways(z, t, swaps) -> bool:
+    """Whether the (target, replacement) pairs `swaps` replace z by t and t
+    by z: a violation over the right-hand terms (z, t) is then repaired."""
+    return (z, t) in swaps and (t, z) in swaps
+
+
 def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None, handled=frozenset(),
                         positions=None) -> list[CfdViolation]:
     """All unordered literal pairs of cfd.relation violating the dependency.
@@ -213,12 +219,11 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None, handled=f
     alternatives) that agrees and matches the pattern stands for the pair.
     Results are ordered by literal index pair.
 
-    A right-hand pair (z, t) for which the set `handled` holds both (z, t)
-    and (t, z) is left out: inject_cfd_repairs passes its CFD swap pairs,
-    and such a violation is already repaired both ways. `positions` lists
-    the body positions of cfd's literals (cfd_literals when None). Each
-    literal's options and their classes are found once per call, not once
-    per pair.
+    A right-hand pair that the set `handled` swaps both ways
+    (swapped_both_ways) is left out; inject_cfd_repairs, which passes its
+    CFD swap pairs, says why that is exact. `positions` lists the body
+    positions of cfd's literals (cfd_literals when None). Each literal's
+    options and their classes are found once per call, not once per pair.
     """
     alternatives = alternatives or {}
     if positions is None:
@@ -265,5 +270,5 @@ def find_cfd_violations(body, cfd: CFD, eq_closure, alternatives=None, handled=f
                 chosen_x = tuple(chosen_x)
                 out += [CfdViolation(i, j, chosen_x, (z, t))
                         for z, z_class in rhs1 for t, t_class in rhs2
-                        if z_class != t_class and not ((z, t) in handled and (t, z) in handled)]
+                        if z_class != t_class and not swapped_both_ways(z, t, handled)]
     return out

@@ -37,8 +37,7 @@ class Metrics:
 
     @property
     def precision(self) -> float:
-        total = self.tp + self.fp
-        return self.tp / total if total else 0.0
+        return learner.precision(self.tp, self.fp)
 
     @property
     def recall(self) -> float:

@@ -264,8 +264,6 @@ def best_scored(candidates, positives, neg_gs, budget: int = DEFAULT_BUDGET,
     """(clause, score, stats) of the highest scoring candidate (see
     score_clause); ties go to the clause with fewer body literals, then to
     the lexicographically smaller printed form."""
-    if not candidates:
-        raise ValueError("no candidate clauses")
     scored = [(clause, *score_clause(clause, positives, neg_gs, budget, repair_cap))
               for clause in candidates]
     return min(scored, key=lambda s: (-s[1], len(s[0].body), logic.print_clause(s[0])))

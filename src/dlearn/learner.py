@@ -79,12 +79,13 @@ class LearnedDefinition:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def precision(tp: int, fp: int) -> float:
+    """tp / (tp + fp), and 0.0 when both are 0."""
+    return tp / (tp + fp) if tp + fp else 0.0
+
+
 def minimum_criterion(stats: ClauseStats, cfg: LearnerConfig) -> bool:
-    if stats.pos < cfg.min_pos:
-        return False
-    total = stats.pos + stats.neg
-    precision = stats.pos / total if total else 0.0
-    return precision >= cfg.min_precision
+    return stats.pos >= cfg.min_pos and precision(stats.pos, stats.neg) >= cfg.min_precision
 
 
 class Grounding:

@@ -457,6 +457,13 @@ def drop_dangling_restrictions(clause: Clause) -> Clause:
     return Clause(clause.head, tuple(body))
 
 
+def _repair_positions(clause: Clause, origin: str | None) -> list[int]:
+    """Body indices of the repair literals of one origin (of every origin
+    when None): the literals an expansion step may apply, in body order."""
+    return [i for i, l in enumerate(clause.body)
+            if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
+
+
 def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Clause]:
     """Depth-first over every application order of the repair literals of
     one origin (of every origin when None), with memoization on canonical
@@ -470,11 +477,7 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
     orders reach it, and the first clause reached with a form is kept. A
     clause's children share its equality closure, and all keys share one
     cache of printed literal forms, which lives for this call only."""
-    def applicable(c: Clause) -> list[int]:
-        return [i for i, l in enumerate(c.body)
-                if isinstance(l, RepairLit) and (origin is None or l.origin == origin)]
-
-    if not applicable(clause):
+    if not _repair_positions(clause, origin):
         return [clause]
     forms: dict = {}
     keys: dict[Clause, str] = {}
@@ -493,7 +496,7 @@ def _exhaust_repairs(clause: Clause, origin: str | None, cap: int) -> list[Claus
         if key in seen:
             continue
         seen.add(key)
-        positions = applicable(c)
+        positions = _repair_positions(c, origin)
         if positions:
             closure = EqClosure(c.body)
             stack.extend(apply_repair_literal(c, i, closure) for i in positions)
@@ -522,15 +525,12 @@ def partial_repairs(clause: Clause, origin: str, cap: int = DEFAULT_REPAIR_CAP) 
 def first_partial_repair(clause: Clause, origin: str) -> Clause:
     """One member of partial_repairs(clause, origin), up to a renaming of
     variables, reached without enumerating the others: the clause at the end
-    of the application path that always takes the last applicable repair
-    literal of the origin. That is the first path _exhaust_repairs walks, as
-    its stack pops the last child first."""
-    while True:
-        positions = [i for i, l in enumerate(clause.body)
-                     if isinstance(l, RepairLit) and l.origin == origin]
-        if not positions:
-            return clause
+    of the path that always applies the last of _repair_positions. That is
+    the first path _exhaust_repairs walks, as its stack pops the last child
+    first."""
+    while positions := _repair_positions(clause, origin):
         clause = apply_repair_literal(clause, positions[-1])
+    return clause
 
 
 # ---------------------------------------------------------------------------

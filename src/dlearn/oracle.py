@@ -211,13 +211,6 @@ def canonical_instance(clause: Clause) -> Database:
 # exhaustive subsumption and entailment
 # ---------------------------------------------------------------------------
 
-def _clause_terms(clause: Clause):
-    terms = list(clause.head.args)
-    for lit in clause.body:
-        terms.extend(logic.literal_terms(lit))
-    return list(dict.fromkeys(terms))
-
-
 def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
     """Plain subsumption by enumerating substitutions of c's variables over
     d's terms, variable by variable in id order, rejecting a partial
@@ -231,7 +224,6 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
     cvars = sorted(logic.clause_vars(c), key=lambda v: v.id)
     if len(cvars) > var_cap:
         raise OracleCapExceeded(f"too many variables for exhaustive subsumption: {len(cvars)}")
-    dterms = _clause_terms(d)
     closure = logic.EqClosure(d.body)
     d_rels: dict = {}
     d_sims = []
@@ -273,7 +265,7 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
             return False
         if i == len(cvars):
             return True
-        for term in dterms:
+        for term in d.terms:
             theta[cvars[i]] = term
             if assign(i + 1, theta):
                 return True
@@ -416,20 +408,16 @@ def normalize_clause(clause: Clause) -> Clause:
     head are pruned."""
     next_id = logic.fresh_var(clause).id
     fresh_map: dict = {}
-    for lit in [clause.head] + list(clause.body):
-        for t in logic.literal_terms(lit):
-            if isinstance(t, Constant) and is_fresh(t.value) and t not in fresh_map:
-                fresh_map[t] = Variable(next_id)
-                next_id += 1
+    for t in clause.terms:
+        if isinstance(t, Constant) and is_fresh(t.value):
+            fresh_map[t] = Variable(next_id)
+            next_id += 1
     if fresh_map:
         clause = logic.apply_substitution(clause, fresh_map)
     dsu_members: dict = {}
     mapping: dict = {}
     closure = logic.EqClosure(clause.body)
-    terms = set()
-    for lit in [clause.head] + list(clause.body):
-        terms.update(logic.literal_terms(lit))
-    for t in terms:
+    for t in clause.terms:
         dsu_members.setdefault(closure.find(t), []).append(t)
     for members in dsu_members.values():
         consts = sorted((t for t in members if isinstance(t, Constant)), key=lambda c: c.value)

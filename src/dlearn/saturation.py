@@ -76,8 +76,6 @@ class RelevantSet:
 def naive_sample(candidates: list, sample_size: int, rng: random.Random) -> list:
     """Uniform, order-preserving sample of exactly sample_size candidates
     (everything when there are fewer)."""
-    if sample_size < 1:
-        raise SaturationError("sample_size must be positive")
     if len(candidates) <= sample_size:
         return list(candidates)
     picked = sorted(rng.sample(range(len(candidates)), sample_size))
@@ -180,13 +178,13 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     """Turn a relevant-tuple set into a clause; with variabilize=False the
     constants are retained (the ground form used as a coverage target)."""
     alloc = _VarAllocator()
-    key_values = {rt.tuple.values[0] for rt in relevant.tuples}
-    head_values = set(example.values)
+    # the example's values and those at a leading position share one variable per value
+    shared = {*example.values, *(rt.tuple.values[0] for rt in relevant.tuples)}
 
     def term_for(value: str, relation: str, pos: int) -> logic.Term:
         if not variabilize:
             return logic.Constant(value)
-        if value in head_values or value in key_values:
+        if value in shared:
             return alloc.shared(value)
         if schema.relation(relation).attributes[pos].domain == "integer":
             return alloc.fresh()
@@ -209,7 +207,7 @@ def build_bottom_clause(example: Example, relevant: RelevantSet, cfds, schema: s
     left_splits: dict[tuple, logic.Term] = {}
 
     def left_term_for(probe: str, probe_side) -> logic.Term:
-        if variabilize and probe in head_values | key_values:
+        if variabilize and probe in shared:
             return alloc.shared(probe)
         probe_rel, probe_attr = probe_side
         if probe_rel != example.relation:
@@ -305,9 +303,11 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     equality closure is one union-find that only adds each fresh variable
     to an existing class, never merging two; a split moves one occurrence
     of the head and relation literals' terms to the fresh variable; each
-    CFD's relation literals keep their positions. The finder leaves out
-    right-hand pairs swapped both ways at the round's start, which the
-    round would skip.
+    CFD's relation literals keep their positions. A violation is handled
+    when the swap pairs swap its right-hand terms both ways
+    (constraints.swapped_both_ways). The finder leaves out those handled at
+    the round's start and the round skips those handled since, by that one
+    rule, so the finder's cut changes nothing the round does.
     """
     if not cfds or not any(isinstance(l, logic.Rel) for l in clause.body):
         return clause
@@ -330,12 +330,10 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
                                                    swaps, at)]
         touched: set[int] = set()
         for cfd, violation in pending:
-            # a swap pair over the right-hand terms in both orientations means
-            # the violation, or an equivalent alternative-choice view of it,
-            # is done; splits mutate literals in place, so one that shares a
-            # literal with a violation repaired this round waits for the rescan
-            z, t = violation.rhs_terms
-            if ((z, t) in swaps and (t, z) in swaps) or {violation.first, violation.second} & touched:
+            # splits mutate literals in place, so a violation that shares a
+            # literal with one repaired this round waits for the rescan
+            if (cn.swapped_both_ways(*violation.rhs_terms, swaps)
+                    or {violation.first, violation.second} & touched):
                 continue
             for lit in _repair_one_violation(state, cfd, violation):
                 if lit not in repairs:

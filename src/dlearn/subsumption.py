@@ -254,7 +254,9 @@ class _Matcher:
         the pattern keeps demanding the constant, unless the pattern repairs
         the very same constant and the two rewrites run in lockstep. Only a
         leaf reads it, where every relation and repair literal of c is
-        mapped, so it depends on c and d alone."""
+        mapped, so it depends on c and d alone. It stays at the leaf, not at
+        the root of solve: there only the searches that reach a leaf pay for
+        it, while at the root every search would, also one that ends sooner."""
         demands = {t for t in self.c.head.args if isinstance(t, Constant)}
         demands.update(t for lit in self.c.body if isinstance(lit, Rel)
                        for t in lit.args if isinstance(t, Constant))
@@ -414,8 +416,10 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
        countries('c1','US').`, which entails it;
     3. otherwise expand the CFD repair literals on both sides and require
        every expansion of c to subsume some expansion of g. One expansion
-       of c is tried first, without expanding anything else
-       (logic.first_partial_repair): if it needs a constant that g lacks
+       of c is tried first, without expanding anything else:
+       logic.first_partial_repair, the end of the first path that
+       partial_repairs walks, since both step through
+       logic._repair_positions. If it needs a constant that g lacks
        (_needed_constants), the stage rejects at once. This is exact:
        every expansion of g has only terms of g, as a repair rewrites its
        target to its replacement, already a term of g, and otherwise only

@@ -1,30 +1,12 @@
 """String similarity: local alignment with affine gaps, length ratio, and the
 precomputed cross-attribute match index used by similarity selection.
 
-Scoring constants live in one block below. The combined operator is the
-average of the alignment score (normalized into [0, 1]) and the length ratio.
-
-A pair where one value occurs inside the other (a containment pair) is
-answered without the alignment: the shorter value aligns whole, its matches
-sum to the perfect score exactly, so its alignment part is 1.0 and its
-combined score (1 + length ratio) / 2. That length part also bounds the
-score of every pair, since the alignment part is at most 1.0.
-
-The index build never aligns a value pair whose combined_bound plus EPS is
-below the threshold: such a pair cannot be kept (count filtering, Gravano et
-al., VLDB 2001). Before it counts characters, it drops every pair whose
-length part plus EPS is below a length floor: the k_m-th best score of the
-left value's containment pairs, or the threshold when that is higher. Per
-left value it then aligns the remaining right values in descending bound
-order and stops at the first whose bound plus EPS is below a floor: the
-k_m-th best score kept so far for that value (kept scores are at or above
-the threshold). Every pair from there on scores strictly below k_m kept
-pairs, so it cannot be among that value's k_m best, ties included. A pair
-the length cut drops scores strictly below k_m containment pairs, whose
-bound is their score, so the scan would stop before it too: the cut leaves
-the aligned pairs as they are. Every pair it aligns gets exactly the score
-it would get unpruned, so the kept entries, their scores and their order do
-not change.
+Scoring constants live in one block below. The combined operator, _combined,
+is the mean of an alignment part in [0, 1] and the length ratio: a pair's
+score (combined_similarity), its pre-alignment bound (combined_bound) and the
+index build's length part all call it. A pair where one value occurs inside
+the other (a containment pair) gets alignment part 1.0 without the alignment
+(swg_similarity). build_similarity_index says why its pruning is exact.
 """
 
 from __future__ import annotations
@@ -118,8 +100,13 @@ def swg_similarity(a: str, b: str) -> float:
     return min(1.0, best / (MATCH_SCORE * min(la, lb)))
 
 
+def _combined(alignment: float, a: str, b: str) -> float:
+    """The combined operator: the mean of an alignment part and the length part."""
+    return (alignment + length_similarity(a, b)) / 2.0
+
+
 def combined_similarity(a: str, b: str) -> float:
-    return (swg_similarity(a, b) + length_similarity(a, b)) / 2.0
+    return _combined(swg_similarity(a, b), a, b)
 
 
 def combined_bound(a: str, counts_a: Counter, b: str, counts_b: Counter) -> float:
@@ -138,7 +125,7 @@ def combined_bound(a: str, counts_a: Counter, b: str, counts_b: Counter) -> floa
     for ch, n in counts_a.items():
         m = counts_b.get(ch, 0)
         common += n if n < m else m
-    return (min(1.0, common / shorter) + length_similarity(a, b)) / 2.0
+    return _combined(min(1.0, common / shorter), a, b)
 
 
 @dataclass
@@ -218,15 +205,26 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
 
     Identical value pairs are skipped: exact matches are already reachable
     through equality selection and unifying two equal values changes nothing.
-    Pairs whose combined_bound plus EPS is below the threshold are skipped
-    unscored; they could not be kept. So are pairs whose length part plus
-    EPS is below the k_m-th best score of the value's containment pairs
-    (exact without alignment): k_m pairs score above them. The rest of a
-    left value's pairs are scored in descending bound order until the bound
-    plus EPS falls below the k_m-th best score so far: the pairs after that
-    score strictly below k_m kept ones, so they cannot reach the value's top
-    k_m. Truncation to the k_m best matches is applied per left value and
-    then per right value. With k_m < 1 every pair gets an empty table, unscored.
+    Truncation to the k_m best matches is applied per left value and then
+    per right value. With k_m < 1 every pair gets an empty table, unscored.
+
+    Pruning changes no kept entry, score or order, ties included. Every
+    test adds EPS to the side that could prune, so float rounding never
+    prunes a pair that scores at a floor.
+    - A pair's length part, _combined(1.0, ...), bounds its score, since an
+      alignment part is at most 1.0. For a containment pair it is the exact
+      score, and its combined_bound too: all three are _combined with the
+      alignment part 1.0. A pair whose length part is below the length
+      floor, the k_m-th best containment score of its left value or the
+      threshold when that is higher, is dropped before its characters are
+      counted.
+    - A pair whose combined_bound is below the threshold is never aligned:
+      it cannot be kept (count filtering, Gravano et al., VLDB 2001).
+    - The rest of a left value's pairs are aligned in descending bound
+      order until a bound falls below the k_m-th best score kept so far:
+      that pair and every later one score strictly below k_m kept pairs.
+      The scan would stop before each pair the length cut drops too, since
+      k_m containment pairs, kept at their bounds, score above it.
     """
     pair_keys = dict.fromkeys(md.pair for md in mds)
     if k_m < 1:
@@ -244,10 +242,9 @@ def build_similarity_index(db: Database, examples, mds, k_m: int, threshold: flo
         fwd: dict[str, list[tuple[str, float]]] = {}
         for lv in left_values:
             lc = counts[lv]
-            # (1 + length ratio) / 2 bounds a pair's score, and is the exact
-            # score of a pair where one value contains the other
-            parts = [((1.0 + length_similarity(lv, rv)) / 2.0, rv, rc)
-                     for rv, rc in right if lv != rv]
+            # an alignment part of 1.0 bounds a pair's score, and is the
+            # exact alignment part of a containment pair
+            parts = [(_combined(1.0, lv, rv), rv, rc) for rv, rc in right if lv != rv]
             sure = [part for part, rv, _ in parts if _contained(lv, rv)]
             floor = threshold
             if k_m <= len(sure):

@@ -230,6 +230,41 @@ def title_database(n: int, seed: int, family: int = 0, stored_pair: bool = False
     return db, mds, [Example("highGrossing", (t,)) for t in titles]
 
 
+GENRE_SCHEMA_TEXT = """\
+movies(id:text, title:text, year:integer)
+mov2genres(id:text, genre:text)
+mov2countries(id:text, country:text)
+countries(id:text, name:text)
+highGrossing(title:text)
+"""
+COUNTRY_CFD = "cfd: countries : id -> name : (_ || _)"
+
+
+def genre_database(n: int, seed: int, family: int = 0, cfd: bool = False):
+    """(db, mds, cfds, pos, neg) over seeded titles split by genre, with
+    label noise. The first half of the movies are comedies and the rest
+    dramas; every comedy's title is a positive example except every fifth,
+    which is a negative like every drama's. So a clause that keeps the
+    comedy literal covers positives and negatives alike. With cfd=True the
+    movies alternate between two country ids of two names each, under the
+    CFD id -> name, so every country is a violation."""
+    schema = store.parse_schema(GENRE_SCHEMA_TEXT, target="highGrossing")
+    titles = seeded_titles(n, seed, family)
+    half = n // 2
+    db = store.from_tuples(schema, {
+        "movies": title_rows(titles)["movies"],
+        "mov2genres": [(f"m{i}", "comedy" if i < half else "drama") for i in range(n)],
+        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)] if cfd else [],
+        "countries": [("c0", "USA"), ("c0", "United States"), ("c1", "Spain"),
+                      ("c1", "Espana")] if cfd else [],
+    })
+    mds, cfds = constraints.parse_constraints(TITLE_MD + ("\n" + COUNTRY_CFD if cfd else ""), schema)
+    positive = [i < half and i % 5 != 0 for i in range(n)]
+    pos = [Example("highGrossing", (t,)) for t, p in zip(titles, positive) if p]
+    neg = [Example("highGrossing", (t,)) for t, p in zip(titles, positive) if not p]
+    return db, mds, cfds, pos, neg
+
+
 def brute_force_index(db, examples, mds, k_m: int, threshold: float):
     """Reference for textsim.build_similarity_index(...).entries: scores every
     cross pair of distinct values with combined_similarity, keeps the k_m

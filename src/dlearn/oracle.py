@@ -1,10 +1,15 @@
 """Brute-force machinery used as ground truth in tests: exhaustive repair
-enumeration of small database instances, exhaustive subsumption, entailment
-between clauses via their repair-free expansions, coverage evaluated over
-enumerated repairs, and the canonical database instance of a clause.
+enumeration of small database instances, subsumption, entailment between
+clauses via their repair-free expansions, coverage evaluated over enumerated
+repairs, and the canonical database instance of a clause.
 
-Everything here trades speed for being an independent check of the engine:
-subsumption is substitution enumeration, never the backtracking matcher.
+Everything here trades speed for being an independent check of the engine.
+One join evaluates a clause as a conjunctive query over rows: over an
+enumerated repair for coverage, and over the canonical instance of a clause
+for subsumption, since c subsumes d exactly when the query c returns d's
+seed tuple on d's canonical instance (Chandra & Merlin, STOC 1977). It is
+never the backtracking matcher: no literal ordering, no candidate reuse and
+no budget.
 """
 
 from __future__ import annotations
@@ -208,71 +213,91 @@ def canonical_instance(clause: Clause) -> Database:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive subsumption and entailment
+# the join, subsumption and entailment
 # ---------------------------------------------------------------------------
 
+def _bind(args, row, theta, read):
+    """theta extended so that `args` read as `row`, or None when they cannot."""
+    if len(args) != len(row):
+        return None
+    out = dict(theta)
+    for t, v in zip(args, row):
+        if (out.setdefault(t, v) if isinstance(t, Variable) else read(t)) != v:
+            return None
+    return out
+
+
+def _join(head_args, head_row, body, rows, read, eq, sim, domain) -> bool:
+    """Whether the conjunctive query `head_args :- body` returns `head_row`
+    over `rows` (relation -> rows), a constant reading as `read(constant)`.
+
+    It binds the head to `head_row`, joins each relation literal, in body
+    order, against the rows of its relation and arity, and tests each eq/sim
+    literal by the predicate `eq` or `sim` as soon as both of its terms are
+    bound. Only the variables that neither the head nor a relation literal
+    binds range over `domain`."""
+    rels = [lit for lit in body if isinstance(lit, Rel)]
+    tests = [lit for lit in body if not isinstance(lit, Rel)]
+    binds = [head_args] + [lit.args for lit in rels]
+    step = {}  # each variable's binding step
+    for i, args in enumerate(binds):
+        for t in args:
+            if isinstance(t, Variable):
+                step.setdefault(t, i)
+    free = list(dict.fromkeys(t for lit in tests for t in (lit.a, lit.b)
+                              if isinstance(t, Variable) and t not in step))
+    for t in free:
+        step[t] = len(binds)
+        binds.append((t,))
+    sources = [(head_row,)] + [rows.get(lit.relation, ()) for lit in rels]
+    if free:
+        sources += [[(v,) for v in dict.fromkeys(domain)]] * len(free)
+    due = [[] for _ in binds]  # the eq/sim literals each step completes
+    for lit in tests:
+        due[max(step[t] if isinstance(t, Variable) else 0 for t in (lit.a, lit.b))].append(lit)
+
+    def holds(lit, theta):
+        a, b = (theta[t] if isinstance(t, Variable) else read(t) for t in (lit.a, lit.b))
+        return eq(a, b) if isinstance(lit, Eq) else sim(a, b)
+
+    def extend(i, theta):
+        if i == len(binds):
+            return True
+        for row in sources[i]:
+            t2 = _bind(binds[i], row, theta, read)
+            if t2 is not None and all(holds(lit, t2) for lit in due[i]) and extend(i + 1, t2):
+                return True
+        return False
+
+    return extend(0, {})
+
+
 def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
-    """Plain subsumption by enumerating substitutions of c's variables over
-    d's terms, variable by variable in id order, rejecting a partial
-    assignment as soon as a fully bound literal fails. No search heuristics
-    and no budget: an independent check of the backtracking engine."""
+    """Plain subsumption as a query over the canonical instance of d: c
+    subsumes d exactly when the query c returns d's seed tuple on I^d
+    (Chandra & Merlin, STOC 1977). The rows are d's relation literals, terms
+    read as themselves; eq holds by d's equality closure, and sim by it or
+    by a sim literal of d either way round. Free variables range over d's
+    terms. No search heuristics and no budget: an independent check of the
+    backtracking engine."""
     for lit in list(c.body) + list(d.body):
         if isinstance(lit, RepairLit):
             raise ValueError("exhaustive subsumption expects repair-free clauses")
     if c.head.relation != d.head.relation or len(c.head.args) != len(d.head.args):
         return False
-    cvars = sorted(logic.clause_vars(c), key=lambda v: v.id)
-    if len(cvars) > var_cap:
-        raise OracleCapExceeded(f"too many variables for exhaustive subsumption: {len(cvars)}")
+    n_vars = len(logic.clause_vars(c))
+    if n_vars > var_cap:
+        raise OracleCapExceeded(f"too many variables for exhaustive subsumption: {n_vars}")
     closure = logic.EqClosure(d.body)
-    d_rels: dict = {}
-    d_sims = []
+    rows: dict = {}
+    sims = set()
     for lit in d.body:
         if isinstance(lit, Rel):
-            d_rels.setdefault((lit.relation, len(lit.args)), set()).add(lit.args)
+            rows.setdefault(lit.relation, []).append(lit.args)
         elif isinstance(lit, Sim):
-            d_sims.append(lit)
-
-    def sim_ok(a, b):
-        if closure.same(a, b):
-            return True
-        for s in d_sims:
-            if (s.a, s.b) == (a, b) or (s.a, s.b) == (b, a):
-                return True
-        return False
-
-    lits = [("head", c.head)] + [(None, lit) for lit in c.body]
-
-    def lit_ok(kind, lit, theta, bound):
-        def mapped(t):
-            return theta.get(t, t) if isinstance(t, Variable) else t
-
-        if any(isinstance(t, Variable) and t not in bound
-               for t in ((lit.args if kind == "head" or isinstance(lit, Rel)
-                          else (lit.a, lit.b)))):
-            return True  # not fully bound yet; checked later
-        if kind == "head":
-            return tuple(mapped(t) for t in lit.args) == d.head.args
-        if isinstance(lit, Rel):
-            return tuple(mapped(t) for t in lit.args) in d_rels.get((lit.relation, len(lit.args)), ())
-        if isinstance(lit, Eq):
-            return closure.same(mapped(lit.a), mapped(lit.b))
-        return sim_ok(mapped(lit.a), mapped(lit.b))
-
-    def assign(i, theta):
-        bound = set(theta)
-        if not all(lit_ok(kind, lit, theta, bound) for kind, lit in lits):
-            return False
-        if i == len(cvars):
-            return True
-        for term in d.terms:
-            theta[cvars[i]] = term
-            if assign(i + 1, theta):
-                return True
-            del theta[cvars[i]]
-        return False
-
-    return assign(0, {})
+            sims.update(((lit.a, lit.b), (lit.b, lit.a)))
+    return _join(c.head.args, d.head.args, c.body, rows, lambda t: t, closure.same,
+                 lambda a, b: closure.same(a, b) or (a, b) in sims, d.terms)
 
 
 def brute_force_entails(c: Clause, d: Clause, repair_cap: int = logic.DEFAULT_REPAIR_CAP,
@@ -295,76 +320,14 @@ def brute_force_entails(c: Clause, d: Clause, repair_cap: int = logic.DEFAULT_RE
 
 def _eval_clause(clause: Clause, instance: Instance, head_row: tuple, sim_pairs: frozenset) -> bool:
     """Conjunctive-query evaluation of a repair-free clause over an instance,
-    with the head bound to the given row."""
-    if len(clause.head.args) != len(head_row):
-        return False
-    theta: dict = {}
-    for t, v in zip(clause.head.args, head_row):
-        if isinstance(t, Constant):
-            if t.value != v:
-                return False
-        elif t in theta:
-            if theta[t] != v:
-                return False
-        else:
-            theta[t] = v
-    rels = [l for l in clause.body if isinstance(l, Rel)]
-    others = [l for l in clause.body if not isinstance(l, Rel)]
-
-    def value_of(term, theta):
-        if isinstance(term, Constant):
-            return term.value
-        return theta.get(term)
-
-    def check_others(theta):
-        for lit in others:
-            a, b = value_of(lit.a, theta), value_of(lit.b, theta)
-            if a is None or b is None:
-                continue
-            if isinstance(lit, Eq):
-                if a != b:
-                    return False
-            else:
-                if a != b and frozenset((a, b)) not in sim_pairs:
-                    return False
-        return True
-
-    def bind(i, theta):
-        if not check_others(theta):
-            return False
-        if i == len(rels):
-            # any leftover unbound variables in eq/sim literals: ground them
-            free = [t for lit in others for t in (lit.a, lit.b)
-                    if isinstance(t, Variable) and t not in theta]
-            if not free:
-                return True
-            domain = sorted({v for rows in instance.values() for row in rows for v in row} | set(head_row))
-            for val in domain:
-                t2 = dict(theta)
-                t2[free[0]] = val
-                if bind(i, t2):
-                    return True
-            return False
-        lit = rels[i]
-        for row in instance.get(lit.relation, []):
-            t2 = dict(theta)
-            good = True
-            for term, v in zip(lit.args, row):
-                if isinstance(term, Constant):
-                    if term.value != v:
-                        good = False
-                        break
-                elif term in t2:
-                    if t2[term] != v:
-                        good = False
-                        break
-                else:
-                    t2[term] = v
-            if good and bind(i + 1, t2):
-                return True
-        return False
-
-    return bind(0, theta)
+    with the head bound to the given row: constants read as their values, eq
+    is equality, and sim is equality or a pair of `sim_pairs`. Free
+    variables range over the instance's values and the head row's."""
+    domain = itertools.chain(head_row,
+                             (v for rows in instance.values() for row in rows for v in row))
+    return _join(clause.head.args, head_row, clause.body, instance, lambda t: t.value,
+                 lambda a, b: a == b, lambda a, b: a == b or frozenset((a, b)) in sim_pairs,
+                 domain)
 
 
 def brute_force_covers(clauses, example_row_index: int, sign: str, db: Database,

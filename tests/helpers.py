@@ -6,7 +6,7 @@ from __future__ import annotations
 import gc
 import random
 
-from dlearn import constraints, generalization, logic, saturation, store, subsumption, textsim
+from dlearn import constraints, generalization, logic, oracle, saturation, store, subsumption, textsim
 from dlearn.store import Example
 from dlearn.util import derive_rng
 
@@ -240,23 +240,26 @@ highGrossing(title:text)
 COUNTRY_CFD = "cfd: countries : id -> name : (_ || _)"
 
 
-def genre_database(n: int, seed: int, family: int = 0, cfd: bool = False):
+def genre_database(n: int, seed: int, family: int = 0, cfd: bool = False,
+                   countries: bool = False):
     """(db, mds, cfds, pos, neg) over seeded titles split by genre, with
     label noise. The first half of the movies are comedies and the rest
     dramas; every comedy's title is a positive example except every fifth,
     which is a negative like every drama's. So a clause that keeps the
     comedy literal covers positives and negatives alike. With cfd=True the
     movies alternate between two country ids of two names each, under the
-    CFD id -> name, so every country is a violation."""
+    CFD id -> name, so every country is a violation. countries=True adds the
+    same two country tables without the CFD."""
     schema = store.parse_schema(GENRE_SCHEMA_TEXT, target="highGrossing")
     titles = seeded_titles(n, seed, family)
     half = n // 2
+    tables = cfd or countries
     db = store.from_tuples(schema, {
         "movies": title_rows(titles)["movies"],
         "mov2genres": [(f"m{i}", "comedy" if i < half else "drama") for i in range(n)],
-        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)] if cfd else [],
+        "mov2countries": [(f"m{i}", f"c{i % 2}") for i in range(n)] if tables else [],
         "countries": [("c0", "USA"), ("c0", "United States"), ("c1", "Spain"),
-                      ("c1", "Espana")] if cfd else [],
+                      ("c1", "Espana")] if tables else [],
     })
     mds, cfds = constraints.parse_constraints(TITLE_MD + ("\n" + COUNTRY_CFD if cfd else ""), schema)
     positive = [i < half and i % 5 != 0 for i in range(n)]
@@ -828,6 +831,73 @@ class _ReferenceMatcher:
 def reference_subsumes(c: logic.Clause, d: logic.Clause, with_repairs: bool,
                        budget: int = subsumption.DEFAULT_BUDGET) -> subsumption.CoverageVerdict:
     return _ReferenceMatcher(c, d, with_repairs, budget).solve()
+
+
+# Reference subsumption: oracle.exhaustive_subsumes as it was when it
+# enumerated every variable of c over every term of d. The differential test
+# of the oracle's join compares against it.
+
+def reference_exhaustive_subsumes(c: logic.Clause, d: logic.Clause, var_cap: int = 10) -> bool:
+    """Plain subsumption by enumerating substitutions of c's variables over
+    d's terms, variable by variable in id order, rejecting a partial
+    assignment as soon as a fully bound literal fails."""
+    for lit in list(c.body) + list(d.body):
+        if isinstance(lit, logic.RepairLit):
+            raise ValueError("exhaustive subsumption expects repair-free clauses")
+    if c.head.relation != d.head.relation or len(c.head.args) != len(d.head.args):
+        return False
+    cvars = sorted(logic.clause_vars(c), key=lambda v: v.id)
+    if len(cvars) > var_cap:
+        raise oracle.OracleCapExceeded(f"too many variables for exhaustive subsumption: {len(cvars)}")
+    closure = logic.EqClosure(d.body)
+    d_rels: dict = {}
+    d_sims = []
+    for lit in d.body:
+        if isinstance(lit, logic.Rel):
+            d_rels.setdefault((lit.relation, len(lit.args)), set()).add(lit.args)
+        elif isinstance(lit, logic.Sim):
+            d_sims.append(lit)
+
+    def sim_ok(a, b):
+        if closure.same(a, b):
+            return True
+        for s in d_sims:
+            if (s.a, s.b) == (a, b) or (s.a, s.b) == (b, a):
+                return True
+        return False
+
+    lits = [("head", c.head)] + [(None, lit) for lit in c.body]
+
+    def lit_ok(kind, lit, theta, bound):
+        def mapped(t):
+            return theta.get(t, t) if isinstance(t, logic.Variable) else t
+
+        if any(isinstance(t, logic.Variable) and t not in bound
+               for t in ((lit.args if kind == "head" or isinstance(lit, logic.Rel)
+                          else (lit.a, lit.b)))):
+            return True  # not fully bound yet; checked later
+        if kind == "head":
+            return tuple(mapped(t) for t in lit.args) == d.head.args
+        if isinstance(lit, logic.Rel):
+            return tuple(mapped(t) for t in lit.args) in d_rels.get((lit.relation, len(lit.args)), ())
+        if isinstance(lit, logic.Eq):
+            return closure.same(mapped(lit.a), mapped(lit.b))
+        return sim_ok(mapped(lit.a), mapped(lit.b))
+
+    def assign(i, theta):
+        bound = set(theta)
+        if not all(lit_ok(kind, lit, theta, bound) for kind, lit in lits):
+            return False
+        if i == len(cvars):
+            return True
+        for term in d.terms:
+            theta[cvars[i]] = term
+            if assign(i + 1, theta):
+                return True
+            del theta[cvars[i]]
+        return False
+
+    return assign(0, {})
 
 
 # Reference MD part: subsumption.md_part as it was when it ran one repair

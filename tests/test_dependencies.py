@@ -33,6 +33,25 @@ def test_package_imports_only_the_standard_library():
     assert {"dataclasses", "re"} <= seen
 
 
+def _package_imports(path):
+    """The package modules a file imports from, by name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("dlearn."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dlearn")):
+            module = (node.module or "").removeprefix("dlearn").lstrip(".")
+            yield from ([module.partition(".")[0]] if module else
+                        (alias.name for alias in node.names))
+
+
+def test_oracle_imports_from_the_package_only_logic_and_store():
+    """The oracle is an independent check of the engine: it reads clauses
+    (logic) and databases (store), and never the saturation, subsumption or
+    learning code it checks."""
+    assert set(_package_imports(PACKAGE / "oracle.py")) == {"logic", "store"}
+
+
 def _unused_imports(path):
     """(line, name) of every name an import in a file binds (`__future__`
     aside) that the file never reads."""

@@ -118,15 +118,16 @@ def test_cross_validate_mini():
 
 
 @functools.cache
-def _verdicts_and_oracle(seed: int, family: int, k_m: int, cfd: bool = False):
+def _verdicts_and_oracle(seed: int, family: int, k_m: int, cfd: bool = False,
+                         countries: bool = False):
     """(sign, evaluate's verdict, oracle verdict) for each definition clause
     and held-out example of the three folds of genre_database(30, seed,
-    family, cfd), learned and evaluated as cross_validate does. The verdicts
-    come from the coverage calls that evaluate makes, and first must
-    reproduce its counts. The oracle is oracle.brute_force_entails(c, g) for
+    family, cfd, countries), learned and evaluated as cross_validate does.
+    The verdicts come from the coverage calls that evaluate makes, and first
+    must reproduce its counts. The oracle is oracle.brute_force_entails(c, g) for
     a positive, and for a negative whether some member of
     logic.repaired_clauses(c) entails g."""
-    db, mds, cfds, pos, neg = genre_database(30, seed, family, cfd)
+    db, mds, cfds, pos, neg = genre_database(30, seed, family, cfd, countries)
     cfg = learner.LearnerConfig(d=3, rng_seed=7, k_m=k_m)
     limits = (cfg.subsumption_budget, cfg.repair_cap)
 
@@ -159,10 +160,11 @@ def _oracle_covers(verdicts, sign):
     return sum(truth for s, _, truth in verdicts if s == sign)
 
 
-@pytest.mark.parametrize("cfd", [False, True])
-def test_evaluate_agrees_with_the_oracle_without_fan_out(cfd):
+@pytest.mark.parametrize("cfd, countries", [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "countries"])
+def test_evaluate_agrees_with_the_oracle_without_fan_out(cfd, countries):
     # k_m 1: each title has at most one similar movie
-    verdicts = [v for seed in range(3) for v in _verdicts_and_oracle(seed, 0, 1, cfd)]
+    verdicts = [v for seed in range(3) for v in _verdicts_and_oracle(seed, 0, 1, cfd, countries)]
     assert [v for v in verdicts if v[1] != v[2]] == []
     assert _oracle_covers(verdicts, "+") >= 30 and _oracle_covers(verdicts, "-") >= 6
 

@@ -1,8 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from dlearn import constraints, logic, oracle, saturation, store, textsim
+from dlearn import constraints, learner, logic, oracle, saturation, store, textsim
 from dlearn.logic import ClauseError, parse_clause, print_clause
 from dlearn.oracle import (OracleCapExceeded, brute_force_covers,
                            brute_force_entails, canonical_instance, clause_set_key,
@@ -10,6 +11,8 @@ from dlearn.oracle import (OracleCapExceeded, brute_force_covers,
                            enumerate_repairs, exhaustive_subsumes,
                            fresh_value, is_fresh, normalize_clause)
 from dlearn.store import Example
+from helpers import (cfd_micro_db_clauses, clause_pair, genre_database, random_drop_variant,
+                     reference_exhaustive_subsumes)
 
 
 def test_fresh_value_symmetric_and_distinct():
@@ -145,6 +148,72 @@ def test_exhaustive_subsumes_var_cap():
     c = parse_clause("t(V0) :- r(V0,V1,V2,V3,V4,V5,V6,V7,V8,V9,V10).")
     with pytest.raises(OracleCapExceeded):
         exhaustive_subsumes(c, c, var_cap=5)
+
+
+def _genre_triples(seeds, family, k_m):
+    """Per seed, a (bottom clause, drop variant, ground bottom clause)
+    triple for each example of genre_database(10, seed, family)."""
+    cases = []
+    for seed in seeds:
+        db, mds, cfds, pos, neg = genre_database(10, seed, family)
+        cfg = learner.LearnerConfig(d=3, rng_seed=7, k_m=k_m)
+        grounding = learner.Grounding(db, mds, cfds, pos + neg, cfg)
+        rng = random.Random(seed)
+        triples = []
+        for e in pos + neg:
+            bottom = saturation.bottom_clause(e, db, mds, cfds, grounding.idx, cfg)
+            triples.append((bottom, random_drop_variant(bottom, rng), grounding.ground[e.key()]))
+        cases.append(triples)
+    return cases
+
+
+def _join_pairs(source):
+    """(c, d) clause pairs: per example, its bottom clause against its own
+    ground clause and its drop variant against every ground clause of its
+    database; or clause_pair's drop variants."""
+    if source == "clause-pair":
+        rng = random.Random(3)
+        return [clause_pair(rng, with_cfd=i % 2 == 1, same_example=i % 3 == 0) for i in range(100)]
+    cases = {"cfd-micro": cfd_micro_db_clauses,
+             "genre": lambda: _genre_triples(range(5), 0, 1),
+             "genre-fan-out": lambda: _genre_triples(range(5), 2, 5)}[source]()
+    return [pair for triples in cases for bottom, drop, g in triples
+            for pair in [(bottom, g)] + [(drop, other) for _, _, other in triples]]
+
+
+# the enumeration's cost grows as |terms of d|^|variables of c|, so each
+# source runs it under the cap that keeps it to about a second
+@pytest.mark.parametrize("source, var_cap, covers, non_covers", [
+    ("cfd-micro", 6, 450, 230), ("genre", 10, 420, 42), ("genre-fan-out", 6, 400, 125),
+    ("clause-pair", 7, 180, 130)])
+def test_join_agrees_with_the_retired_enumeration(source, var_cap, covers, non_covers):
+    """The join returns the enumeration's verdict on every pair of
+    repair-free expansions that the enumeration decides within `var_cap`
+    variables, with at least the given numbers of covers and non-covers."""
+    verdicts = {True: 0, False: 0}
+    expand = functools.cache(logic.repaired_clauses)
+    for c, d in _join_pairs(source):
+        for cr in expand(c):
+            for dr in expand(d):
+                try:
+                    expected = reference_exhaustive_subsumes(cr, dr, var_cap)
+                except OracleCapExceeded:
+                    continue
+                assert exhaustive_subsumes(cr, dr, var_cap) == expected, \
+                    (print_clause(cr), print_clause(dr))
+                verdicts[expected] += 1
+    assert verdicts[True] >= covers and verdicts[False] >= non_covers, verdicts
+
+
+def test_eval_clause_grounds_a_variable_only_eq_or_sim_names():
+    """Such a variable ranges over the instance's values and the head row's:
+    'c' is similar to the head value 'a' but occurs in neither."""
+    instance = {"r": [("b",)]}
+    sims = frozenset({frozenset(("a", "c"))})
+    assert oracle._eval_clause(parse_clause("t(V0) :- r(V1), sim(V0,V2)."), instance, ("a",), sims)
+    assert oracle._eval_clause(parse_clause("t(V0) :- r(V1), eq(V2,V1)."), instance, ("a",), sims)
+    assert not oracle._eval_clause(parse_clause("t(V0) :- r(V1), sim(V0,V2), eq(V2,'c')."),
+                                   instance, ("a",), sims)
 
 
 def test_brute_force_entails_identity_and_plain():

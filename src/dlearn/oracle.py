@@ -9,7 +9,8 @@ enumerated repair for coverage, and over the canonical instance of a clause
 for subsumption, since c subsumes d exactly when the query c returns d's
 seed tuple on d's canonical instance (Chandra & Merlin, STOC 1977). It is
 never the backtracking matcher: no literal ordering, no candidate reuse and
-no budget.
+no budget. Nor a variable cap: the join's cost does not grow as
+|terms of d|^|variables of c|; only the repair enumeration is capped.
 """
 
 from __future__ import annotations
@@ -272,22 +273,19 @@ def _join(head_args, head_row, body, rows, read, eq, sim, domain) -> bool:
     return extend(0, {})
 
 
-def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
+def exhaustive_subsumes(c: Clause, d: Clause) -> bool:
     """Plain subsumption as a query over the canonical instance of d: c
     subsumes d exactly when the query c returns d's seed tuple on I^d
     (Chandra & Merlin, STOC 1977). The rows are d's relation literals, terms
     read as themselves; eq holds by d's equality closure, and sim by it or
     by a sim literal of d either way round. Free variables range over d's
-    terms. No search heuristics and no budget: an independent check of the
-    backtracking engine."""
+    terms. No search heuristics, no budget and no variable cap: an
+    independent check of the backtracking engine."""
     for lit in list(c.body) + list(d.body):
         if isinstance(lit, RepairLit):
             raise ValueError("exhaustive subsumption expects repair-free clauses")
     if c.head.relation != d.head.relation or len(c.head.args) != len(d.head.args):
         return False
-    n_vars = len(logic.clause_vars(c))
-    if n_vars > var_cap:
-        raise OracleCapExceeded(f"too many variables for exhaustive subsumption: {n_vars}")
     closure = logic.EqClosure(d.body)
     rows: dict = {}
     sims = set()
@@ -300,16 +298,15 @@ def exhaustive_subsumes(c: Clause, d: Clause, var_cap: int = 10) -> bool:
                  lambda a, b: closure.same(a, b) or (a, b) in sims, d.terms)
 
 
-def brute_force_entails(c: Clause, d: Clause, repair_cap: int = logic.DEFAULT_REPAIR_CAP,
-                        var_cap: int = 10) -> bool:
+def brute_force_entails(c: Clause, d: Clause, repair_cap: int = logic.DEFAULT_REPAIR_CAP) -> bool:
     """Entailment over repair-free expansions: every expansion of c must
     subsume some expansion of d, so the assignment relation is defined on the
     whole expansion set of c. An expansion with no image anywhere falsifies
-    entailment."""
+    entailment. No variable cap: exhaustive_subsumes decides each pair."""
     c_reps = logic.repaired_clauses(c, repair_cap)
     d_reps = logic.repaired_clauses(d, repair_cap)
     return all(
-        any(exhaustive_subsumes(cr, dr, var_cap) for dr in d_reps)
+        any(exhaustive_subsumes(cr, dr) for dr in d_reps)
         for cr in c_reps
     )
 

@@ -60,8 +60,8 @@ class SaturationConfig:
 @dataclass
 class RelevantTuple:
     """A gathered tuple and the similarity matches that reached it
-    (store.SimSelection, as select_sim returned them), each match once,
-    sorted by attribute, probe value and matched value."""
+    (store.SimSelection, as select_sim returned them), sorted by attribute,
+    probe value and matched value; each match once, as each constant is probed once."""
 
     tuple: store.Tuple
     sims: list[store.SimSelection] = field(default_factory=list)
@@ -119,12 +119,8 @@ def collect_relevant(example: Example, db: Database, idx: SimilarityIndex,
             new_candidates = []
             for tid in sorted(by_tid):
                 t, provs = by_tid[tid]
-                key = (relation, tid)
-                if key in gathered:
-                    known = gathered[key].sims
-                    for p in provs:
-                        if p not in known:
-                            known.append(p)
+                if (relation, tid) in gathered:
+                    gathered[(relation, tid)].sims.extend(provs)
                 else:
                     new_candidates.append((t, provs))
             for t, provs in naive_sample(new_candidates, cfg.sample_size, rng):
@@ -308,15 +304,20 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
     (constraints.swapped_both_ways). The finder leaves out those handled at
     the round's start and the round skips those handled since, by that one
     rule, so the finder's cut changes nothing the round does.
+
+    Precondition: each CFD swap rep{cond}(z, t) of the input comes with
+    rep{cond}(t, z), as in this function's output (build_bottom_clause passes
+    none). So no appended literal is in the body already: an X-cell repair
+    takes a fresh variable, and a swap the body held would mark its violation
+    handled, and the round would skip it.
     """
     if not cfds or not any(isinstance(l, logic.Rel) for l in clause.body):
         return clause
     state = _SplitBody(clause)
-    # the body's repair literals, its CFD swap pairs and each repaired term's
-    # alternatives, kept up to date as literals are appended (splits replace
-    # relation literals only)
-    repairs = {l for l in state.lits if isinstance(l, logic.RepairLit)}
-    swaps = {(l.target, l.replacement) for l in repairs if l.origin == "cfd"}
+    # the body's CFD swap pairs and each repaired term's alternatives, kept
+    # up to date as literals are appended (splits replace relation literals only)
+    swaps = {(l.target, l.replacement) for l in state.lits
+             if isinstance(l, logic.RepairLit) and l.origin == "cfd"}
     alternatives: dict[logic.Term, list[logic.Term]] = {}
     for lit in state.lits:
         if isinstance(lit, logic.RepairLit):
@@ -336,11 +337,9 @@ def inject_cfd_repairs(clause: logic.Clause, cfds, cfg: SaturationConfig) -> log
                     or {violation.first, violation.second} & touched):
                 continue
             for lit in _repair_one_violation(state, cfd, violation):
-                if lit not in repairs:
-                    repairs.add(lit)
-                    swaps.add((lit.target, lit.replacement))
-                    alternatives.setdefault(lit.target, []).append(lit.replacement)
-                    state.lits.append(lit)
+                swaps.add((lit.target, lit.replacement))
+                alternatives.setdefault(lit.target, []).append(lit.replacement)
+                state.lits.append(lit)
             touched.update((violation.first, violation.second))
         if not touched:
             return logic.Clause(clause.head, tuple(state.lits))

@@ -224,13 +224,11 @@ def from_tuples(schema: Schema, rows: dict[str, list[tuple[str, ...]]]) -> Datab
 
 
 def select_eq(db: Database, relation: str, attribute: str, values) -> list[Tuple]:
-    """Tuples whose value at `attribute` is in `values`, in tuple-id order."""
+    """Tuples whose value at `attribute` is in the set `values`, in tuple-id
+    order; the value index lists each tuple id under one value, so none repeats."""
     index = db.index(relation, attribute)
-    tids = set()
-    for v in values:
-        tids.update(index.get(v, ()))
     table = db.tuples(relation)
-    return [table[t] for t in sorted(tids)]
+    return [table[t] for t in sorted(t for v in values for t in index.get(v, ()))]
 
 
 @dataclass(frozen=True)
@@ -255,16 +253,15 @@ def select_sim(db: Database, relation: str, attribute: str, values, idx) -> list
     """Tuples whose value at `attribute` is index-similar to a probe value.
 
     Each result carries the (probe, matched) annotation that later turns
-    into a similarity literal. Probe values are visited in sorted order
-    and results are ordered by (tuple id, probe, matched).
+    into a similarity literal. `values` is a set, idx.matches names each value
+    once and the value index each tuple id once, so no (tuple id, probe,
+    matched) repeats; the final sort by that triple sets the order.
     """
     index = db.index(relation, attribute)
     table = db.tuples(relation)
-    out = {}
-    for probe in sorted(values):
-        for other, _, pair in idx.matches(relation, attribute, probe):
-            for tid in index.get(other, ()):
-                key = (tid, probe, other)
-                if key not in out:
-                    out[key] = SimSelection(table[tid], attribute, probe, other, pair)
-    return [out[k] for k in sorted(out)]
+    out = [SimSelection(table[tid], attribute, probe, other, pair)
+           for probe in values
+           for other, _, pair in idx.matches(relation, attribute, probe)
+           for tid in index.get(other, ())]
+    out.sort(key=lambda s: (s.tuple.tid, s.probe_value, s.matched_value))
+    return out

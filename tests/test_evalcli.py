@@ -132,7 +132,7 @@ def _verdicts_and_oracle(seed: int, family: int, k_m: int, cfd: bool = False,
     limits = (cfg.subsumption_budget, cfg.repair_cap)
 
     def entails(c, g):
-        return oracle.brute_force_entails(c, g, cfg.repair_cap, var_cap=16)
+        return oracle.brute_force_entails(c, g, cfg.repair_cap)
 
     out = []
     for train_p, train_n, test_p, test_n in stratified_folds(pos, neg, 3,
@@ -209,6 +209,21 @@ def test_cli_determinism_and_threads(tmp_path):
                                      "--threads", threads, "--out", str(out)]))
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_cli_learn_without_constraints_equals_an_empty_constraints_file(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = movie_args(["--min-pos", "1", "--seed", "3"])
+    at = argv.index("--constraints")
+    del argv[at:at + 2]
+    outs = []
+    for extra in ([], ["--constraints", str(empty)]):
+        out = tmp_path / f"def_{len(outs)}.txt"
+        assert main(["learn"] + argv + extra + ["--out", str(out)]) == 0
+        outs.append(out.read_text())
+    # without the title MD no example title joins movies, so nothing is learned
+    assert outs == ["", ""]
 
 
 _HASH_SEED_RUN = """\

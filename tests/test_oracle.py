@@ -97,6 +97,18 @@ def test_enumerate_repairs_cap():
         enumerate_repairs(db, mds, [], idx, cap=1, extra_rows={"t": [("a",)]})
 
 
+def test_enumerate_repairs_leaves_rows_outside_a_constant_cell_alone():
+    # only the 'k0' pair matches the pattern: it is repaired either way, and
+    # the pattern's constant X cell gets no replacement move
+    schema = store.parse_schema("r(a:text, b:text)\nt(x:text)", target="t")
+    db = store.from_tuples(schema, {"r": [("k0", "b0"), ("k0", "b1"), ("k1", "b0"), ("k1", "b1")]})
+    _, cfds = constraints.parse_constraints("cfd: r : a -> b : ('k0' || _)", schema)
+    instances = enumerate_repairs(db, [], cfds, textsim.SimilarityIndex(), cap=8)
+    assert sorted(inst["r"] for inst in instances) == [
+        [("k0", "b0"), ("k0", "b0"), ("k1", "b0"), ("k1", "b1")],
+        [("k0", "b1"), ("k0", "b1"), ("k1", "b0"), ("k1", "b1")]]
+
+
 def test_canonical_instance_simple():
     c = parse_clause("highGrossing(V0) :- movies(V0,V1,V2).")
     db = canonical_instance(c)
@@ -145,9 +157,19 @@ def test_exhaustive_subsumes_reads_sim_literals_both_ways_and_through_equality()
     assert not exhaustive_subsumes(c, parse_clause("t('a') :- r('b'), sim('a','c')."))
 
 def test_exhaustive_subsumes_var_cap():
+    """The join takes no variable cap: an 11-variable clause is decided."""
     c = parse_clause("t(V0) :- r(V0,V1,V2,V3,V4,V5,V6,V7,V8,V9,V10).")
-    with pytest.raises(OracleCapExceeded):
-        exhaustive_subsumes(c, c, var_cap=5)
+    assert exhaustive_subsumes(c, c)
+
+
+def test_exhaustive_subsumes_rejects_repair_literals_and_another_head():
+    plain = parse_clause("t(V0) :- r(V0,V1).")
+    repaired = parse_clause("t(V0) :- r(V0,V1), sim(V0,V1), rep{sim(V0,V1)}(V0,V2).")
+    for c, d in ((repaired, plain), (plain, repaired)):
+        with pytest.raises(ValueError):
+            exhaustive_subsumes(c, d)
+    for head in ("u('a')", "t('a','b')"):
+        assert not exhaustive_subsumes(plain, parse_clause(f"{head} :- r('a','b')."))
 
 
 def _genre_triples(seeds, family, k_m):
@@ -199,7 +221,7 @@ def test_join_agrees_with_the_retired_enumeration(source, var_cap, covers, non_c
                     expected = reference_exhaustive_subsumes(cr, dr, var_cap)
                 except OracleCapExceeded:
                     continue
-                assert exhaustive_subsumes(cr, dr, var_cap) == expected, \
+                assert exhaustive_subsumes(cr, dr) == expected, \
                     (print_clause(cr), print_clause(dr))
                 verdicts[expected] += 1
     assert verdicts[True] >= covers and verdicts[False] >= non_covers, verdicts

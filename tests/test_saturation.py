@@ -407,6 +407,27 @@ def test_a_match_found_from_the_left_side_splits_the_probe_at_the_right_side():
         "eq(V10,V11).")
 
 
+def test_a_probe_value_with_two_stored_homes_is_repaired_at_the_value_level():
+    # both movies tuples hold the probe title of the stored-to-stored match
+    # with aka, so no single occurrence can stand for it: the left repair
+    # targets the constant, with no split and no induced equality
+    schema = store.parse_schema(
+        "movies(id:text, title:text, year:integer)\naka(id:text, title:text)\nt(id:text)",
+        target="t")
+    db = store.from_tuples(schema, {
+        "movies": [("m1", "Superbad (2007)", "2007"), ("m1", "Superbad (2007)", "2008")],
+        "aka": [("a1", "Superbad [2007]")]})
+    mds, _ = constraints.parse_constraints(AKA_MD, schema)
+    idx = textsim.SimilarityIndex(entries={
+        (("movies", "title"), ("aka", "title")): {"Superbad (2007)": [("Superbad [2007]", 0.9)]}})
+    ex = Example("t", ("m1",))
+    cfg = SaturationConfig(d=3, sample_size=10, rng_seed=0)
+    assert logic.print_clause(bottom_clause(ex, db, mds, [], idx, cfg)) == (
+        "t(V0) :- movies(V0,'Superbad (2007)',V1), movies(V0,'Superbad (2007)',V2), aka(V3,V4), "
+        "sim('Superbad (2007)',V4), rep{sim('Superbad (2007)',V4)}('Superbad (2007)',V5), "
+        "rep{sim('Superbad (2007)',V4)}(V4,V6), eq(V5,V6).")
+
+
 def test_learner_config_saturates_like_its_saturation_fields():
     for seed in range(12):
         db, mds, cfds, idx, examples = random_micro_db(random.Random(seed), with_cfd=seed % 2 == 0)

@@ -307,8 +307,7 @@ def test_covers_negative_is_sound_on_cfd_carrying_pairs():
         if covers_negative(c, g).covered:
             covers += 1
             carrying_covers += cfd
-            if not any(oracle.brute_force_entails(r, g, var_cap=16)
-                       for r in logic.repaired_clauses(c)):
+            if not any(oracle.brute_force_entails(r, g) for r in logic.repaired_clauses(c)):
                 unsound.append((print_clause(c), print_clause(g)))
     assert carrying >= 19 and carrying_covers >= 15 and covers >= 350
     assert unsound == []

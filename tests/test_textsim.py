@@ -141,6 +141,19 @@ def test_index_symmetric_lookup():
     assert not idx.covers("a", "k")
 
 
+def test_matches_over_pairs_that_share_a_side():
+    # three pairs reach ("r", "b"): two from their right side, one from its left
+    a, b, c = (("t", "a"), ("r", "b")), (("s", "c"), ("r", "b")), (("r", "b"), ("u", "d"))
+    idx = textsim.SimilarityIndex(entries={
+        a: {"x": [("z", 0.9), ("y", 0.7), ("w", 0.8)]},
+        b: {"x": [("y", 0.8), ("z", 0.9)]},
+        c: {"v": [("x", 0.9)]}})
+    # y: b's 0.8 beats a's 0.7; z: a tie keeps a, first in entries order;
+    # order by descending score, then value
+    assert idx.matches("r", "b", "x") == [("v", 0.9, c), ("z", 0.9, a), ("w", 0.8, a),
+                                          ("y", 0.8, b)]
+
+
 _strings = st.one_of(
     st.text(alphabet="aab (1)", max_size=14),  # few letters: repeats and near matches
     st.text(alphabet="éß€𝄞 a", max_size=10),

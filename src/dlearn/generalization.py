@@ -190,15 +190,15 @@ def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     """Drop blocking literals until the clause covers g's example (or nothing
     is left to drop).
 
-    The result is kept in g.views under the clause's head and body, and
+    g keeps the result (Clause.kept) under the clause's head and body, and
     under its own: it is in ARMG literal order (order_clause is idempotent)
     and its last prefix walk against g found no blocking literal, so its
-    armg against g is itself. A repeat runs no coverage test. Within one
+    armg against g is itself. A repeat runs no coverage test and returns the
+    clause kept first, with the coverage views it has built. Within one
     call, the prefix walk after each drop skips the prefix bodies that an
     earlier walk found to cover g."""
-    key = ("armg", clause.head, clause.body, budget, repair_cap)
-    out = g.views.get(key)
-    if out is None:
+
+    def walk() -> Clause:
         ordered = order_clause(clause)
         covering: set = set()
         while ordered.clause.body:
@@ -206,9 +206,10 @@ def armg(clause: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
             if index is None:
                 break
             ordered = drop_with_repair(ordered, index)
-        out = g.views[key] = ordered.clause
-        g.views[("armg", out.head, out.body, budget, repair_cap)] = out
-    return out
+        return ordered.clause
+
+    out = g.kept(("armg", clause.head, clause.body, budget, repair_cap), walk)
+    return g.kept(("armg", out.head, out.body, budget, repair_cap), lambda: out)
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def score_clause(clause: Clause, positives, neg_gs, budget: int = DEFAULT_BUDGET
     the stats keep the keys of the covered ones in order. Every example is
     tested, and the stats record whether any verdict ran out of budget.
     The clause and each ground clause are expanded once, not once per
-    example: their coverage views stay with them (Clause.views).
+    example: their coverage views stay with them (Clause.kept).
 
     With `beat` set, testing stops as soon as the score is known to be at
     most `beat`: after each uncovered positive and each covered negative the

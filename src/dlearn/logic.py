@@ -184,9 +184,9 @@ class Clause:
     - binders: body indices of the relation and repair literals;
     - constraints: body indices of the equality and similarity literals.
 
-    And views: its coverage views, other than the clause itself (subsumption._view).
-    A ground clause also keeps there the ARMG results computed against it
-    (generalization.armg).
+    And views: the results derived from it that are kept with it (kept):
+    its coverage views and, for a ground clause, the ARMG results computed
+    against it (generalization.armg).
     """
 
     head: Rel
@@ -252,6 +252,24 @@ class Clause:
     @cached_property
     def views(self) -> dict:
         return {}
+
+    def kept(self, key, compute, *args):
+        """compute(*args), computed on first use and kept in views under
+        `key`, which names every input of the result other than the clause.
+        A result that is the clause itself, or a list of only it, is not
+        kept, as the clause would hold itself. A RepairCapExceeded is kept
+        without the traceback that holds the clause; each use raises a copy."""
+        out = self.views.get(key)
+        if out is None:
+            try:
+                out = compute(*args)
+            except RepairCapExceeded as exc:
+                out = exc.with_traceback(None)
+            if out is not self and not (isinstance(out, list) and out[0] is self):
+                self.views[key] = out
+        if isinstance(out, RepairCapExceeded):
+            raise RepairCapExceeded(*out.args)
+        return out
 
 
 Substitution = dict

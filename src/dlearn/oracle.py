@@ -16,7 +16,6 @@ no budget. Nor a variable cap: the join's cost does not grow as
 from __future__ import annotations
 
 import itertools
-import re
 
 from . import logic, store
 from .logic import Clause, Constant, Eq, Rel, RepairLit, Sim, Variable
@@ -32,7 +31,8 @@ class OracleCapExceeded(Exception):
 
 def fresh_value(a: str, b: str) -> str:
     """The fresh value standing for the unification of a and b; symmetric in
-    its arguments and distinct from every base constant."""
+    its arguments. It is distinct from every base constant only when no data
+    value starts with `_v(` or `_esc<`."""
     lo, hi = sorted((a, b))
     return f"{FRESH_PREFIX}{lo}|{hi})"
 
@@ -53,22 +53,15 @@ def _similar(idx, pair, left: str, right: str) -> bool:
     return any(rv == right for rv, _ in table.get(left, ()))
 
 
-def _md_moves(instance: Instance, mds, idx, schema):
-    moves = []
-    for mi, md in enumerate(mds):
-        (r1, a), (r2, b) = md.pair
-        p1, p2 = schema.relation(r1).attr_index(a), schema.relation(r2).attr_index(b)
-        for i, t1 in enumerate(instance.get(r1, [])):
-            for j, t2 in enumerate(instance.get(r2, [])):
-                if r1 == r2 and i == j:
-                    continue
-                if t1[p1] != t2[p2] and _similar(idx, md.pair, t1[p1], t2[p2]):
-                    moves.append(("md", mi, i, j))
-    return moves
+def _set(instance: Instance, rel: str, i: int, pos: int, value: str) -> Instance:
+    """The instance with cell `pos` of row i of `rel` set to value. Only the
+    rows of `rel` are copied; the other relations' row lists are shared."""
+    rows = list(instance[rel])
+    rows[i] = rows[i][:pos] + (value,) + rows[i][pos + 1:]
+    return {**instance, rel: rows}
 
 
-def _cfd_violation_pairs(instance: Instance, cfd):
-    rows = instance.get(cfd.relation, [])
+def _cfd_violation_pairs(rows, cfd):
     for i, j in itertools.combinations(range(len(rows)), 2):
         t1, t2 = rows[i], rows[j]
         ok = True
@@ -80,75 +73,58 @@ def _cfd_violation_pairs(instance: Instance, cfd):
             yield i, j
 
 
-def _cfd_moves(instance: Instance, cfds):
-    moves = []
-    for ci, cfd in enumerate(cfds):
-        for i, j in _cfd_violation_pairs(instance, cfd):
-            moves.append(("cfd_rhs", ci, i, j, 0))  # t1[A] := t2[A]
-            moves.append(("cfd_rhs", ci, i, j, 1))  # t2[A] := t1[A]
-            for k, cell in enumerate(cfd.cells):
-                if cell is None:
-                    moves.append(("cfd_lhs", ci, i, j, 0, k))
-                    moves.append(("cfd_lhs", ci, i, j, 1, k))
-    return moves
-
-
-def _apply_move(instance: Instance, move, mds, cfds, schema, escapes):
-    out = {rel: list(rows) for rel, rows in instance.items()}
-    if move[0] == "md":
-        _, mi, i, j = move
-        (r1, a), (r2, b) = mds[mi].pair
+def _successors(instance: Instance, mds, cfds, idx, schema, escapes) -> list[Instance]:
+    """The instances one enforcement step away, in a fixed order: each MD
+    unifying a similar pair of cells into their fresh value; then, per CFD
+    violation of rows i < j, row i taking row j's right-hand value, row j
+    taking row i's, and for each wildcard X cell, that cell of row i and then
+    of row j set to a new escape constant drawn from `escapes`. The
+    successors may share row lists with the instance and with each other;
+    no caller mutates them."""
+    out = []
+    for md in mds:
+        (r1, a), (r2, b) = md.pair
         p1, p2 = schema.relation(r1).attr_index(a), schema.relation(r2).attr_index(b)
-        fresh = fresh_value(out[r1][i][p1], out[r2][j][p2])
-        row1 = list(out[r1][i])
-        row1[p1] = fresh
-        out[r1][i] = tuple(row1)
-        row2 = list(out[r2][j])
-        row2[p2] = fresh
-        out[r2][j] = tuple(row2)
-    elif move[0] == "cfd_rhs":
-        _, ci, i, j, side = move
-        cfd = cfds[ci]
-        rows = out[cfd.relation]
-        src, dst = (j, i) if side == 0 else (i, j)
-        row = list(rows[dst])
-        row[cfd.rhs_position] = rows[src][cfd.rhs_position]
-        rows[dst] = tuple(row)
-    else:
-        _, ci, i, j, side, k = move
-        cfd = cfds[ci]
-        rows = out[cfd.relation]
-        which = i if side == 0 else j
-        row = list(rows[which])
-        row[cfd.x_positions[k]] = f"{ESCAPE_PREFIX}{next(escapes)}>"
-        rows[which] = tuple(row)
+        for i, t1 in enumerate(instance[r1]):
+            for j, t2 in enumerate(instance[r2]):
+                if r1 == r2 and i == j:
+                    continue
+                if t1[p1] != t2[p2] and _similar(idx, md.pair, t1[p1], t2[p2]):
+                    fresh = fresh_value(t1[p1], t2[p2])
+                    out.append(_set(_set(instance, r1, i, p1, fresh), r2, j, p2, fresh))
+    for cfd in cfds:
+        rel, a = cfd.relation, cfd.rhs_position
+        rows = instance[rel]
+        for i, j in _cfd_violation_pairs(rows, cfd):
+            out.append(_set(instance, rel, i, a, rows[j][a]))
+            out.append(_set(instance, rel, j, a, rows[i][a]))
+            for p, cell in zip(cfd.x_positions, cfd.cells):
+                if cell is None:
+                    for row in (i, j):
+                        out.append(_set(instance, rel, row, p, f"{ESCAPE_PREFIX}{next(escapes)}>"))
     return out
 
 
-_ESC_RE = re.compile(re.escape(ESCAPE_PREFIX) + r"\d+>")
+def _instance_key(instance: Instance, schema) -> tuple:
+    """The instance's rows as tuples, relation by relation in schema order,
+    with escape constants renamed by first occurrence, so repairs differing
+    only in escape identity collapse."""
+    names: dict = {}
 
+    def rename(value: str) -> str:
+        if value.startswith(ESCAPE_PREFIX):
+            return names.setdefault(value, f"{ESCAPE_PREFIX}{len(names)}>")
+        return value
 
-def _instance_key(instance: Instance, schema) -> str:
-    """Printable form with escape constants renamed by first occurrence, so
-    repairs differing only in escape identity collapse."""
-    parts = []
-    for rel in schema.relations:
-        for row in instance.get(rel.name, []):
-            parts.append(rel.name + "(" + ",".join(row) + ")")
-    text = ";".join(parts)
-    mapping = {}
-    def rename(m):
-        tok = m.group(0)
-        if tok not in mapping:
-            mapping[tok] = f"{ESCAPE_PREFIX}{len(mapping)}>"
-        return mapping[tok]
-    return _ESC_RE.sub(rename, text)
+    return tuple(tuple(tuple(map(rename, row)) for row in instance[rel.name])
+                 for rel in schema.relations)
 
 
 def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
                       extra_rows: dict | None = None) -> list[Instance]:
     """All stable instances reachable by enforcing the dependencies in every
-    order. extra_rows adds tuples (notably target-relation examples) on top
+    order (_successors), each once (_instance_key), in the order of their
+    keys. extra_rows adds tuples (notably target-relation examples) on top
     of the stored tables."""
     schema = db.schema
     start: Instance = {}
@@ -157,8 +133,8 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
         if extra_rows and rel.name in extra_rows:
             rows = rows + [tuple(r) for r in extra_rows[rel.name]]
         start[rel.name] = rows
-    results: dict[str, Instance] = {}
-    seen: set[str] = set()
+    results: dict[tuple, Instance] = {}
+    seen: set[tuple] = set()
     escapes = itertools.count()
     stack = [start]
     guard = 0
@@ -171,14 +147,12 @@ def enumerate_repairs(db: Database, mds, cfds, idx, cap: int = 64,
         if key in seen:
             continue
         seen.add(key)
-        moves = _md_moves(instance, mds, idx, schema) + _cfd_moves(instance, cfds)
-        if not moves:
+        successors = _successors(instance, mds, cfds, idx, schema, escapes)
+        if not successors:
             results[key] = instance
             if len(results) > cap:
                 raise OracleCapExceeded(f"more than {cap} stable instances")
-            continue
-        for move in moves:
-            stack.append(_apply_move(instance, move, mds, cfds, schema, escapes))
+        stack.extend(successors)
     return [results[k] for k in sorted(results)]
 
 

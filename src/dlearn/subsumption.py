@@ -19,10 +19,9 @@ witness of the unpruned search; its docstring states how, and what its budget
 counts. Like the parts the search looks up in a clause (Clause.closure,
 Clause.rels and the rest), the clauses that the coverage tests derive from a
 clause (md_part, logic.first_partial_repair, logic.partial_repairs,
-logic.repaired_clauses) are built once per Clause object and kept in
-Clause.views, never the clause itself (_view). A ground clause also keeps
-there the ARMG results computed against it, so a repeated
-generalization.armg runs no coverage test. covers_positive's docstring
+logic.repaired_clauses) are built once per Clause object and kept with it
+(Clause.kept), as a ground clause keeps the ARMG results computed against
+it (generalization.armg). covers_positive's docstring
 states when its stages 2 and 3 run and why the stage-3 shortcut is exact.
 
 Coverage is sound: when subsumes_with_repairs or covers_positive reports
@@ -369,25 +368,6 @@ def md_part(clause: Clause) -> Clause:
             else tainted.isdisjoint(logic.literal_terms(lit)))))
 
 
-def _view(view: str, fn, clause: Clause, *args):
-    """fn(clause, *args), the `view` of a clause, computed on first use and
-    kept in clause.views under `(view, args)`, unless it is the clause or a
-    list of only it, which fn returns at its first check. A RepairCapExceeded
-    is kept without the traceback that holds the clause; each use raises a copy."""
-    key = (view, args)
-    out = clause.views.get(key)
-    if out is None:
-        try:
-            out = fn(clause, *args)
-        except logic.RepairCapExceeded as exc:
-            out = exc.with_traceback(None)
-        if out is not clause and not (isinstance(out, list) and out[0] is clause):
-            clause.views[key] = out
-    if isinstance(out, logic.RepairCapExceeded):
-        raise logic.RepairCapExceeded(*out.args)
-    return out
-
-
 def _needed_constants(clause: Clause) -> set:
     """The constants that a clause can map only onto the same constant of
     the clause it subsumes: those of its head, its relation literals and its
@@ -431,18 +411,18 @@ def covers_positive(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     v1 = subsumes_with_repairs(c, g, budget)
     if v1.covered:
         return v1
-    md_c, md_g = _view("md", md_part, c), _view("md", md_part, g)
+    md_c, md_g = c.kept("md", md_part, c), g.kept("md", md_part, g)
     if md_c is c and md_g is g:
         return v1
     v2 = subsumes_with_repairs(md_c, md_g, budget)
     if not v2.covered:
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
-    path = _view("cfd path", logic.first_partial_repair, c, "cfd")
+    path = c.kept("cfd path", logic.first_partial_repair, c, "cfd")
     if _needed_constants(path).difference(g.terms):
         return CoverageVerdict(False, budget_exhausted=v1.budget_exhausted)
     try:
-        c_variants = _view("cfd", logic.partial_repairs, c, "cfd", repair_cap)
-        g_variants = _view("cfd", logic.partial_repairs, g, "cfd", repair_cap)
+        c_variants = c.kept(("cfd", repair_cap), logic.partial_repairs, c, "cfd", repair_cap)
+        g_variants = g.kept(("cfd", repair_cap), logic.partial_repairs, g, "cfd", repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
     exhausted = v1.budget_exhausted
@@ -465,7 +445,7 @@ def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     ground bottom clause g as a positive (c entails g, so every repair-free
     expansion of c does), or else when one of its repair-free expansions
     does. A clause without repair literals is its own one expansion and is
-    never expanded; any other is expanded once (Clause.views). g is not
+    never expanded; any other is expanded once (Clause.kept). g is not
     expanded: a negative covered only through its own repairs, which c does
     not match structurally, is missed, as the side condition keeps r off the
     parts of g they touch.
@@ -474,7 +454,7 @@ def covers_negative(c: Clause, g: Clause, budget: int = DEFAULT_BUDGET,
     if direct.covered or not c.reps:
         return direct
     try:
-        expansions = _view("repaired", logic.repaired_clauses, c, repair_cap)
+        expansions = c.kept(("repaired", repair_cap), logic.repaired_clauses, c, repair_cap)
     except logic.RepairCapExceeded:
         return CoverageVerdict(False, budget_exhausted=True)
     exhausted = direct.budget_exhausted

@@ -964,14 +964,14 @@ def reference_covers_positive(c: logic.Clause, g: logic.Clause,
     v1 = subsumption.subsumes_with_repairs(c, g, budget)
     if v1.covered:
         return v1
-    v2 = subsumption.subsumes_with_repairs(subsumption._view("md", subsumption.md_part, c),
-                                           subsumption._view("md", subsumption.md_part, g), budget)
+    v2 = subsumption.subsumes_with_repairs(c.kept("md", subsumption.md_part, c),
+                                           g.kept("md", subsumption.md_part, g), budget)
     if not v2.covered:
         return subsumption.CoverageVerdict(
             False, budget_exhausted=v1.budget_exhausted or v2.budget_exhausted)
     try:
-        c_variants = subsumption._view("cfd", logic.partial_repairs, c, "cfd", repair_cap)
-        g_variants = subsumption._view("cfd", logic.partial_repairs, g, "cfd", repair_cap)
+        c_variants = c.kept(("cfd", repair_cap), logic.partial_repairs, c, "cfd", repair_cap)
+        g_variants = g.kept(("cfd", repair_cap), logic.partial_repairs, g, "cfd", repair_cap)
     except logic.RepairCapExceeded:
         return subsumption.CoverageVerdict(False, budget_exhausted=True)
     exhausted = v1.budget_exhausted

@@ -2,7 +2,8 @@
 anything outside it, numpy included. Every name a module imports is used in
 that module, every parameter a function takes is read in its body, and every
 function the package defines is referenced in the package or kept for a
-caller outside it."""
+caller outside it. Files are read by store alone, and results kept with a
+clause by Clause.kept alone."""
 
 import ast
 import pathlib
@@ -109,6 +110,41 @@ def test_every_input_file_is_read_by_store():
     readers = [f"{path.name}:{call.lineno}" for path in modules
                for call in _calls_outside(path, {"reader", "DictReader"}, "store.csv_records")]
     assert reads == [] and readers == []
+
+
+_DICT_WRITES = {"__setitem__", "__delitem__", "setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _view_writes(path):
+    """(qualified function, line) of every write into a `views` attribute in
+    a file: an item assignment or deletion, or a dict method that changes
+    it."""
+
+    def walk(node, qualified):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, qualified + "." + child.name)
+                continue
+            target = None
+            if isinstance(child, ast.Subscript) and not isinstance(child.ctx, ast.Load):
+                target = child.value
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in _DICT_WRITES):
+                target = child.func.value
+            if isinstance(target, ast.Attribute) and target.attr == "views":
+                yield qualified, child.lineno
+            yield from walk(child, qualified)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+
+
+def test_every_kept_result_is_kept_by_clause_kept():
+    """logic.Clause.kept is the one place that writes into a clause's views,
+    so every result kept with a clause follows one policy: its key, and
+    what is never kept."""
+    writes = [(name, f"{path.name}:{line}") for path in sorted(PACKAGE.glob("*.py"))
+              for name, line in _view_writes(path)]
+    assert writes and {name for name, _ in writes} == {"logic.Clause.kept"}, writes
 
 
 # bench/run.py passes the MDs to ground_bottom_clause positionally, and the

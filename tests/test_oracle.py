@@ -109,6 +109,45 @@ def test_enumerate_repairs_leaves_rows_outside_a_constant_cell_alone():
         [("k0", "b1"), ("k0", "b1"), ("k1", "b0"), ("k1", "b1")]]
 
 
+def test_enumerate_repairs_tells_apart_values_with_commas():
+    # printed as comma-separated text, the start instance would read as two
+    # of the stable ones, r(k0,a,b,c) twice, and hide them as already seen
+    schema = store.parse_schema("r(k:text, x:text, y:text)\nt(v:text)", target="t")
+    db = store.from_tuples(schema, {"r": [("k0", "a", "b,c"), ("k0", "a,b", "c")]})
+    _, cfds = constraints.parse_constraints(
+        "cfd: r : k -> x : ('k0' || _)\ncfd: r : k -> y : ('k0' || _)", schema)
+    instances = enumerate_repairs(db, [], cfds, textsim.SimilarityIndex(), cap=8)
+    assert [inst["r"] for inst in instances] == [
+        [("k0", x, y)] * 2 for x in ("a", "a,b") for y in ("b,c", "c")]
+
+
+def test_enumerate_repairs_collapses_escapes_reached_in_either_order():
+    # rows 0 and 1 each violate the CFD with row 2, so escaping both of their
+    # keys is reached in either order, drawing the two escapes the other way
+    # round; renamed by first occurrence, both paths key one instance
+    schema = store.parse_schema("r(k:text, v:text)\nt(x:text)", target="t")
+    db = store.from_tuples(schema, {"r": [("k0", "a"), ("k0", "a"), ("k0", "b")]})
+    _, cfds = constraints.parse_constraints("cfd: r : k -> v : (_ || _)", schema)
+    instances = enumerate_repairs(db, [], cfds, textsim.SimilarityIndex(), cap=64)
+    shapes = [tuple(("_esc" if is_fresh(k) else k, v) for k, v in inst["r"])
+              for inst in instances]
+    assert len(set(shapes)) == len(shapes) == 32
+    assert (("_esc", "a"), ("_esc", "a"), ("k0", "b")) in shapes
+
+
+def test_enumerate_repairs_never_pairs_a_row_with_itself():
+    # an MD whose two sides lie in one relation unifies cells of two rows,
+    # never the two cells of one row
+    schema = store.parse_schema("r(a:text, b:text)\nt(x:text)", target="t")
+    mds, _ = constraints.parse_constraints("md: r[a] ~ r[b] -> r[a] <-> r[b]", schema)
+    idx = pair_index({(("r", "a"), ("r", "b")): {"x": [("y", 0.9)]}})
+    one = store.from_tuples(schema, {"r": [("x", "y")]})
+    assert [inst["r"] for inst in enumerate_repairs(one, mds, [], idx, cap=8)] == [[("x", "y")]]
+    two = store.from_tuples(schema, {"r": [("x", "y"), ("x", "y")]})
+    v = fresh_value("x", "y")
+    assert [inst["r"] for inst in enumerate_repairs(two, mds, [], idx, cap=8)] == [[(v, v)] * 2]
+
+
 def test_canonical_instance_simple():
     c = parse_clause("highGrossing(V0) :- movies(V0,V1,V2).")
     db = canonical_instance(c)
@@ -294,6 +333,12 @@ def test_normalize_clause_merges_and_prunes():
     assert print_clause(normalize_clause(c2)) == "t(V0)."
 
 
+def test_normalize_clause_turns_fresh_values_into_variables():
+    v = fresh_value("a", "b")
+    c = parse_clause(f"t(V0) :- r(V0,'{v}'), s('{v}','c').")
+    assert print_clause(normalize_clause(c)) == "t(V0) :- r(V0,V1), s(V1,'c')."
+
+
 def test_clauses_isomorphic():
     a = parse_clause("t(V0) :- r(V0,V1), s(V1).")
     b = parse_clause("t(V5) :- s(V2), r(V5,V2).")
@@ -301,6 +346,25 @@ def test_clauses_isomorphic():
     c = parse_clause("t(V0) :- r(V0,V1), s(V0).")
     assert not clauses_isomorphic(a, c)
     assert not clauses_isomorphic(a, parse_clause("t(V0) :- r(V0,V1)."))
+
+
+# a body of another length is test_clauses_isomorphic's last case
+@pytest.mark.parametrize("left, right", [
+    # literal type
+    ("t(V0) :- r(V0,V1), sim(V0,V1).", "t(V0) :- r(V0,V1), eq(V0,V1)."),
+    # repair origin
+    ("t(V0) :- rep{sim(V0,V1)}(V0,V2).", "t(V0) :- rep{eq(V0,V1)}(V0,V2)."),
+    # condition length
+    ("t(V0) :- rep{sim(V0,V1)}(V0,V2).", "t(V0) :- rep{sim(V0,V1);sim(V0,V3)}(V0,V2)."),
+    # condition atom type
+    ("t(V0) :- rep{eq(V0,V1);eq(V1,V3)}(V0,V2).", "t(V0) :- rep{eq(V0,V1);neq(V1,V3)}(V0,V2)."),
+    # head
+    ("t(V0) :- r(V0).", "u(V0) :- r(V0)."),
+])
+def test_clauses_isomorphic_mismatches(left, right):
+    a, b = parse_clause(left), parse_clause(right)
+    assert clauses_isomorphic(a, a) and clauses_isomorphic(b, b)
+    assert not clauses_isomorphic(a, b) and not clauses_isomorphic(b, a)
 
 
 def commutativity_case(seed: int):
